@@ -381,24 +381,38 @@ def make_relaxation(name: str) -> RelaxationFn:
 # Membership functions
 
 
-def _dependency_recursive(pred_key, rules) -> bool:
-    """True iff pred_key can reach itself in the adorned dependency graph."""
+def dependency_cycle(rules, key=None) -> bool:
+    """True iff the adorned predicate `key` reaches itself in the adorned
+    dependency graph of `rules`; with no key, iff any predicate does.
+
+    Iterative depth-first search: a node is on the search path (1) or
+    finished (2), and an edge back onto the path closes a cycle.
+    """
     edges: dict = {}
     for r in rules:
         src = r.head.apred.key
         for a in r.body:
             if isinstance(a, AdornedAtom):
                 edges.setdefault(src, set()).add(a.apred.key)
-    stack = list(edges.get(pred_key, ()))
-    seen = set()
-    while stack:
-        cur = stack.pop()
-        if cur == pred_key:
-            return True
-        if cur in seen:
+    state: dict = {}
+    for start in (list(edges) if key is None else [key]):
+        if start in state:
             continue
-        seen.add(cur)
-        stack.extend(edges.get(cur, ()))
+        state[start] = 1
+        stack = [(start, iter(edges.get(start, ())))]
+        while stack:
+            node, succ = stack[-1]
+            for nxt in succ:
+                seen = state.get(nxt)
+                if seen == 1 and (key is None or nxt == key):
+                    return True
+                if seen is None:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(edges.get(nxt, ()))))
+                    break
+            else:
+                state[node] = 2
+                stack.pop()
     return False
 
 
@@ -412,7 +426,7 @@ def h_cont(r: AdornedRule, rules, keys=None) -> bool:
     if h_eq(r, rules, keys):
         return True
     rho = r.head.apred.adornment
-    if _dependency_recursive(r.head.apred.key, (*rules, r)):
+    if dependency_cycle((*rules, r), r.head.apred.key):
         return False
     for other in rules:
         ap = other.head.apred

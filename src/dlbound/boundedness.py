@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from .core import Program, Rule, ValidationError
 from .unify import subsumes
 from .adorn import (
-    AdornedAtom, AdornedProgram, BudgetExceeded, GK, Id, MembershipFn,
-    adorn_program,
+    AdornedProgram, BudgetExceeded, GK, Id, MembershipFn, adorn_program,
+    dependency_cycle,
 )
 
 
@@ -56,33 +56,6 @@ def cq_contained(c1: Rule, c2: Rule) -> bool:
     return subsumes(c2, c1)
 
 
-def _has_recursion(pi: AdornedProgram) -> bool:
-    edges: dict = {}
-    for r in pi.rules:
-        src = r.head.apred.key
-        for a in r.body:
-            if isinstance(a, AdornedAtom):
-                edges.setdefault(src, set()).add(a.apred.key)
-    # cycle detection over the adorned dependency graph
-    seen: set = set()
-    onpath: set = set()
-
-    def dfs(node) -> bool:
-        if node in onpath:
-            return True
-        if node in seen:
-            return False
-        seen.add(node)
-        onpath.add(node)
-        for nxt in edges.get(node, ()):
-            if dfs(nxt):
-                return True
-        onpath.discard(node)
-        return False
-
-    return any(dfs(n) for n in list(edges))
-
-
 def check_boundedness(p: Program, budget: int | None = None,
                       max_rules: int = 500, max_sweeps: int = 200):
     """Semi-decide boundedness of p.
@@ -97,7 +70,7 @@ def check_boundedness(p: Program, budget: int | None = None,
                            max_iterations=max_sweeps, max_rules=max_rules)
     except BudgetExceeded as exc:
         return Inconclusive(partial=exc.partial, limit=exc.limit)
-    if _has_recursion(pi):
+    if dependency_cycle(pi.rules):
         return Degraded(program=pi, budget=budget)
     return NonRecursive(program=pi)
 

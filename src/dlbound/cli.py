@@ -243,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "datalog programs")
     top.add_argument("--json", action="store_true",
                      help="emit machine-readable JSON")
-    top.add_argument("--threads", type=int, default=1,
-                     help="parallelism hint (analyses are deterministic)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **extra):

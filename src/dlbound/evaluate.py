@@ -4,8 +4,9 @@ of instances on which the combinatorial size bound is exactly tight."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import dataclass, field
+from itertools import chain, product
+from operator import itemgetter
 
 from .core import (
     Atom, Const, ParseError, Program, Rule, ValidationError, Var,
@@ -18,6 +19,10 @@ from .sizebound import SchemaStats, bound1
 class EDBInstance:
     """Ground facts: relation name -> set of constant tuples."""
     relations: tuple  # of (name, frozenset of tuples)
+    _by_name: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_name", dict(self.relations))
 
     @classmethod
     def of(cls, mapping) -> "EDBInstance":
@@ -36,10 +41,7 @@ class EDBInstance:
         return dict(self.relations)
 
     def get(self, name: str) -> frozenset:
-        for n, tuples in self.relations:
-            if n == name:
-                return tuples
-        return frozenset()
+        return self._by_name.get(name, frozenset())
 
     @property
     def n(self) -> int:
@@ -109,15 +111,16 @@ class IDBResult:
     values for adorned ones.
     """
     relations: tuple  # of (key, frozenset)
+    _by_key: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_by_key", dict(self.relations))
 
     def as_dict(self) -> dict:
         return dict(self.relations)
 
     def get(self, key) -> frozenset:
-        for k, tuples in self.relations:
-            if k == key:
-                return tuples
-        return frozenset()
+        return self._by_key.get(key, frozenset())
 
 
 def union_adorned(result: IDBResult, q: str) -> frozenset:
@@ -135,92 +138,235 @@ def union_adorned(result: IDBResult, q: str) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
+# Join kernel
+
+
+def _tuple_getter(positions):
+    """Tuple of the values at `positions`, also for zero or one position."""
+    if len(positions) == 1:
+        i = positions[0]
+        return lambda slots: (slots[i],)
+    if not positions:
+        return lambda slots: ()
+    return itemgetter(*positions)
+
+
+class _Relation:
+    """A set of equal-arity tuples with hash indexes built on first use,
+    one per tuple of key positions, kept current as rows are added.  An
+    index key is a scalar for one position and a tuple for several (what
+    `itemgetter` returns), both when built and when looked up."""
+
+    __slots__ = ("rows", "_indexes")
+
+    def __init__(self, rows):
+        self.rows = rows
+        self._indexes: dict = {}
+
+    def index(self, positions) -> dict:
+        idx = self._indexes.get(positions)
+        if idx is None:
+            idx = {}
+            key = itemgetter(*positions)
+            for row in self.rows:
+                idx.setdefault(key(row), []).append(row)
+            self._indexes[positions] = idx
+        return idx
+
+    def add(self, rows) -> None:
+        """Add rows, none of which is present yet."""
+        self.rows |= rows
+        for positions, idx in self._indexes.items():
+            key = itemgetter(*positions)
+            for row in rows:
+                idx.setdefault(key(row), []).append(row)
+
+
+class _EDBRelations:
+    """The EDB relations of one instance as indexed _Relations, made on
+    first use and shared by every join that holds this object."""
+
+    def __init__(self, d: EDBInstance):
+        self.d = d
+        self._rels: dict = {}
+
+    def get(self, name: str, arity: int) -> tuple:
+        """The relation as the one-part source of an atom of `arity`
+        (empty when its tuples have another arity)."""
+        src = self._rels.get((name, arity))
+        if src is None:
+            rows = self.d.get(name)
+            if rows and len(next(iter(rows))) != arity:
+                rows = frozenset()
+            src = self._rels[(name, arity)] = (_Relation(rows),)
+        return src
+
+
+class _Join:
+    """One compiled conjunctive join over a rule body.
+
+    Every variable and constant gets a slot in a flat list.  Atoms run in
+    a greedy bound-first order: next is the atom with the most positions
+    already fixed (constants or bound variables), ties going to the
+    earlier body position.  Each atom is then a hash lookup on those
+    positions; its other positions bind new variables or, for a variable
+    repeated within the atom, check equality.  `run` walks the atoms with
+    an explicit stack, so body length is not limited by recursion depth.
+    """
+
+    def __init__(self, atoms):
+        self.slot_of: dict = {}
+        self.init: list = []
+        fixed: set = set()
+        remaining = list(range(len(atoms)))
+        steps = []
+        while remaining:
+            best = max(remaining, key=lambda j: (sum(
+                1 for t in atoms[j]
+                if isinstance(t, Const) or t.name in fixed), -j))
+            remaining.remove(best)
+            positions, key_slots, binds, eqs = [], [], [], []
+            first: dict = {}
+            for pos, t in enumerate(atoms[best]):
+                if isinstance(t, Const):
+                    positions.append(pos)
+                    key_slots.append(self._const(t.value))
+                elif t.name in fixed:
+                    positions.append(pos)
+                    key_slots.append(self.slot_of[t.name])
+                elif t.name in first:
+                    eqs.append((first[t.name], pos))
+                else:
+                    first[t.name] = pos
+                    binds.append((pos, self.slot(t.name)))
+            fixed.update(first)
+            steps.append((best, tuple(positions),
+                          itemgetter(*key_slots) if key_slots else None,
+                          tuple(binds), tuple(eqs)))
+        self.steps = steps
+        self.bound = frozenset(fixed)
+
+    def slot(self, name: str) -> int:
+        s = self.slot_of.get(name)
+        if s is None:
+            s = self.slot_of[name] = len(self.init)
+            self.init.append(None)
+        return s
+
+    def _const(self, value) -> int:
+        self.init.append(value)
+        return len(self.init) - 1
+
+    def getter(self, terms):
+        """A function from a binding's slots to the ground tuple of terms."""
+        return _tuple_getter([
+            self._const(t.value) if isinstance(t, Const)
+            else self.slot(t.name) for t in terms])
+
+    def run(self, sources):
+        """Yield once per binding that grounds every atom in its source
+        (sources[j]: a tuple of disjoint _Relation parts for atom j).
+        The same slot list is yielded each time, updated in place."""
+        slots = list(self.init)
+        steps = self.steps
+        last = len(steps) - 1
+        if last < 0:
+            yield slots
+            return
+
+        def rows(depth):
+            j, positions, key, _, _ = steps[depth]
+            parts = sources[j]
+            if positions:
+                k = key(slots)
+                if len(parts) == 1:
+                    return iter(parts[0].index(positions).get(k, ()))
+                return chain.from_iterable(
+                    p.index(positions).get(k, ()) for p in parts)
+            if len(parts) == 1:
+                return iter(parts[0].rows)
+            return chain.from_iterable(p.rows for p in parts)
+
+        stack = [None] * len(steps)
+        stack[0] = rows(0)
+        depth = 0
+        while depth >= 0:
+            binds, eqs = steps[depth][3], steps[depth][4]
+            for row in stack[depth]:
+                if eqs and any(row[a] != row[b] for a, b in eqs):
+                    continue
+                for pos, s in binds:
+                    slots[s] = row[pos]
+                if depth == last:
+                    yield slots
+                else:
+                    depth += 1
+                    stack[depth] = rows(depth)
+                    break
+            else:
+                depth -= 1
+
+
+# ---------------------------------------------------------------------------
 # Evaluation core
 
 
-@dataclass(frozen=True)
 class _ERule:
-    head_key: object
-    head_terms: tuple
-    body: tuple  # of (key, terms, is_idb)
+    """A rule with its body compiled: IDB keys are dense ints, and each
+    body atom is (key, arity, is_idb)."""
+
+    def __init__(self, head_key, head_terms, body):
+        self.head_key = head_key
+        self.body = tuple((key, len(terms), is_idb)
+                          for key, terms, is_idb in body)
+        self.idb_positions = [j for j, (_, _, is_idb) in enumerate(body)
+                              if is_idb]
+        self.join = _Join([terms for _, terms, _ in body])
+        self.head = self.join.getter(head_terms)
+
+    def apply(self, sources) -> set:
+        head = self.head
+        return {head(slots) for slots in self.join.run(sources)}
 
 
 def _normalize(prog):
-    """Turn a Program or AdornedProgram into _ERules plus the IDB key set."""
+    """Turn a Program or AdornedProgram into _ERules, the list of IDB keys
+    (indexed by the rules' dense ids) and the source program."""
+    ids: dict = {}
+
+    def idb_id(key):
+        return ids.setdefault(key, len(ids))
+
     if isinstance(prog, Program):
-        rules = []
-        for r in prog.rules:
-            body = tuple(
-                (a.pred, a.terms, a.pred in prog.idb) for a in r.body)
-            rules.append(_ERule(r.head.pred, r.head.terms, body))
-        idb_keys = set(prog.idb)
-        return rules, idb_keys, prog.source if hasattr(prog, "source") else prog
+        for q in sorted(prog.idb):
+            idb_id(q)
+        rules = [_ERule(ids[r.head.pred], r.head.terms, tuple(
+            (ids[a.pred], a.terms, True) if a.pred in prog.idb
+            else (a.pred, a.terms, False) for a in r.body))
+            for r in prog.rules]
+        return rules, list(ids), prog
     if isinstance(prog, AdornedProgram):
         rules = []
-        idb_keys = set()
         for r in prog.rules:
-            idb_keys.add(r.head.apred)
-            body = []
-            for a in r.body:
-                if isinstance(a, AdornedAtom):
-                    body.append((a.apred, a.terms, True))
-                    idb_keys.add(a.apred)
-                else:
-                    body.append((a.pred, a.terms, False))
-            rules.append(_ERule(r.head.apred, r.head.terms, tuple(body)))
-        return rules, idb_keys, prog.source
+            head = idb_id(r.head.apred)
+            body = tuple(
+                (idb_id(a.apred), a.terms, True)
+                if isinstance(a, AdornedAtom) else (a.pred, a.terms, False)
+                for a in r.body)
+            rules.append(_ERule(head, r.head.terms, body))
+        return rules, list(ids), prog.source
     raise TypeError(f"cannot evaluate {type(prog).__name__}")
-
-
-def _match(body, binding=None):
-    """All bindings extending `binding` that ground every body atom in its
-    relation.  body: list of (terms, tuple-collection)."""
-    def rec(i, bnd):
-        if i == len(body):
-            yield bnd
-            return
-        terms, rel = body[i]
-        for row in rel:
-            if len(row) != len(terms):
-                continue
-            b2 = bnd
-            ok = True
-            for t, v in zip(terms, row):
-                if isinstance(t, Const):
-                    if t.value != v:
-                        ok = False
-                        break
-                elif t.name in b2:
-                    if b2[t.name] != v:
-                        ok = False
-                        break
-                else:
-                    if b2 is bnd:
-                        b2 = dict(bnd)
-                    b2[t.name] = v
-            if ok:
-                yield from rec(i + 1, b2)
-    yield from rec(0, dict(binding or {}))
-
-
-def _ground_head(terms, binding):
-    out = []
-    for t in terms:
-        if isinstance(t, Const):
-            out.append(t.value)
-        else:
-            out.append(binding[t.name])
-    return tuple(out)
 
 
 def evaluate(prog, d: EDBInstance, method: str = "seminaive") -> IDBResult:
     """Least fixpoint of prog over d (exact, deterministic)."""
     rules, idb_keys, source = _normalize(prog)
     d.check_schema(source)
+    edb = _EDBRelations(d)
     if method == "naive":
-        rels = _naive(rules, idb_keys, d)
+        rels = _naive(rules, len(idb_keys), edb)
     elif method == "seminaive":
-        rels = _seminaive(rules, idb_keys, d)
+        rels = _seminaive(rules, len(idb_keys), edb)
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -228,88 +374,72 @@ def evaluate(prog, d: EDBInstance, method: str = "seminaive") -> IDBResult:
         key = item[0]
         return (getattr(key, "key", (key,)),)
     return IDBResult(tuple(sorted(
-        ((k, frozenset(v)) for k, v in rels.items()), key=sort_key)))
+        ((key, frozenset(rel.rows)) for key, rel in zip(idb_keys, rels)),
+        key=sort_key)))
 
 
-def _resolve_rels(atom_key, is_idb, idb_rels, d):
-    if is_idb:
-        return idb_rels[atom_key]
-    return d.get(atom_key)
-
-
-def _apply_rule(rule: _ERule, get_rel) -> set:
-    body = [(terms, sorted(get_rel(key, is_idb, j), key=repr))
-            for j, (key, terms, is_idb) in enumerate(rule.body)]
-    out = set()
-    for bnd in _match(body):
-        out.add(_ground_head(rule.head_terms, bnd))
-    return out
-
-
-def _naive(rules, idb_keys, d):
-    rels = {k: set() for k in idb_keys}
+def _naive(rules, n_idb, edb):
+    rels = [_Relation(set()) for _ in range(n_idb)]
     changed = True
     while changed:
         changed = False
         for rule in rules:
-            derived = _apply_rule(
-                rule,
-                lambda key, is_idb, j: rels[key] if is_idb else d.get(key))
-            new = derived - rels[rule.head_key]
+            sources = [(rels[key],) if is_idb else edb.get(key, arity)
+                       for key, arity, is_idb in rule.body]
+            new = rule.apply(sources) - rels[rule.head_key].rows
             if new:
-                rels[rule.head_key] |= new
+                rels[rule.head_key].add(new)
                 changed = True
     return rels
 
 
-def _seminaive(rules, idb_keys, d):
-    full = {k: set() for k in idb_keys}
-    delta = {k: set() for k in idb_keys}
+def _seminaive(rules, n_idb, edb):
+    full = [_Relation(set()) for _ in range(n_idb)]
+    delta = [set() for _ in range(n_idb)]
 
     # first round: rules without IDB body atoms
     for rule in rules:
-        if any(is_idb for _, _, is_idb in rule.body):
-            continue
-        for t in _apply_rule(
-                rule, lambda key, is_idb, j: d.get(key)):
-            delta[rule.head_key].add(t)
+        if not rule.idb_positions:
+            delta[rule.head_key] |= rule.apply(
+                [edb.get(key, arity) for key, arity, _ in rule.body])
 
-    while any(delta.values()):
-        new_full = {k: full[k] | delta[k] for k in full}
-        candidates: dict = {k: set() for k in full}
+    # body atoms before the pivot read the old full relation, the pivot
+    # reads the delta, and atoms after it read full and delta (disjoint)
+    while any(delta):
+        parts = [_Relation(rows) for rows in delta]
+        candidates = [set() for _ in range(n_idb)]
         for rule in rules:
-            idb_positions = [j for j, (_, _, is_idb) in enumerate(rule.body)
-                             if is_idb]
-            for pivot in idb_positions:
-                def get_rel(key, is_idb, j, pivot=pivot):
-                    if not is_idb:
-                        return d.get(key)
-                    if j < pivot:
-                        return full[key]
-                    if j == pivot:
-                        return delta[key]
-                    return new_full[key]
-                for t in _apply_rule(rule, get_rel):
-                    if t not in new_full[rule.head_key]:
-                        candidates[rule.head_key].add(t)
-        full = new_full
+            for pivot in rule.idb_positions:
+                sources = [
+                    edb.get(key, arity) if not is_idb
+                    else (full[key],) if j < pivot
+                    else (parts[key],) if j == pivot
+                    else (full[key], parts[key])
+                    for j, (key, arity, is_idb) in enumerate(rule.body)]
+                h = rule.head_key
+                candidates[h] |= (rule.apply(sources) - full[h].rows
+                                  - delta[h])
+        for key, rows in enumerate(delta):
+            full[key].add(rows)
         delta = candidates
     return full
 
 
-def eval_cq(rule: Rule, d: EDBInstance) -> frozenset:
-    """Evaluate a single EDB-only rule as a conjunctive query over d."""
+def _eval_cq(rule: Rule, edb: _EDBRelations) -> frozenset:
     if not rule.body:
         for t in rule.head.terms:
             if isinstance(t, Var):
                 raise ValidationError(
                     "empty-body query with head variables")
-        return frozenset({_ground_head(rule.head.terms, {})})
-    body = [(a.terms, sorted(d.get(a.pred), key=repr)) for a in rule.body]
-    out = set()
-    for bnd in _match(body):
-        out.add(_ground_head(rule.head.terms, bnd))
-    return frozenset(out)
+    join = _Join([a.terms for a in rule.body])
+    head = join.getter(rule.head.terms)
+    sources = [edb.get(a.pred, a.arity) for a in rule.body]
+    return frozenset(head(slots) for slots in join.run(sources))
+
+
+def eval_cq(rule: Rule, d: EDBInstance) -> frozenset:
+    """Evaluate a single EDB-only rule as a conjunctive query over d."""
+    return _eval_cq(rule, _EDBRelations(d))
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +465,17 @@ def check_rule_bounded(pi: AdornedProgram, d: EDBInstance) -> RuleBoundedReport:
     """Every tuple a rule derives must also be derived by the rule's head
     adornment evaluated as a standalone query over d."""
     result = evaluate(pi, d)
-    rels = result.as_dict()
+    idb = {key: (_Relation(rows),) for key, rows in result.relations}
+    empty = (_Relation(frozenset()),)
+    edb = _EDBRelations(d)
     violations = []
     for idx, rule in enumerate(pi.rules):
-        body = []
-        for a in rule.body:
-            if isinstance(a, AdornedAtom):
-                body.append((a.terms, sorted(rels.get(a.apred, frozenset()), key=repr)))
-            else:
-                body.append((a.terms, sorted(d.get(a.pred), key=repr)))
-        derived = set()
-        for bnd in _match(body):
-            derived.add(_ground_head(rule.head.terms, bnd))
-        allowed = eval_cq(rule.head.apred.adornment.rule, d)
+        sources = [idb.get(a.apred, empty) if isinstance(a, AdornedAtom)
+                   else edb.get(a.pred, a.arity) for a in rule.body]
+        join = _Join([a.terms for a in rule.body])
+        head = join.getter(rule.head.terms)
+        derived = {head(slots) for slots in join.run(sources)}
+        allowed = _eval_cq(rule.head.apred.adornment.rule, edb)
         for t in sorted(derived - allowed):
             violations.append(BoundednessViolation(idx, t))
     return RuleBoundedReport(tuple(violations))

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations as iter_permutations
+from itertools import combinations, permutations as iter_permutations, product
 
-from .core import Const, Program, Rule, ValidationError, Var, classify_rule_atoms
+from .core import Program, Rule, ValidationError, Var, classify_rule_atoms
 from .adorn import AdornedAtom, AdornedProgram
-from .evaluate import EDBInstance, IDBResult, _ground_head, _match
+from .evaluate import EDBInstance, IDBResult, _EDBRelations, _Join
 from .width import hypergraph_of, width_of_program
 
 
@@ -55,59 +55,56 @@ def _rule_groundable(r: Rule, p: Program) -> bool:
 def horn_ground_evaluate(p: Program, pi: AdornedProgram,
                          d: EDBInstance) -> IDBResult:
     """Evaluate pi by grounding every rule into propositional Horn clauses
-    and running linear-time unit propagation.
-
-    Groundings of a rule come from matching its EDB body atoms against d;
-    head variables the EDB atoms leave open are enumerated from the
-    columns their head-adornment atoms range over.
-    """
+    and running linear-time unit propagation."""
     if ADORNMENT_GROUNDABLE not in classify_program(p):
         raise ValidationError("program is not adornment groundable")
     d.check_schema(p)
+    clauses, apreds = horn_clauses(pi, d)
+    rels = [set() for _ in apreds]
+    for pred_id, tup in _unit_propagate(clauses):
+        rels[pred_id].add(tup)
+    return IDBResult(tuple(sorted(
+        ((apred, frozenset(rows)) for apred, rows in zip(apreds, rels)),
+        key=lambda item: item[0].key)))
 
-    clauses = set()  # (head fact, frozenset of idb body facts)
+
+def horn_clauses(pi: AdornedProgram, d: EDBInstance):
+    """Ground every rule of pi over d into definite Horn clauses.
+
+    Groundings of a rule come from joining its EDB body atoms over d;
+    head variables the EDB atoms leave open are enumerated from the
+    columns their head-adornment atoms range over.  Returns the clause
+    set and the adorned predicates: a clause is (head fact, frozenset of
+    body facts), a fact is (id, tuple), and apreds[id] is its predicate.
+    """
+    ids: dict = {}
+
+    def pred_id(apred) -> int:
+        return ids.setdefault(apred, len(ids))
+
+    edb = _EDBRelations(d)
+    clauses = set()
     for rule in pi.rules:
         adn = rule.head.apred.adornment
         idb_atoms = [a for a in rule.body if isinstance(a, AdornedAtom)]
         edb_atoms = [a for a in rule.body if not isinstance(a, AdornedAtom)]
-        body = [(a.terms, sorted(d.get(a.pred), key=repr))
-                for a in edb_atoms]
-        head_var_names = [t.name for t in rule.head.terms
-                          if isinstance(t, Var)]
-        idb_var_names = {v for a in idb_atoms for v in a.vars()}
-        for beta in _match(body):
-            open_vars = [v for v in dict.fromkeys(
-                (*head_var_names, *sorted(idb_var_names)))
-                if v not in beta]
-            assert set(open_vars) <= set(head_var_names)
-            choices = [_column_values(v, rule, adn, d) for v in open_vars]
-            for pick in _product(choices):
-                gamma = dict(beta)
-                gamma.update(zip(open_vars, pick))
-                head_fact = (rule.head.apred,
-                             _ground_head(rule.head.terms, gamma))
-                body_facts = frozenset(
-                    (a.apred, _ground_head(a.terms, gamma))
-                    for a in idb_atoms)
-                clauses.add((head_fact, body_facts))
-
-    facts = _unit_propagate(clauses)
-    rels: dict = {}
-    for rule in pi.rules:
-        rels.setdefault(rule.head.apred, set())
-        for a in rule.body:
-            if isinstance(a, AdornedAtom):
-                rels.setdefault(a.apred, set())
-    for apred, tup in facts:
-        rels[apred].add(tup)
-    return IDBResult(tuple(sorted(
-        ((k, frozenset(v)) for k, v in rels.items()),
-        key=lambda item: item[0].key)))
-
-
-def _product(choices):
-    from itertools import product
-    return product(*choices)
+        join = _Join([a.terms for a in edb_atoms])
+        open_vars = [v for v in rule.head.vars() if v not in join.bound]
+        assert {v for a in idb_atoms for v in a.vars()} <= \
+            join.bound | set(open_vars)
+        choices = [_column_values(v, rule, adn, d) for v in open_vars]
+        open_slots = [join.slot(v) for v in open_vars]
+        head_id = pred_id(rule.head.apred)
+        head = join.getter(rule.head.terms)
+        body = [(pred_id(a.apred), join.getter(a.terms)) for a in idb_atoms]
+        sources = [edb.get(a.pred, a.arity) for a in edb_atoms]
+        for slots in join.run(sources):
+            for pick in product(*choices):
+                for s, v in zip(open_slots, pick):
+                    slots[s] = v
+                clauses.add(((head_id, head(slots)), frozenset(
+                    [(i, get(slots)) for i, get in body])))
+    return clauses, list(ids)
 
 
 def _column_values(var_name: str, rule, adn, d: EDBInstance):
@@ -129,18 +126,20 @@ def _column_values(var_name: str, rule, adn, d: EDBInstance):
             vals = {row[i] for i in positions}
             if len(vals) == 1:
                 values.add(vals.pop())
-        return sorted(values, key=repr)
+        return values
     raise AssertionError(f"variable {var_name} not in adornment body")
 
 
 def _unit_propagate(clauses) -> set:
-    """Forward chaining over definite Horn clauses, linear in total size."""
-    clause_list = sorted(clauses, key=repr)
-    waiting: dict = {}
+    """Forward chaining over definite Horn clauses, linear in total size.
+    The facts derived do not depend on the order of the clauses."""
+    heads = []
     counts = []
+    waiting: dict = {}
     facts: set = set()
     queue = []
-    for i, (head, body) in enumerate(clause_list):
+    for i, (head, body) in enumerate(clauses):
+        heads.append(head)
         counts.append(len(body))
         if not body:
             queue.append(head)
@@ -154,7 +153,7 @@ def _unit_propagate(clauses) -> set:
         for i in waiting.get(fact, ()):
             counts[i] -= 1
             if counts[i] == 0:
-                head = clause_list[i][0]
+                head = heads[i]
                 if head not in facts:
                     queue.append(head)
     return facts
@@ -213,7 +212,7 @@ def complexity_report(p: Program, pi: AdornedProgram) -> ComplexityReport:
     small = all(len(r.body) <= 5 and len(r.all_vars()) <= 8
                 for r in p.rules)
     if small:
-        fchw = max(integral_fchw(hypergraph_of(_full_hypergraph_rule(r)))
+        fchw = max(integral_fchw(hypergraph_of(r))
                    for r in p.rules)
         fchw_mode = "integral-bruteforce"
     elif SIMPLE_CHAIN in classes:
@@ -250,12 +249,6 @@ def complexity_report(p: Program, pi: AdornedProgram) -> ComplexityReport:
     return ComplexityReport(
         classes=tuple(sorted(classes)), f=f, rule_count=p.rule_count,
         ew=ew, fchw=fchw, fchw_mode=fchw_mode, bounds=tuple(bounds))
-
-
-def _full_hypergraph_rule(r: Rule) -> Rule:
-    """The rule itself; kept for symmetry with hypergraph_of, which
-    already drops only single-occurrence existential variables."""
-    return r
 
 
 def integral_fchw(h) -> int:

@@ -42,17 +42,18 @@ def permutations(n: int, k: int) -> int:
 
 
 def iroot(x: int, k: int) -> int:
-    """Largest r with r**k <= x (integer k-th root)."""
+    """Largest r with r**k <= x (integer k-th root, by integer Newton
+    steps down from a power of two above the root)."""
     if x < 0 or k < 1:
         raise ValueError("iroot requires x >= 0 and k >= 1")
     if x in (0, 1) or k == 1:
         return x
-    r = int(round(x ** (1.0 / k)))  # seed only; certified below
-    while r > 0 and r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
 
 
 def pow_ceil(n: int, exp: Fraction) -> int:

@@ -1,6 +1,7 @@
 """Adornments, relaxation/membership functions, and the fixpoint engine."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,9 @@ from dlbound import (
     adorn_program, adornments_of, fixpoint_stable, make_relaxation,
     parse_program, relax, subsumes,
 )
-from dlbound.adorn import format_adorned_rule, h_cont, h_eq
+from dlbound.adorn import (
+    AdornedAtom, dependency_cycle, format_adorned_rule, h_cont, h_eq,
+)
 
 from conftest import TC_SRC, random_programs
 
@@ -183,3 +186,44 @@ def test_format_adorned_rule_parses_back_as_plain():
         line = format_adorned_rule(r)
         assert line.endswith(".")
         assert ":-" in line
+
+
+def graph_rules(edges, nodes):
+    """Stand-in adorned rules whose dependency graph is `edges`: one rule
+    per node, with one adorned body atom per successor."""
+    def apred(k):
+        return SimpleNamespace(key=k)
+    succ: dict = {}
+    for a, b in edges:
+        succ.setdefault(a, []).append(b)
+    return [SimpleNamespace(
+        head=SimpleNamespace(apred=apred(u)),
+        body=tuple(AdornedAtom(apred(v), ()) for v in succ.get(u, ())))
+        for u in nodes]
+
+
+def test_dependency_cycle_matches_reachability():
+    rng = random.Random(13)
+    for _ in range(300):
+        nodes = list(range(rng.randint(1, 7)))
+        edges = {(rng.choice(nodes), rng.choice(nodes))
+                 for _ in range(rng.randint(0, 9))}
+        reach = set(edges)
+        while True:
+            more = {(a, d) for a, b in reach for c, d in reach if b == c}
+            if more <= reach:
+                break
+            reach |= more
+        rules = graph_rules(edges, nodes)
+        assert dependency_cycle(rules) == any((v, v) in reach for v in nodes)
+        for v in nodes:
+            assert dependency_cycle(rules, v) == ((v, v) in reach)
+
+
+def test_dependency_cycle_on_a_long_chain():
+    n = 5000
+    edges = {(i, i + 1) for i in range(n)}
+    assert not dependency_cycle(graph_rules(edges, range(n + 1)))
+    edges.add((n, 0))
+    rules = graph_rules(edges, range(n + 1))
+    assert dependency_cycle(rules) and dependency_cycle(rules, n // 2)

@@ -169,3 +169,19 @@ def test_parse_error_exit_2(capsys, tmp_path):
 def test_bad_flag_exit_2(capsys, tc_file):
     code, _ = run(capsys, "widths", tc_file, "--nope")
     assert code == 2
+
+
+def test_bounds_with_a_250_digit_n(capsys, tmp_path):
+    f = tmp_path / "tri.dl"
+    f.write_text(TRIANGLE_SRC)
+    n = 10 ** 249 + 12345
+    code, out = run(capsys, "--json", "bounds", str(f), "--n", str(n))
+    assert code == 0
+    p = {pb["predicate"]: pb for pb in json.loads(out)["predicates"]}["p"]
+    assert p["ew_fractional"] == "3/2"
+    fpt = p["fpt_bound"] // p["f_exact"]
+    assert (fpt - 1) ** 2 < n ** 3 <= fpt ** 2
+
+
+def test_threads_flag_is_gone(capsys, tc_file):
+    assert main(["--threads", "2", "classify", tc_file]) == 2

@@ -6,12 +6,13 @@ import random
 import pytest
 
 from dlbound import (
-    Adornment, AdornedProgram, EDBInstance, GOut, MembershipFn, ValidationError,
-    adorn_program, check_rule_bounded, eval_cq, evaluate,
-    generate_tightness_instance, parse_edb, parse_program, tightness_bound,
-    union_adorned, value_cover_ok,
+    Adornment, AdornedProgram, Const, EDBInstance, GOut, IDBResult,
+    MembershipFn, ValidationError, Var, adorn_program, check_rule_bounded,
+    eval_cq, evaluate, generate_tightness_instance, parse_edb, parse_program,
+    tightness_bound, union_adorned, value_cover_ok,
 )
 from dlbound.adorn import AdornedAtom, AdornedPredicate, AdornedRule
+from dlbound.evaluate import _Join, _Relation
 
 from conftest import TC_SRC, naive_oracle, random_edb, random_programs
 
@@ -139,3 +140,108 @@ def test_tightness_instance_values_disjoint():
             for v in t:
                 assert v not in seen
                 seen.add(v)
+
+
+# ---------------------------------------------------------------------------
+# Join kernel
+
+
+def brute_join(body, rels):
+    """All bindings of the body's variables that ground every atom in its
+    relation: a plain nested loop over every combination of rows."""
+    import itertools
+
+    names = sorted({t.name for terms in body for t in terms
+                    if isinstance(t, Var)})
+    out = set()
+    for rows in itertools.product(*rels):
+        env = {}
+        ok = True
+        for terms, row in zip(body, rows):
+            for t, v in zip(terms, row):
+                if isinstance(t, Const):
+                    ok = t.value == v
+                else:
+                    ok = env.setdefault(t.name, v) == v
+                if not ok:
+                    break
+            if not ok:
+                break
+        if ok:
+            out.add(tuple(env[n] for n in names))
+    return names, out
+
+
+def test_join_matches_brute_force():
+    rng = random.Random(2026)
+    shapes = {"constant": 0, "repeated": 0, "empty": 0, "disjoint": 0}
+    for _ in range(400):
+        pool = [Var(f"V{i}") for i in range(rng.randint(1, 4))]
+        body, rels = [], []
+        for _ in range(rng.randint(1, 4)):
+            arity = rng.randint(1, 3)
+            terms = tuple(Const(rng.randint(0, 2)) if rng.random() < 0.2
+                          else rng.choice(pool) for _ in range(arity))
+            body.append(terms)
+            rels.append(frozenset(
+                tuple(rng.randint(0, 2) for _ in range(arity))
+                for _ in range(rng.randint(0, 7))))
+        names, want = brute_join(body, rels)
+        join = _Join(body)
+        get = join.getter(tuple(Var(n) for n in names))
+        got = {get(slots) for slots in
+               join.run([(_Relation(r),) for r in rels])}
+        assert got == want, body
+        var_sets = [{t.name for t in terms if isinstance(t, Var)}
+                    for terms in body]
+        shapes["constant"] += any(isinstance(t, Const)
+                                  for terms in body for t in terms)
+        shapes["repeated"] += any(len(s) < sum(isinstance(t, Var)
+                                               for t in terms)
+                                  for s, terms in zip(var_sets, body))
+        shapes["empty"] += any(not r for r in rels)
+        shapes["disjoint"] += any(
+            not s & set().union(*(o for o in var_sets if o is not s))
+            for s in var_sets if len(var_sets) > 1)
+    assert all(count >= 20 for count in shapes.values()), shapes
+
+
+def test_join_reads_disjoint_parts_as_one_relation():
+    body = [(Var("X"), Var("Y")), (Var("Y"), Var("Z"))]
+    rows = {(1, 2), (2, 3), (3, 4), (2, 5)}
+    parts = (_Relation({(1, 2), (2, 5)}), _Relation({(2, 3), (3, 4)}))
+    join = _Join(body)
+    get = join.getter((Var("X"), Var("Y"), Var("Z")))
+    got = {get(s) for s in join.run([parts, parts])}
+    assert got == brute_join(body, [rows, rows])[1]
+    assert {(x, z) for x, _, z in got} == {(1, 3), (1, 5), (2, 4)}
+
+
+def test_relation_index_follows_added_rows():
+    rel = _Relation(set())
+    assert rel.index((0,)) == {}
+    rel.add({(1, 2), (1, 3)})
+    rel.add({(2, 3)})
+    assert sorted(rel.index((0,))[1]) == [(1, 2), (1, 3)]
+    assert rel.index((0,))[2] == [(2, 3)]
+
+
+def test_eval_cq_long_chain_is_iterative():
+    n = 1200
+    body = ", ".join(f"e(X{i},X{i + 1})" for i in range(n))
+    rule = parse_program(f"q(X0,X{n}) :- {body}.").rules[0]
+    path = EDBInstance.of({"e": {(i, i + 1) for i in range(n + 3)}})
+    assert eval_cq(rule, path) == {(i, i + n) for i in range(4)}
+    assert eval_cq(rule, EDBInstance.of({"e": {(0, 1)}})) == frozenset()
+
+
+def test_get_is_a_lookup_and_keeps_equality():
+    d = EDBInstance.of({"e": {(1, 2)}, "f": {(3,)}})
+    assert d.get("f") == {(3,)}
+    assert d.get("g") == frozenset()
+    assert d == EDBInstance.of({"f": {(3,)}, "e": {(1, 2)}})
+    assert hash(d) == hash(EDBInstance.of({"f": {(3,)}, "e": {(1, 2)}}))
+    assert d.as_dict() == {"e": {(1, 2)}, "f": {(3,)}}
+    r = evaluate(parse_program(TC_SRC), d)
+    assert r.get("tc") == {(1, 2)} and r.get("nope") == frozenset()
+    assert r == IDBResult(r.relations)

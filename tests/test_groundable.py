@@ -5,14 +5,17 @@ import random
 import pytest
 
 from dlbound import (
-    ADORNMENT_GROUNDABLE, GOut, LINEAR, MembershipFn, SIMPLE_CHAIN,
-    ValidationError, adorn_program, classify_program, complexity_report,
-    evaluate, horn_ground_evaluate, integral_fchw, parse_edb, parse_program,
-    union_adorned,
+    ADORNMENT_GROUNDABLE, EDBInstance, GOut, LINEAR, MembershipFn,
+    SIMPLE_CHAIN, ValidationError, adorn_program, classify_program,
+    complexity_report, evaluate, horn_ground_evaluate, integral_fchw,
+    parse_edb, parse_program, union_adorned,
 )
+from dlbound.groundable import horn_clauses
 from dlbound.width import Hypergraph
 
-from conftest import TC_SRC, random_edb, random_programs
+from conftest import (
+    REACH_SRC, TC_SRC, TRIANGLE_SRC, random_edb, random_programs,
+)
 
 
 def test_tc_all_three_classes():
@@ -116,3 +119,89 @@ def test_integral_fchw_single_edge():
                    edges=(("a", frozenset({"x", "y"})),),
                    v_out=("x", "y"))
     assert integral_fchw(h) == 1
+
+
+# ---------------------------------------------------------------------------
+# Horn grounding against both fixpoint evaluators, and its work count
+
+TC_LEFT_SRC = "tc(X,Y) :- e(X,Y).\ntc(X,Y) :- e(X,Z), tc(Z,Y).\n"
+SAMEGEN_SRC = ("sg(X,Y) :- flat(X,Y).\n"
+               "sg(X,Y) :- up(X,U), sg(U,V), down(V,Y).\n")
+
+
+def path(n):
+    return {(i, i + 1) for i in range(n)}
+
+
+def grid(k):
+    return ({(i * k + j, i * k + j + 1) for i in range(k) for j in range(k - 1)}
+            | {(i * k + j, (i + 1) * k + j)
+               for i in range(k - 1) for j in range(k)})
+
+
+def random_graph(rng, n, m):
+    edges = set()
+    while len(edges) < m:
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a != b:
+            edges.add((a, b))
+    return edges
+
+
+def graph_edbs(seed):
+    """EDBs for every program below: path, grid and random graphs."""
+    rng = random.Random(seed)
+    graphs = [path(12), grid(4), random_graph(rng, 10, 20),
+              random_graph(rng, 15, 25)]
+    for edges in graphs:
+        nodes = sorted({v for e in edges for v in e})
+        yield {
+            "e2": {"e": edges},
+            "samegen": {"up": edges, "down": {(b, a) for a, b in edges},
+                        "flat": {(a, a) for a in nodes[::3]}},
+            "e3": {"e": {(a, b, c) for a, b in edges for b2, c in edges
+                         if b == b2}},
+        }
+
+
+@pytest.mark.parametrize("src,edb_kind", [
+    (TC_SRC, "e2"), (TC_LEFT_SRC, "e2"), (REACH_SRC, "e2"),
+    (SAMEGEN_SRC, "samegen"), (TRIANGLE_SRC, "e3")],
+    ids=["tc_right", "tc_left", "reach", "samegen", "triangle"])
+def test_horn_seminaive_naive_agree_on_graphs(src, edb_kind):
+    p = parse_program(src)
+    assert ADORNMENT_GROUNDABLE in classify_program(p)
+    pi = adorn_program(p, GOut(), MembershipFn("heq"))
+    for edbs in graph_edbs(7):
+        d = EDBInstance.of(edbs[edb_kind])
+        plain = evaluate(p, d)
+        assert plain == evaluate(p, d, method="naive")
+        semi = evaluate(pi, d)
+        assert semi == evaluate(pi, d, method="naive")
+        horn = horn_ground_evaluate(p, pi, d)
+        for q in sorted(p.idb):
+            assert union_adorned(horn, q) == union_adorned(semi, q) \
+                == plain.get(q)
+        assert any(plain.get(q) for q in p.idb)
+
+
+@pytest.mark.parametrize("src", [TC_SRC, TC_LEFT_SRC],
+                         ids=["tc_right", "tc_left"])
+def test_horn_clause_count_grows_as_n_to_the_ew(src):
+    p = parse_program(src)
+    pi = adorn_program(p, GOut(), MembershipFn("heq"))
+    rep = complexity_report(p, pi)
+    bound = {b.applies_to: b for b in rep.bounds}[ADORNMENT_GROUNDABLE]
+    ew = bound.exponent
+    assert ew == rep.ew == 2
+    assert bound.formula == f"O({rep.f} * {rep.rule_count} * N^{ew})"
+    counts = {}
+    for n in (10, 20, 40):
+        clauses, _ = horn_clauses(pi, EDBInstance.of({"e": path(n)}))
+        counts[n] = len(clauses)
+        # one base rule grounds to n clauses, each of the two recursive
+        # adorned rules to n * n
+        assert counts[n] == n + 2 * n * n
+        assert counts[n] <= rep.f * rep.rule_count * n ** ew
+    for n in (10, 20):
+        assert counts[2 * n] <= counts[n] * 2 ** ew

@@ -59,6 +59,26 @@ def test_iroot():
     assert iroot(1, 5) == 1
 
 
+def test_iroot_brackets_random_big_ints():
+    rng = random.Random(41)
+    for _ in range(3000):
+        x = rng.getrandbits(rng.randint(1, 900))
+        k = rng.randint(1, 7)
+        r = iroot(x, k)
+        assert r ** k <= x < (r + 1) ** k, (x, k)
+    for k in (2, 3, 5):
+        for r in (2 ** 60 + 1, 10 ** 120 + 7):
+            assert iroot(r ** k, k) == r
+            assert iroot(r ** k - 1, k) == r - 1
+
+
+def test_pow_ceil_past_float_range():
+    assert pow_ceil(10 ** 200, Fraction(3, 2)) == 10 ** 300
+    n = 10 ** 249 + 3
+    r = pow_ceil(n, Fraction(3, 2))
+    assert (r - 1) ** 2 < n ** 3 <= r ** 2
+
+
 CHAIN_STATS = SchemaStats(num_edbs=1, ear=2, arq=3, rule_count=1, term_count=1)
 
 
