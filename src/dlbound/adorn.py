@@ -7,12 +7,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .core import (
-    Atom, Const, INTERNAL_PREFIX, Program, Rule, Term, ValidationError, Var,
-    classify_rule_atoms, format_term,
+    Atom, Const, INTERNAL_PREFIX, Program, Rule, ValidationError, Var,
+    _display_names, classify_rule_atoms, format_rule,
 )
 from .unify import (
-    Substitution, canonical_form, canonical_key, canonical_rule, fresh_name,
-    mgu, subsumes,
+    Substitution, _dedup_items, canonical_form, canonical_key,
+    canonical_rule, fresh_name, mgu, subsumes,
 )
 
 
@@ -51,7 +51,6 @@ class Adornment:
         return self.rule.head.pred
 
     def __str__(self) -> str:
-        from .core import format_rule
         return format_rule(self.rule, terminator="")
 
 
@@ -91,6 +90,13 @@ class AdornedAtom:
         return seen
 
 
+def _pred_key(a) -> tuple:
+    """The predicate of an adorned or plain atom, as canonical keys see it."""
+    if isinstance(a, AdornedAtom):
+        return ("q", a.pred, a.apred.adornment.key)
+    return ("p", a.pred)
+
+
 @dataclass(frozen=True)
 class AdornedRule:
     """A rule whose head (and IDB body atoms) carry adornments."""
@@ -98,13 +104,8 @@ class AdornedRule:
     body: tuple  # mix of AdornedAtom and plain Atom
 
     def canonical(self) -> tuple:
-        return canonical_key(
-            ("q", self.head.pred, self.head.apred.adornment.key),
-            self.head.terms,
-            [(("q", a.pred, a.apred.adornment.key), a.terms)
-             if isinstance(a, AdornedAtom) else (("p", a.pred), a.terms)
-             for a in self.body],
-        )
+        return canonical_key(_pred_key(self.head), self.head.terms,
+                             [(_pred_key(a), a.terms) for a in self.body])
 
 
 @dataclass(frozen=True)
@@ -180,7 +181,7 @@ def _adornment_display(adn: Adornment, args: tuple) -> str:
 def format_adorned_rule(r: AdornedRule) -> str:
     plain = Rule(Atom(r.head.pred, r.head.terms),
                  tuple(Atom(a.pred, a.terms) for a in r.body))
-    names = _display_names_of(plain)
+    names = _display_names(plain)
 
     def fmt_term(t):
         return names.get(t.name, t.name) if isinstance(t, Var) else str(t.value)
@@ -197,11 +198,6 @@ def format_adorned_rule(r: AdornedRule) -> str:
 
     body = ", ".join(fmt(a) for a in r.body)
     return f"{fmt(r.head)} :- {body}."
-
-
-def _display_names_of(rule: Rule) -> dict:
-    from .core import _display_names
-    return _display_names(rule)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +447,6 @@ class MembershipFn:
         return h_cont(r, rules, keys)
 
 
-def membership(f: MembershipFn | str, r: AdornedRule, pi) -> bool:
-    if isinstance(f, str):
-        f = MembershipFn(f)
-    rules = pi.rules if isinstance(pi, AdornedProgram) else tuple(pi)
-    return f.check(r, rules)
-
-
 # ---------------------------------------------------------------------------
 # The fixpoint engine
 
@@ -516,34 +505,6 @@ def _instantiate_candidate(cand: _Candidate, used: set):
     return head_terms, tuple(body)
 
 
-def _dedup_body(head: AdornedAtom, body) -> tuple:
-    """Drop body atoms duplicated up to renaming of rule-singleton vars."""
-    counts: dict = {}
-    for a in (head, *body):
-        for t in a.terms:
-            if isinstance(t, Var):
-                counts[t.name] = counts.get(t.name, 0) + 1
-
-    def pat(a):
-        kind = (("q", a.pred, a.apred.adornment.key)
-                if isinstance(a, AdornedAtom) else ("p", a.pred))
-        sig = tuple(
-            ("_",) if isinstance(t, Var) and counts[t.name] == 1
-            else (("v", t.name) if isinstance(t, Var) else ("c", str(t.value)))
-            for t in a.terms)
-        return (kind, sig)
-
-    seen = set()
-    out = []
-    for a in body:
-        p = pat(a)
-        if p in seen:
-            continue
-        seen.add(p)
-        out.append(a)
-    return tuple(out)
-
-
 class _Engine:
     def __init__(self, p: Program, g: RelaxationFn, h: MembershipFn,
                  max_iterations: int, max_rules: int):
@@ -592,7 +553,9 @@ class _Engine:
                         sigma.apply_terms(atom.terms))
             for atom, cand in zip(idb_atoms, combo)
         ) + tuple(sigma.apply_atom(a) for a in edb_atoms)
-        return AdornedRule(head, _dedup_body(head, body))
+        kept = _dedup_items(head_terms,
+                            [(_pred_key(a), a.terms, a) for a in body])
+        return AdornedRule(head, tuple(a for _, _, a in kept))
 
     def run(self) -> AdornedProgram:
         from itertools import product

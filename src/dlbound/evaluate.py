@@ -5,13 +5,13 @@ of instances on which the combinatorial size bound is exactly tight."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
-from operator import itemgetter
+from itertools import product
 
 from .core import (
-    Atom, Const, ParseError, Program, Rule, ValidationError, Var,
+    Atom, ParseError, Program, Rule, ValidationError, Var,
 )
 from .adorn import AdornedAtom, AdornedProgram
+from .join import _Join, _Relation
 from .sizebound import SchemaStats, bound1
 
 
@@ -138,48 +138,7 @@ def union_adorned(result: IDBResult, q: str) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# Join kernel
-
-
-def _tuple_getter(positions):
-    """Tuple of the values at `positions`, also for zero or one position."""
-    if len(positions) == 1:
-        i = positions[0]
-        return lambda slots: (slots[i],)
-    if not positions:
-        return lambda slots: ()
-    return itemgetter(*positions)
-
-
-class _Relation:
-    """A set of equal-arity tuples with hash indexes built on first use,
-    one per tuple of key positions, kept current as rows are added.  An
-    index key is a scalar for one position and a tuple for several (what
-    `itemgetter` returns), both when built and when looked up."""
-
-    __slots__ = ("rows", "_indexes")
-
-    def __init__(self, rows):
-        self.rows = rows
-        self._indexes: dict = {}
-
-    def index(self, positions) -> dict:
-        idx = self._indexes.get(positions)
-        if idx is None:
-            idx = {}
-            key = itemgetter(*positions)
-            for row in self.rows:
-                idx.setdefault(key(row), []).append(row)
-            self._indexes[positions] = idx
-        return idx
-
-    def add(self, rows) -> None:
-        """Add rows, none of which is present yet."""
-        self.rows |= rows
-        for positions, idx in self._indexes.items():
-            key = itemgetter(*positions)
-            for row in rows:
-                idx.setdefault(key(row), []).append(row)
+# EDB relations for the join kernel
 
 
 class _EDBRelations:
@@ -200,111 +159,6 @@ class _EDBRelations:
                 rows = frozenset()
             src = self._rels[(name, arity)] = (_Relation(rows),)
         return src
-
-
-class _Join:
-    """One compiled conjunctive join over a rule body.
-
-    Every variable and constant gets a slot in a flat list.  Atoms run in
-    a greedy bound-first order: next is the atom with the most positions
-    already fixed (constants or bound variables), ties going to the
-    earlier body position.  Each atom is then a hash lookup on those
-    positions; its other positions bind new variables or, for a variable
-    repeated within the atom, check equality.  `run` walks the atoms with
-    an explicit stack, so body length is not limited by recursion depth.
-    """
-
-    def __init__(self, atoms):
-        self.slot_of: dict = {}
-        self.init: list = []
-        fixed: set = set()
-        remaining = list(range(len(atoms)))
-        steps = []
-        while remaining:
-            best = max(remaining, key=lambda j: (sum(
-                1 for t in atoms[j]
-                if isinstance(t, Const) or t.name in fixed), -j))
-            remaining.remove(best)
-            positions, key_slots, binds, eqs = [], [], [], []
-            first: dict = {}
-            for pos, t in enumerate(atoms[best]):
-                if isinstance(t, Const):
-                    positions.append(pos)
-                    key_slots.append(self._const(t.value))
-                elif t.name in fixed:
-                    positions.append(pos)
-                    key_slots.append(self.slot_of[t.name])
-                elif t.name in first:
-                    eqs.append((first[t.name], pos))
-                else:
-                    first[t.name] = pos
-                    binds.append((pos, self.slot(t.name)))
-            fixed.update(first)
-            steps.append((best, tuple(positions),
-                          itemgetter(*key_slots) if key_slots else None,
-                          tuple(binds), tuple(eqs)))
-        self.steps = steps
-        self.bound = frozenset(fixed)
-
-    def slot(self, name: str) -> int:
-        s = self.slot_of.get(name)
-        if s is None:
-            s = self.slot_of[name] = len(self.init)
-            self.init.append(None)
-        return s
-
-    def _const(self, value) -> int:
-        self.init.append(value)
-        return len(self.init) - 1
-
-    def getter(self, terms):
-        """A function from a binding's slots to the ground tuple of terms."""
-        return _tuple_getter([
-            self._const(t.value) if isinstance(t, Const)
-            else self.slot(t.name) for t in terms])
-
-    def run(self, sources):
-        """Yield once per binding that grounds every atom in its source
-        (sources[j]: a tuple of disjoint _Relation parts for atom j).
-        The same slot list is yielded each time, updated in place."""
-        slots = list(self.init)
-        steps = self.steps
-        last = len(steps) - 1
-        if last < 0:
-            yield slots
-            return
-
-        def rows(depth):
-            j, positions, key, _, _ = steps[depth]
-            parts = sources[j]
-            if positions:
-                k = key(slots)
-                if len(parts) == 1:
-                    return iter(parts[0].index(positions).get(k, ()))
-                return chain.from_iterable(
-                    p.index(positions).get(k, ()) for p in parts)
-            if len(parts) == 1:
-                return iter(parts[0].rows)
-            return chain.from_iterable(p.rows for p in parts)
-
-        stack = [None] * len(steps)
-        stack[0] = rows(0)
-        depth = 0
-        while depth >= 0:
-            binds, eqs = steps[depth][3], steps[depth][4]
-            for row in stack[depth]:
-                if eqs and any(row[a] != row[b] for a, b in eqs):
-                    continue
-                for pos, s in binds:
-                    slots[s] = row[pos]
-                if depth == last:
-                    yield slots
-                else:
-                    depth += 1
-                    stack[depth] = rows(depth)
-                    break
-            else:
-                depth -= 1
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +330,9 @@ def check_rule_bounded(pi: AdornedProgram, d: EDBInstance) -> RuleBoundedReport:
         head = join.getter(rule.head.terms)
         derived = {head(slots) for slots in join.run(sources)}
         allowed = _eval_cq(rule.head.apred.adornment.rule, edb)
-        for t in sorted(derived - allowed):
+        # ints before symbols, so mixed tuples sort too
+        for t in sorted(derived - allowed, key=lambda row: tuple(
+                (isinstance(v, str), v) for v in row)):
             violations.append(BoundednessViolation(idx, t))
     return RuleBoundedReport(tuple(violations))
 

@@ -9,7 +9,8 @@ from itertools import combinations, permutations as iter_permutations, product
 
 from .core import Program, Rule, ValidationError, Var, classify_rule_atoms
 from .adorn import AdornedAtom, AdornedProgram
-from .evaluate import EDBInstance, IDBResult, _EDBRelations, _Join
+from .evaluate import EDBInstance, IDBResult, _EDBRelations
+from .join import _Join
 from .width import hypergraph_of, width_of_program
 
 

@@ -6,17 +6,20 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Atom, Const, INTERNAL_PREFIX, Rule, Term, Var
+from .join import _Join, _Relation
 
 
 @dataclass(frozen=True)
 class Substitution:
     """An idempotent map from variable names to terms."""
     bindings: tuple = ()
+    _map: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.bindings, dict):
             object.__setattr__(self, "bindings",
                                tuple(sorted(self.bindings.items())))
+        object.__setattr__(self, "_map", dict(self.bindings))
 
     def as_dict(self) -> dict:
         return dict(self.bindings)
@@ -27,9 +30,7 @@ class Substitution:
 
     def apply_term(self, t: Term) -> Term:
         if isinstance(t, Var):
-            for k, v in self.bindings:
-                if k == t.name:
-                    return v
+            return self._map.get(t.name, t)
         return t
 
     def apply_terms(self, terms) -> tuple:
@@ -147,9 +148,10 @@ def _term_sig(t: Term, labels: dict):
 
 def _dedup_items(head_terms, items):
     """Drop body atoms identical to an earlier one up to renaming of
-    variables that occur only once in the whole rule."""
+    variables that occur only once in the whole rule.  An item is
+    (pred key, terms, ...); the kept items are returned whole."""
     counts: dict = {}
-    for terms in (head_terms, *[ts for _, ts in items]):
+    for terms in (head_terms, *[item[1] for item in items]):
         for t in terms:
             if isinstance(t, Var):
                 counts[t.name] = counts.get(t.name, 0) + 1
@@ -166,12 +168,12 @@ def _dedup_items(head_terms, items):
 
     seen = set()
     out = []
-    for pred_key, terms in items:
-        p = pattern(pred_key, terms)
+    for item in items:
+        p = pattern(item[0], item[1])
         if p in seen:
             continue
         seen.add(p)
-        out.append((pred_key, terms))
+        out.append(item)
     return out
 
 
@@ -295,8 +297,11 @@ def canonical_rule(r: Rule) -> Rule:
 def subsumes(r1: Rule, r2: Rule) -> bool:
     """True iff a homomorphism maps r1 into r2, matching heads positionally.
 
-    The subsumer r1 derives a superset of r2's tuples.  Exact backtracking
-    search; exponential worst case, fine at the scale adornments reach.
+    The subsumer r1 derives a superset of r2's tuples.  This is r1, its
+    head an extra atom, as a conjunctive query over r2 frozen into a
+    database: a constant stands for itself and a variable for a 1-tuple,
+    which equals no constant.  Exponential in the worst case; the join
+    remembers failed states, which keeps chain-shaped rules tractable.
     """
     if r1.head.pred != r2.head.pred or r1.head.arity != r2.head.arity:
         raise ValueError(
@@ -304,104 +309,16 @@ def subsumes(r1: Rule, r2: Rule) -> bool:
             f"{r1.head.pred}/{r1.head.arity} vs {r2.head.pred}/{r2.head.arity}"
         )
 
-    mapping: dict = {}
+    def frozen(a: Atom) -> tuple:
+        return tuple((t.name,) if isinstance(t, Var) else t.value
+                     for t in a.terms)
 
-    def extend(t1: Term, t2: Term, m: dict) -> dict | None:
-        if isinstance(t1, Const):
-            return m if t1 == t2 else None
-        if t1.name in m:
-            return m if m[t1.name] == t2 else None
-        m = dict(m)
-        m[t1.name] = t2
-        return m
-
-    for t1, t2 in zip(r1.head.terms, r2.head.terms):
-        nxt = extend(t1, t2, mapping)
-        if nxt is None:
-            return False
-        mapping = nxt
-
-    atoms = list(r1.body)
-    by_pred: dict = {}
-    by_pos: dict = {}
+    facts: dict = {}
     for b in r2.body:
-        by_pred.setdefault((b.pred, b.arity), []).append(b)
-        for i, t in enumerate(b.terms):
-            by_pos.setdefault((b.pred, b.arity, i, t), []).append(b)
-
-    def candidates(a: Atom, m: dict) -> list:
-        # a bound position narrows the scan to an index bucket
-        pool = None
-        for i, t in enumerate(a.terms):
-            tgt = None
-            if isinstance(t, Const):
-                tgt = t
-            elif t.name in m:
-                tgt = m[t.name]
-            if tgt is not None:
-                bucket = by_pos.get((a.pred, a.arity, i, tgt), [])
-                if pool is None or len(bucket) < len(pool):
-                    pool = bucket
-        if pool is None:
-            pool = by_pred.get((a.pred, a.arity), [])
-        out = []
-        for b in pool:
-            m2 = m
-            for t1, t2 in zip(a.terms, b.terms):
-                m2 = extend(t1, t2, m2)
-                if m2 is None:
-                    break
-            else:
-                out.append(m2)
-        return out
-
-    var_atoms: dict = {}
-    for i, a in enumerate(atoms):
-        for t in a.terms:
-            if isinstance(t, Var):
-                var_atoms.setdefault(t.name, set()).add(i)
-
-    failed: set = set()
-
-    def state_key(remaining: frozenset, m: dict):
-        seen = {t.name for i in remaining for t in atoms[i].terms
-                if isinstance(t, Var)}
-        return (remaining,
-                tuple(sorted((v, m[v]) for v in seen if v in m)))
-
-    def search(remaining: frozenset, frontier: frozenset, m: dict) -> bool:
-        if not remaining:
-            return True
-        # pick the most constrained atom among those touching bound
-        # variables; this keeps chain-shaped bodies tractable
-        pick_from = frontier or (next(iter(remaining)),)
-        best_i, best_cands = None, None
-        for i in pick_from:
-            cands = candidates(atoms[i], m)
-            if not cands:
-                return False
-            if best_cands is None or len(cands) < len(best_cands):
-                best_i, best_cands = i, cands
-                if len(cands) == 1:
-                    break
-        branching = len(best_cands) > 1
-        if branching:
-            # memoize failed states only where the search actually forks
-            key = state_key(remaining, m)
-            if key in failed:
-                return False
-        rest = remaining - {best_i}
-        for m2 in best_cands:
-            grown = frozenset(
-                j for v in m2.keys() - m.keys()
-                for j in var_atoms.get(v, ()) if j in rest)
-            if search(rest, (frontier | grown) - {best_i}, m2):
-                return True
-        if branching:
-            failed.add(key)
+        facts.setdefault((b.pred, b.arity), set()).add(frozen(b))
+    if any((a.pred, a.arity) not in facts for a in r1.body):
         return False
-
-    start = frozenset(range(len(atoms)))
-    init_frontier = frozenset(
-        i for v in mapping for i in var_atoms.get(v, ()))
-    return search(start, init_frontier, mapping)
+    rels = {k: (_Relation(rows),) for k, rows in facts.items()}
+    join = _Join([r1.head.terms, *(a.terms for a in r1.body)])
+    return join.exists([(_Relation({frozen(r2.head)}),), *(
+        rels[a.pred, a.arity] for a in r1.body)])

@@ -12,7 +12,7 @@ from dlbound import (
     tightness_bound, union_adorned, value_cover_ok,
 )
 from dlbound.adorn import AdornedAtom, AdornedPredicate, AdornedRule
-from dlbound.evaluate import _Join, _Relation
+from dlbound.join import _Join, _Relation
 
 from conftest import TC_SRC, naive_oracle, random_edb, random_programs
 
@@ -93,7 +93,7 @@ def test_check_rule_bounded_clean():
     assert check_rule_bounded(pi, d).ok
 
 
-def test_check_rule_bounded_detects_corruption():
+def _corrupted_tc():
     p = parse_program(TC_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
     # replace the recursive rule's head adornment by the single-edge one,
@@ -106,10 +106,19 @@ def test_check_rule_bounded_detects_corruption():
             rules.append(AdornedRule(head, r.body))
         else:
             rules.append(r)
-    pi_bad = AdornedProgram(rules=tuple(rules), source=pi.source)
-    report = check_rule_bounded(pi_bad, parse_edb("e(1,2). e(2,3)."))
+    return AdornedProgram(rules=tuple(rules), source=pi.source)
+
+
+def test_check_rule_bounded_detects_corruption():
+    report = check_rule_bounded(_corrupted_tc(), parse_edb("e(1,2). e(2,3)."))
     assert not report.ok
     assert any(v.tuple_value == (1, 3) for v in report.violations)
+
+
+def test_check_rule_bounded_reports_mixed_int_and_symbol_tuples():
+    d = parse_edb("e(1,a). e(a,2). e(b,3). e(3,c).")
+    report = check_rule_bounded(_corrupted_tc(), d)
+    assert [v.tuple_value for v in report.violations] == [(1, 2), ("b", "c")]
 
 
 def test_value_cover():
@@ -189,9 +198,10 @@ def test_join_matches_brute_force():
         names, want = brute_join(body, rels)
         join = _Join(body)
         get = join.getter(tuple(Var(n) for n in names))
-        got = {get(slots) for slots in
-               join.run([(_Relation(r),) for r in rels])}
+        sources = [(_Relation(r),) for r in rels]
+        got = {get(slots) for slots in join.run(sources)}
         assert got == want, body
+        assert join.exists(sources) == bool(want), body
         var_sets = [{t.name for t in terms if isinstance(t, Var)}
                     for terms in body]
         shapes["constant"] += any(isinstance(t, Const)
@@ -204,6 +214,39 @@ def test_join_matches_brute_force():
             not s & set().union(*(o for o in var_sets if o is not s))
             for s in var_sets if len(var_sets) > 1)
     assert all(count >= 20 for count in shapes.values()), shapes
+
+
+def test_exists_state_holds_slots_read_further_on():
+    # the step after e(X,Y) reads only Y, but X is read at the last step:
+    # a failure under one X must not rule out another X with the same Y
+    body = [(Var("X"), Var("Y")), (Var("Y"), Var("Z")), (Var("Z"), Var("X"))]
+    for x in (1, 2):
+        rels = [{(1, 5), (2, 5)}, {(5, 6)}, {(6, x)}]
+        assert _Join(body).exists([(_Relation(r),) for r in rels])
+    assert not _Join(body).exists(
+        [(_Relation(r),) for r in [{(1, 5), (2, 5)}, {(5, 6)}, {(6, 3)}]])
+
+
+def test_incremental_planner_keeps_the_greedy_order():
+    def reference(body):
+        # most positions fixed first, ties to the earlier atom
+        fixed, remaining, order = set(), list(range(len(body))), []
+        while remaining:
+            best = max(remaining, key=lambda j: (sum(
+                1 for t in body[j]
+                if isinstance(t, Const) or t.name in fixed), -j))
+            remaining.remove(best)
+            order.append(best)
+            fixed.update(t.name for t in body[best] if isinstance(t, Var))
+        return order
+
+    rng = random.Random(11)
+    for _ in range(400):
+        pool = [Var(f"V{i}") for i in range(rng.randint(1, 6))]
+        body = [tuple(Const(0) if rng.random() < 0.15 else rng.choice(pool)
+                      for _ in range(rng.randint(0, 4)))
+                for _ in range(rng.randint(1, 9))]
+        assert [step[0] for step in _Join(body).steps] == reference(body)
 
 
 def test_join_reads_disjoint_parts_as_one_relation():

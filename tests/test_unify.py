@@ -1,6 +1,7 @@
 """Unification, canonical forms, and subsumption."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -204,10 +205,37 @@ def test_subsumes_matches_brute_force():
     assert checked >= 30
 
 
+def chain_rule(n):
+    body = ", ".join(f"e(Z{i},Z{i + 1})" for i in range(n))
+    return rule(f"r(Z0,Z{n}) :- {body}.")
+
+
 def test_subsumes_long_chains_fast():
     # failing chain-vs-chain searches must not blow up
-    def chain(n):
-        body = ", ".join(f"e(Z{i},Z{i+1})" for i in range(n))
-        return rule(f"r(Z0,Z{n}) :- {body}.")
-    assert not subsumes(chain(40), chain(41))
-    assert subsumes(chain(41), chain(41))
+    assert not subsumes(chain_rule(40), chain_rule(41))
+    assert subsumes(chain_rule(41), chain_rule(41))
+
+
+def test_subsumes_long_chain_is_iterative():
+    r = chain_rule(1200)
+    assert subsumes(r, r)
+
+
+def test_subsumes_remembers_failed_states():
+    # every prefix of the chain maps into the two-node clique {A, B} in
+    # 2^k ways, and none of them reaches C at the end
+    clique = rule("r(A,C) :- e(A,B), e(B,A), e(A,A), e(B,B), e(C,C).")
+    start = time.perf_counter()
+    assert not subsumes(chain_rule(200), clique)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_substitution_lookup_keeps_equality():
+    sub = Substitution({"X": Const(1), "Y": Var("Z")})
+    assert sub.bindings == (("X", Const(1)), ("Y", Var("Z")))
+    assert sub.apply_terms((Var("Y"), Var("W"), Var("X"))) == (
+        Var("Z"), Var("W"), Const(1))
+    other = Substitution({"Y": Var("Z"), "X": Const(1)})
+    assert sub == other and hash(sub) == hash(other)
+    assert sub != Substitution({"X": Const(1)})
+    assert "_map" not in repr(sub)
