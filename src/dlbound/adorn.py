@@ -8,11 +8,11 @@ from itertools import combinations
 
 from .core import (
     Atom, Const, INTERNAL_PREFIX, Program, Rule, ValidationError, Var,
-    _display_names, classify_rule_atoms, format_rule,
+    classify_rule_atoms, format_rule,
 )
 from .unify import (
-    Substitution, _dedup_items, canonical_form, canonical_key,
-    canonical_rule, fresh_name, mgu, subsumes,
+    Substitution, _dedup_items, _pred_key, canonical_form, canonical_rule,
+    fresh_name, mgu, rule_of_key, subsumes,
 )
 
 
@@ -37,8 +37,15 @@ class Adornment:
 
     @classmethod
     def of(cls, rule: Rule) -> "Adornment":
-        rep = canonical_rule(rule)
-        return cls(rule=rep, key=canonical_form(rep))
+        key = canonical_form(rule)
+        rep = rule_of_key(key)
+        # dropping duplicate atoms can leave a variable occurring once,
+        # so the representative may hold duplicates of its own; its key,
+        # which names the adornment, is then the smaller one
+        items = [(a.pred, a.terms) for a in rep.body]
+        if len(_dedup_items(rep.head.terms, items)) < len(items):
+            key = canonical_form(rep)
+        return cls(rule=rep, key=key)
 
     def __eq__(self, other):
         return isinstance(other, Adornment) and self.key == other.key
@@ -56,7 +63,8 @@ class Adornment:
 
 @dataclass(frozen=True)
 class AdornedPredicate:
-    """An IDB predicate together with one of its adornments."""
+    """An IDB predicate together with one of its adornments: the key of
+    an adorned relation in an evaluation result."""
     base: str
     adornment: Adornment
 
@@ -69,55 +77,19 @@ class AdornedPredicate:
 
 
 @dataclass(frozen=True)
-class AdornedAtom:
-    """An adorned predicate applied to terms."""
-    apred: AdornedPredicate
-    terms: tuple
-
-    @property
-    def pred(self) -> str:
-        return self.apred.base
-
-    @property
-    def arity(self) -> int:
-        return len(self.terms)
-
-    def vars(self) -> list:
-        seen = []
-        for t in self.terms:
-            if isinstance(t, Var) and t.name not in seen:
-                seen.append(t.name)
-        return seen
-
-
-def _pred_key(a) -> tuple:
-    """The predicate of an adorned or plain atom, as canonical keys see it."""
-    if isinstance(a, AdornedAtom):
-        return ("q", a.pred, a.apred.adornment.key)
-    return ("p", a.pred)
-
-
-@dataclass(frozen=True)
-class AdornedRule:
-    """A rule whose head (and IDB body atoms) carry adornments."""
-    head: AdornedAtom
-    body: tuple  # mix of AdornedAtom and plain Atom
-
-    def canonical(self) -> tuple:
-        return canonical_key(_pred_key(self.head), self.head.terms,
-                             [(_pred_key(a), a.terms) for a in self.body])
-
-
-@dataclass(frozen=True)
 class AdornedProgram:
-    """Output of the fixpoint engine: rules sorted by canonical form."""
+    """Output of the fixpoint engine: rules sorted by canonical form.
+
+    Each rule's head and IDB body atoms carry their adornments.
+    """
     rules: tuple
     source: Program
 
     def adorned_predicates(self) -> list:
         seen = {}
         for r in self.rules:
-            seen.setdefault(r.head.apred.key, r.head.apred)
+            ap = AdornedPredicate(r.head.pred, r.head.adornment)
+            seen.setdefault(ap.key, ap)
         return [seen[k] for k in sorted(seen)]
 
     def adornment_map(self) -> dict:
@@ -128,7 +100,7 @@ class AdornedProgram:
         return out
 
     def pretty(self) -> str:
-        return "\n".join(format_adorned_rule(r) for r in self.rules) + "\n"
+        return "\n".join(format_rule(r) for r in self.rules) + "\n"
 
     def __str__(self) -> str:
         return self.pretty()
@@ -138,66 +110,7 @@ def adornments_of(pi: AdornedProgram, q: str) -> set:
     """Distinct adornments the predicate q carries in pi."""
     if q not in pi.source.idb:
         raise ValidationError(f"unknown IDB predicate {q}")
-    return {r.head.apred.adornment for r in pi.rules if r.head.pred == q}
-
-
-# ---------------------------------------------------------------------------
-# Printing
-
-
-def _adornment_display(adn: Adornment, args: tuple) -> str:
-    """Render an adornment, preferring the adorned atom's variable names."""
-    rep = adn.rule
-    rename: dict = {}
-    taken = set()
-    for pos, t in enumerate(rep.head.terms):
-        if isinstance(t, Var) and isinstance(args[pos], Var):
-            name = args[pos].name
-            if not name.startswith(INTERNAL_PREFIX) and name not in taken:
-                rename.setdefault(t.name, name)
-                taken.add(name)
-    counts = rep.var_occurrences()
-    gen = 0
-    for v in rep.all_vars():
-        if v in rename:
-            continue
-        if counts.get(v, 0) == 1 and v not in {x.name for x in rep.head.terms
-                                               if isinstance(x, Var)}:
-            rename[v] = "_"
-        else:
-            while f"V{gen}" in taken:
-                gen += 1
-            rename[v] = f"V{gen}"
-            taken.add(f"V{gen}")
-    def fmt_atom(a):
-        inner = ",".join(
-            rename.get(t.name, t.name) if isinstance(t, Var) else str(t.value)
-            for t in a.terms)
-        return f"{a.pred}({inner})"
-    body = ", ".join(fmt_atom(a) for a in rep.body)
-    return f"{fmt_atom(rep.head)} :- {body}" if rep.body else fmt_atom(rep.head)
-
-
-def format_adorned_rule(r: AdornedRule) -> str:
-    plain = Rule(Atom(r.head.pred, r.head.terms),
-                 tuple(Atom(a.pred, a.terms) for a in r.body))
-    names = _display_names(plain)
-
-    def fmt_term(t):
-        return names.get(t.name, t.name) if isinstance(t, Var) else str(t.value)
-
-    def fmt(a) -> str:
-        args = ",".join(fmt_term(t) for t in a.terms)
-        if isinstance(a, AdornedAtom):
-            disp_args = tuple(
-                Var(names[t.name]) if isinstance(t, Var) else t
-                for t in a.terms)
-            adn = _adornment_display(a.apred.adornment, disp_args)
-            return f"{a.pred}[{adn}]({args})"
-        return f"{a.pred}({args})"
-
-    body = ", ".join(fmt(a) for a in r.body)
-    return f"{fmt(r.head)} :- {body}."
+    return {r.head.adornment for r in pi.rules if r.head.pred == q}
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +125,11 @@ class RelaxationFn:
 
     def apply(self, rule: Rule) -> Rule:
         return rule
+
+    def start(self) -> "RelaxationFn":
+        """The relaxation one engine run uses; it may keep state for that
+        run, so the relaxation itself stays a pure function."""
+        return self
 
 
 class Id(RelaxationFn):
@@ -231,26 +149,36 @@ class GOut(RelaxationFn):
 class GK(RelaxationFn):
     """Identity until some candidate body exceeds k atoms, then GOut.
 
-    The switch is sticky: once triggered, every later candidate in the
-    same engine run is relaxed with GOut as well.
+    Within one engine run the switch is sticky: once triggered, every
+    later candidate of the run is relaxed with GOut as well.
     """
 
     def __init__(self, k: int):
         if k < 1:
             raise ValueError("k must be positive")
         self.k = k
-        self.triggered = False
 
     @property
     def name(self) -> str:
         return f"gk={self.k}"
 
     def apply(self, rule: Rule) -> Rule:
-        if len(rule.body) > self.k:
-            self.triggered = True
-        if self.triggered:
-            return _gout(rule)
-        return rule
+        return _gout(rule) if len(rule.body) > self.k else rule
+
+    def start(self) -> "GK":
+        return _GKRun(self.k)
+
+
+class _GKRun(GK):
+    """GK within one engine run: remembers whether it has triggered."""
+
+    def __init__(self, k: int):
+        super().__init__(k)
+        self.triggered = False
+
+    def apply(self, rule: Rule) -> Rule:
+        self.triggered = self.triggered or len(rule.body) > self.k
+        return _gout(rule) if self.triggered else rule
 
 
 class GMin(RelaxationFn):
@@ -380,16 +308,18 @@ def make_relaxation(name: str) -> RelaxationFn:
 def dependency_cycle(rules, key=None) -> bool:
     """True iff the adorned predicate `key` reaches itself in the adorned
     dependency graph of `rules`; with no key, iff any predicate does.
+    An adorned predicate is named by its adornment's key, which holds
+    the base predicate.
 
     Iterative depth-first search: a node is on the search path (1) or
     finished (2), and an edge back onto the path closes a cycle.
     """
     edges: dict = {}
     for r in rules:
-        src = r.head.apred.key
+        src = r.head.adornment.key
         for a in r.body:
-            if isinstance(a, AdornedAtom):
-                edges.setdefault(src, set()).add(a.apred.key)
+            if a.adornment is not None:
+                edges.setdefault(src, set()).add(a.adornment.key)
     state: dict = {}
     for start in (list(edges) if key is None else [key]):
         if start in state:
@@ -412,23 +342,22 @@ def dependency_cycle(rules, key=None) -> bool:
     return False
 
 
-def h_eq(r: AdornedRule, rules, keys=None) -> bool:
+def h_eq(r: Rule, rules, keys=None) -> bool:
     if keys is None:
-        keys = {x.canonical() for x in rules}
-    return r.canonical() in keys
+        keys = {canonical_form(x) for x in rules}
+    return canonical_form(r) in keys
 
 
-def h_cont(r: AdornedRule, rules, keys=None) -> bool:
+def h_cont(r: Rule, rules, keys=None) -> bool:
     if h_eq(r, rules, keys):
         return True
-    rho = r.head.apred.adornment
-    if dependency_cycle((*rules, r), r.head.apred.key):
+    rho = r.head.adornment
+    if dependency_cycle((*rules, r), rho.key):
         return False
     for other in rules:
-        ap = other.head.apred
-        if ap.base != r.head.pred:
+        if other.head.pred != r.head.pred:
             continue
-        if subsumes(ap.adornment.rule, rho.rule):
+        if subsumes(other.head.adornment.rule, rho.rule):
             return True
     return False
 
@@ -441,7 +370,7 @@ class MembershipFn:
             raise ValueError(f"unknown membership function {name!r}")
         self.name = name
 
-    def check(self, r: AdornedRule, rules, keys=None) -> bool:
+    def check(self, r: Rule, rules, keys=None) -> bool:
         if self.name == "heq":
             return h_eq(r, rules, keys)
         return h_cont(r, rules, keys)
@@ -509,7 +438,7 @@ class _Engine:
     def __init__(self, p: Program, g: RelaxationFn, h: MembershipFn,
                  max_iterations: int, max_rules: int):
         self.p = p
-        self.g = g
+        self.g = g.start()
         self.h = h
         self.max_iterations = max_iterations
         self.max_rules = max_rules
@@ -518,18 +447,18 @@ class _Engine:
         self.tried: set = set()
 
     def partial(self) -> AdornedProgram:
-        ordered = sorted(self.rules, key=lambda r: r.canonical())
+        ordered = sorted(self.rules, key=canonical_form)
         return AdornedProgram(rules=tuple(ordered), source=self.p)
 
     def candidates_for(self, pred: str) -> list:
         seen: dict = {}
         for r in self.rules:
             if r.head.pred == pred:
-                c = _Candidate(pred, r.head.apred.adornment, r.head.terms)
+                c = _Candidate(pred, r.head.adornment, r.head.terms)
                 seen.setdefault(c.key, c)
         return [seen[k] for k in sorted(seen)]
 
-    def build(self, rule: Rule, combo) -> AdornedRule | None:
+    def build(self, rule: Rule, combo) -> Rule | None:
         idb_atoms, edb_atoms = classify_rule_atoms(rule, self.p)
         used = set(rule.all_vars())
         pairs = []
@@ -546,16 +475,14 @@ class _Engine:
                      for body in inst_bodies for a in body]
         rho0_body += [sigma.apply_atom(a) for a in edb_atoms]
         rho0 = Rule(Atom(rule.head.pred, head_terms), tuple(rho0_body))
-        rho = relax(self.g, rho0)
-        head = AdornedAtom(AdornedPredicate(rule.head.pred, rho), head_terms)
+        head = Atom(rule.head.pred, head_terms, relax(self.g, rho0))
         body = tuple(
-            AdornedAtom(AdornedPredicate(atom.pred, cand.adornment),
-                        sigma.apply_terms(atom.terms))
+            Atom(atom.pred, sigma.apply_terms(atom.terms), cand.adornment)
             for atom, cand in zip(idb_atoms, combo)
         ) + tuple(sigma.apply_atom(a) for a in edb_atoms)
         kept = _dedup_items(head_terms,
                             [(_pred_key(a), a.terms, a) for a in body])
-        return AdornedRule(head, tuple(a for _, _, a in kept))
+        return Rule(head, tuple(a for _, _, a in kept))
 
     def run(self) -> AdornedProgram:
         from itertools import product
@@ -583,7 +510,7 @@ class _Engine:
                     if self.h.check(new_rule, tuple(self.rules), self.keys):
                         continue
                     self.rules.append(new_rule)
-                    self.keys.add(new_rule.canonical())
+                    self.keys.add(canonical_form(new_rule))
                     added = True
                     if len(self.rules) > self.max_rules:
                         raise BudgetExceeded("max-rules", self.partial())
@@ -612,7 +539,7 @@ def fixpoint_stable(p: Program, pi: AdornedProgram, g: RelaxationFn,
     """Re-run one sweep over pi's rules; true iff nothing new is admitted."""
     engine = _Engine(p, g, h, max_iterations=1, max_rules=10 ** 9)
     engine.rules = list(pi.rules)
-    engine.keys = {r.canonical() for r in pi.rules}
+    engine.keys = {canonical_form(r) for r in pi.rules}
     try:
         engine.run()
     except BudgetExceeded:

@@ -87,7 +87,7 @@ def extract_ucq(outcome, q: str) -> list:
     for r in outcome.program.rules:
         if r.head.pred != q:
             continue
-        adn = r.head.apred.adornment
+        adn = r.head.adornment
         if adn not in seen:
             seen.append(adn)
     return [a.rule for a in sorted(seen, key=lambda a: a.key)]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .core import Const, DatalogError, format_rule, parse_program
 from .adorn import (
     BudgetExceeded, MembershipFn, adorn_program, adornments_of,
-    format_adorned_rule, make_relaxation,
+    make_relaxation,
 )
 from .width import width_of_predicate, width_of_program
 from .sizebound import size_report
@@ -33,15 +33,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _max_rules(args) -> int:
-    env = os.environ.get("DLSB_MAX_RULES")
-    if env is not None:
-        return int(env)
-    return 10000
+def _max_rules() -> int:
+    return int(os.environ.get("DLSB_MAX_RULES", 10000))
 
 
-def _adorned(p, args, relax="gout", membership="heq"):
-    return adorn_program(p, relax, membership, max_rules=_max_rules(args))
+def _adorned(p):
+    """The adorned program every subcommand but `adorn` analyses."""
+    return adorn_program(p, "gout", "heq", max_rules=_max_rules())
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -63,18 +61,17 @@ def cmd_adorn(args) -> int:
     g = make_relaxation(args.relax)
     h = MembershipFn({"eq": "heq", "cont": "hcont"}[args.membership])
     try:
-        pi = adorn_program(p, g, h, max_rules=_max_rules(args))
+        pi = adorn_program(p, g, h, max_rules=_max_rules())
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc.limit}", file=sys.stderr)
         return 1
-    _emit(args, {"rules": [format_adorned_rule(r) for r in pi.rules]},
-          pi.pretty())
+    _emit(args, {"rules": [format_rule(r) for r in pi.rules]}, pi.pretty())
     return 0
 
 
 def cmd_widths(args) -> int:
     p = parse_program(_read(args.program))
-    pi = _adorned(p, args)
+    pi = _adorned(p)
     mode = "fractional" if args.fractional else "integral"
     per = {q: width_of_predicate(pi, q, mode)
            for q in sorted(p.idb) if adornments_of(pi, q)}
@@ -92,7 +89,7 @@ def cmd_widths(args) -> int:
 
 def cmd_bounds(args) -> int:
     p = parse_program(_read(args.program))
-    pi = _adorned(p, args)
+    pi = _adorned(p)
     report = size_report(p, pi, args.n)
     human_lines = []
     for pb in report.predicates:
@@ -135,9 +132,8 @@ def cmd_boundedness(args) -> int:
 
 def cmd_minimize(args) -> int:
     p = parse_program(_read(args.program))
-    pi = minimize_program(_adorned(p, args))
-    _emit(args, {"rules": [format_adorned_rule(r) for r in pi.rules]},
-          pi.pretty())
+    pi = minimize_program(_adorned(p))
+    _emit(args, {"rules": [format_rule(r) for r in pi.rules]}, pi.pretty())
     return 0
 
 
@@ -145,7 +141,7 @@ def cmd_eval(args) -> int:
     p = parse_program(_read(args.program))
     d = parse_edb(_read(args.edb))
     if args.horn:
-        pi = _adorned(p, args)
+        pi = _adorned(p)
         result = horn_ground_evaluate(p, pi, d)
         rels = {q: union_adorned(result, q) for q in sorted(p.idb)}
     else:
@@ -170,7 +166,7 @@ def cmd_classify(args) -> int:
 
 def cmd_complexity(args) -> int:
     p = parse_program(_read(args.program))
-    pi = _adorned(p, args)
+    pi = _adorned(p)
     report = complexity_report(p, pi)
     human = [f"classes: {' '.join(report.classes) or '(none)'}",
              f"f={report.f} |P|={report.rule_count} ew={report.ew} "
@@ -202,7 +198,7 @@ def cmd_verify(args) -> int:
     d = parse_edb(_read(args.edb))
     rng = random.Random(args.seed)
     del rng  # sampler hook; the supplied EDB is always checked
-    pi = _adorned(p, args)
+    pi = _adorned(p)
 
     failures = []
     plain = evaluate(p, d)

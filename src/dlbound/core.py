@@ -61,9 +61,14 @@ def is_internal_var(t: Term) -> bool:
 
 @dataclass(frozen=True)
 class Atom:
-    """A predicate applied to a tuple of terms."""
+    """A predicate applied to a tuple of terms.
+
+    The IDB atoms of an adorned program carry their predicate's
+    adornment (an `adorn.Adornment`); every other atom carries None.
+    """
     pred: str
     terms: tuple
+    adornment: object = None
 
     @property
     def arity(self) -> int:
@@ -366,28 +371,51 @@ def parse_program(text: str) -> Program:
 # Printing
 
 
-def _display_names(rule: Rule) -> dict:
-    """Map variable names to display strings, sugaring singletons to `_`.
+def _name_vars(rule: Rule, names: dict, taken: set, fresh: str) -> dict:
+    """Complete `names` (variable name -> display string) for rule.
 
-    Internal variables that occur exactly once print as `_`; internal
-    variables with several occurrences get a fresh uppercase name.
+    A variable not yet named prints as `_` if it occurs once, and as the
+    first `{fresh}{i}` not in `taken` otherwise.
     """
     counts = rule.var_occurrences()
-    used = {v for v in counts if not v.startswith(INTERNAL_PREFIX)}
-    names: dict = {}
     gen = 0
     for v in rule.all_vars():
-        if not v.startswith(INTERNAL_PREFIX):
-            names[v] = v
-        elif counts.get(v, 0) <= 1:
+        if v in names:
+            continue
+        if counts[v] == 1:
             names[v] = "_"
         else:
-            while f"U{gen}" in used:
+            while f"{fresh}{gen}" in taken:
                 gen += 1
-            names[v] = f"U{gen}"
-            used.add(f"U{gen}")
-            gen += 1
+            names[v] = f"{fresh}{gen}"
+            taken.add(names[v])
     return names
+
+
+def _display_names(rule: Rule) -> dict:
+    """Map variable names to display strings: surface variables keep
+    their names, internal ones print as `_` or a fresh `U{i}`."""
+    names = {v: v for v in rule.all_vars()
+             if not v.startswith(INTERNAL_PREFIX)}
+    return _name_vars(rule, names, set(names), "U")
+
+
+def _adornment_display(rep: Rule, args: tuple) -> str:
+    """Render an adornment rule, naming its head variables after the
+    display names `args` of the adorned atom they stand for."""
+    names: dict = {}
+    taken = set()
+    for t, arg in zip(rep.head.terms, args):
+        if isinstance(t, Var) and isinstance(arg, Var):
+            if not arg.name.startswith(INTERNAL_PREFIX) \
+                    and arg.name not in taken:
+                names.setdefault(t.name, arg.name)
+                taken.add(arg.name)
+    _name_vars(rep, names, taken, "V")
+    head = format_atom(rep.head, names)
+    if not rep.body:
+        return head
+    return f"{head} :- " + ", ".join(format_atom(a, names) for a in rep.body)
 
 
 def format_term(t: Term, names: dict | None = None) -> str:
@@ -399,8 +427,14 @@ def format_term(t: Term, names: dict | None = None) -> str:
 
 
 def format_atom(a: Atom, names: dict | None = None) -> str:
-    args = ",".join(format_term(t, names) for t in a.terms)
-    return f"{a.pred}({args})"
+    """`p(args)`, or `p[adornment](args)` for an adorned atom."""
+    args = [format_term(t, names) for t in a.terms]
+    adornment = ""
+    if a.adornment is not None:
+        shown = tuple(Var(s) if isinstance(t, Var) else t
+                      for t, s in zip(a.terms, args))
+        adornment = f"[{_adornment_display(a.adornment.rule, shown)}]"
+    return f"{a.pred}{adornment}({','.join(args)})"
 
 
 def format_rule(r: Rule, terminator: str = ".") -> str:

@@ -10,7 +10,7 @@ from itertools import product
 from .core import (
     Atom, ParseError, Program, Rule, ValidationError, Var,
 )
-from .adorn import AdornedAtom, AdornedProgram
+from .adorn import AdornedPredicate, AdornedProgram
 from .join import _Join, _Relation
 from .sizebound import SchemaStats, bound1
 
@@ -183,33 +183,30 @@ class _ERule:
         return {head(slots) for slots in self.join.run(sources)}
 
 
+def _relation_key(a: Atom):
+    """The IDBResult key of an IDB atom: its predicate, adorned if the
+    atom carries an adornment."""
+    if a.adornment is None:
+        return a.pred
+    return AdornedPredicate(a.pred, a.adornment)
+
+
 def _normalize(prog):
     """Turn a Program or AdornedProgram into _ERules, the list of IDB keys
     (indexed by the rules' dense ids) and the source program."""
+    source = getattr(prog, "source", prog)
+    if not isinstance(source, Program):
+        raise TypeError(f"cannot evaluate {type(prog).__name__}")
     ids: dict = {}
 
-    def idb_id(key):
-        return ids.setdefault(key, len(ids))
+    def idb_id(a):
+        return ids.setdefault(_relation_key(a), len(ids))
 
-    if isinstance(prog, Program):
-        for q in sorted(prog.idb):
-            idb_id(q)
-        rules = [_ERule(ids[r.head.pred], r.head.terms, tuple(
-            (ids[a.pred], a.terms, True) if a.pred in prog.idb
-            else (a.pred, a.terms, False) for a in r.body))
-            for r in prog.rules]
-        return rules, list(ids), prog
-    if isinstance(prog, AdornedProgram):
-        rules = []
-        for r in prog.rules:
-            head = idb_id(r.head.apred)
-            body = tuple(
-                (idb_id(a.apred), a.terms, True)
-                if isinstance(a, AdornedAtom) else (a.pred, a.terms, False)
-                for a in r.body)
-            rules.append(_ERule(head, r.head.terms, body))
-        return rules, list(ids), prog.source
-    raise TypeError(f"cannot evaluate {type(prog).__name__}")
+    rules = [_ERule(idb_id(r.head), r.head.terms, tuple(
+        (idb_id(a), a.terms, True) if a.pred in source.idb
+        else (a.pred, a.terms, False) for a in r.body))
+        for r in prog.rules]
+    return rules, list(ids), source
 
 
 def evaluate(prog, d: EDBInstance, method: str = "seminaive") -> IDBResult:
@@ -324,12 +321,13 @@ def check_rule_bounded(pi: AdornedProgram, d: EDBInstance) -> RuleBoundedReport:
     edb = _EDBRelations(d)
     violations = []
     for idx, rule in enumerate(pi.rules):
-        sources = [idb.get(a.apred, empty) if isinstance(a, AdornedAtom)
+        sources = [idb.get(_relation_key(a), empty)
+                   if a.pred in pi.source.idb
                    else edb.get(a.pred, a.arity) for a in rule.body]
         join = _Join([a.terms for a in rule.body])
         head = join.getter(rule.head.terms)
         derived = {head(slots) for slots in join.run(sources)}
-        allowed = _eval_cq(rule.head.apred.adornment.rule, edb)
+        allowed = _eval_cq(rule.head.adornment.rule, edb)
         # ints before symbols, so mixed tuples sort too
         for t in sorted(derived - allowed, key=lambda row: tuple(
                 (isinstance(v, str), v) for v in row)):

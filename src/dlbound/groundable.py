@@ -8,8 +8,8 @@ from fractions import Fraction
 from itertools import combinations, permutations as iter_permutations, product
 
 from .core import Program, Rule, ValidationError, Var, classify_rule_atoms
-from .adorn import AdornedAtom, AdornedProgram
-from .evaluate import EDBInstance, IDBResult, _EDBRelations
+from .adorn import AdornedProgram
+from .evaluate import EDBInstance, IDBResult, _EDBRelations, _relation_key
 from .join import _Join
 from .width import hypergraph_of, width_of_program
 
@@ -80,24 +80,24 @@ def horn_clauses(pi: AdornedProgram, d: EDBInstance):
     """
     ids: dict = {}
 
-    def pred_id(apred) -> int:
-        return ids.setdefault(apred, len(ids))
+    def pred_id(a) -> int:
+        return ids.setdefault(_relation_key(a), len(ids))
 
     edb = _EDBRelations(d)
     clauses = set()
     for rule in pi.rules:
-        adn = rule.head.apred.adornment
-        idb_atoms = [a for a in rule.body if isinstance(a, AdornedAtom)]
-        edb_atoms = [a for a in rule.body if not isinstance(a, AdornedAtom)]
+        adn = rule.head.adornment
+        idb_atoms = [a for a in rule.body if a.pred in pi.source.idb]
+        edb_atoms = [a for a in rule.body if a.pred not in pi.source.idb]
         join = _Join([a.terms for a in edb_atoms])
         open_vars = [v for v in rule.head.vars() if v not in join.bound]
         assert {v for a in idb_atoms for v in a.vars()} <= \
             join.bound | set(open_vars)
         choices = [_column_values(v, rule, adn, d) for v in open_vars]
         open_slots = [join.slot(v) for v in open_vars]
-        head_id = pred_id(rule.head.apred)
+        head_id = pred_id(rule.head)
         head = join.getter(rule.head.terms)
-        body = [(pred_id(a.apred), join.getter(a.terms)) for a in idb_atoms]
+        body = [(pred_id(a), join.getter(a.terms)) for a in idb_atoms]
         sources = [edb.get(a.pred, a.arity) for a in edb_atoms]
         for slots in join.run(sources):
             for pick in product(*choices):
@@ -208,7 +208,7 @@ def complexity_report(p: Program, pi: AdornedProgram) -> ComplexityReport:
     of 2 or a symbolic placeholder is reported.
     """
     classes = classify_program(p)
-    f = len({r.head.apred.key for r in pi.rules})
+    f = len({r.head.adornment.key for r in pi.rules})
     ew = Fraction(width_of_program(pi, "fractional"))
     small = all(len(r.body) <= 5 and len(r.all_vars()) <= 8
                 for r in p.rules)

@@ -3,10 +3,11 @@ stored adornment and merge predicates whose adornments collapse."""
 
 from __future__ import annotations
 
-from .adorn import (
-    Adornment, AdornedAtom, AdornedPredicate, AdornedProgram, AdornedRule,
-    GMin, relax,
-)
+from dataclasses import replace
+
+from .adorn import Adornment, AdornedProgram, GMin, relax
+from .core import Rule
+from .unify import canonical_form
 
 
 def minimize_program(pi: AdornedProgram) -> AdornedProgram:
@@ -15,30 +16,25 @@ def minimize_program(pi: AdornedProgram) -> AdornedProgram:
     dropped.  Preserves the integral edge-cover width."""
     gmin = GMin()
     mapping: dict = {}
-    for r in pi.rules:
-        for atom in (r.head, *r.body):
-            if isinstance(atom, AdornedAtom):
-                adn = atom.apred.adornment
-                if adn.key not in mapping:
-                    mapping[adn.key] = relax(gmin, adn.rule)
 
     def rewrite(atom):
-        if isinstance(atom, AdornedAtom):
-            apred = AdornedPredicate(atom.pred,
-                                     mapping[atom.apred.adornment.key])
-            return AdornedAtom(apred, atom.terms)
-        return atom
+        adn = atom.adornment
+        if adn is None:
+            return atom
+        if adn.key not in mapping:
+            mapping[adn.key] = relax(gmin, adn.rule)
+        return replace(atom, adornment=mapping[adn.key])
 
     new_rules = []
     keys = set()
     for r in pi.rules:
-        nr = AdornedRule(rewrite(r.head), tuple(rewrite(a) for a in r.body))
-        key = nr.canonical()
+        nr = Rule(rewrite(r.head), tuple(rewrite(a) for a in r.body))
+        key = canonical_form(nr)
         if key in keys:
             continue
         keys.add(key)
         new_rules.append(nr)
-    new_rules.sort(key=lambda r: r.canonical())
+    new_rules.sort(key=canonical_form)
     return AdornedProgram(rules=tuple(new_rules), source=pi.source)
 
 
@@ -62,10 +58,7 @@ def _adornment_minimal(adn: Adornment) -> bool:
 def is_minimal(pi: AdornedProgram) -> bool:
     """True iff every head variable of every adornment occurs in exactly
     one body position and no body atom is all wildcards."""
-    adns = {r.head.apred.adornment.key: r.head.apred.adornment
-            for r in pi.rules}
-    for r in pi.rules:
-        for a in r.body:
-            if isinstance(a, AdornedAtom):
-                adns.setdefault(a.apred.adornment.key, a.apred.adornment)
+    adns = {a.adornment.key: a.adornment
+            for r in pi.rules for a in (r.head, *r.body)
+            if a.adornment is not None}
     return all(_adornment_minimal(a) for a in adns.values())

@@ -37,7 +37,7 @@ class Substitution:
         return tuple(self.apply_term(t) for t in terms)
 
     def apply_atom(self, a: Atom) -> Atom:
-        return Atom(a.pred, self.apply_terms(a.terms))
+        return Atom(a.pred, self.apply_terms(a.terms), a.adornment)
 
     def apply_rule(self, r: Rule) -> Rule:
         return Rule(self.apply_atom(r.head),
@@ -183,8 +183,9 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
 
     Two rules get equal keys iff they are identical up to variable renaming
     and body reordering/duplication.  Head variables are labeled by first
-    occurrence in the head; remaining variables by backtracking search for
-    the lexicographically least rendering.
+    occurrence in the head; remaining variables by a depth-first search
+    for the lexicographically least rendering, which at each step tries
+    every unlabeled variable whose occurrence signature is least.
     """
     body_items = _dedup_items(head_terms, list(body_items))
 
@@ -193,11 +194,11 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
         if isinstance(t, Var) and t.name not in labels:
             labels[t.name] = len(labels)
 
-    free = []
-    for _, terms in body_items:
-        for t in terms:
-            if isinstance(t, Var) and t.name not in labels and t.name not in free:
-                free.append(t.name)
+    occurrences: dict = {}
+    for pk, terms in body_items:
+        for pos, t in enumerate(terms):
+            if isinstance(t, Var) and t.name not in labels:
+                occurrences.setdefault(t.name, []).append((pk, pos, terms))
 
     def render(lab):
         head_sig = (head_key, tuple(_term_sig(t, lab) for t in head_terms))
@@ -207,16 +208,16 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
         ))
         return (head_sig, body_sig)
 
-    if not free:
+    if not occurrences:
         return render(labels)
 
-    occurrences: dict = {}
-    for pk, terms in body_items:
-        for pos, t in enumerate(terms):
-            if isinstance(t, Var) and t.name in free:
-                occurrences.setdefault(t.name, []).append((pk, pos, terms))
-
-    best = [None]
+    # labeling v changes only the signatures of variables sharing an atom
+    neighbours: dict = {v: set() for v in occurrences}
+    for v, occ in occurrences.items():
+        for _, _, terms in occ:
+            neighbours[v].update(t.name for t in terms
+                                 if isinstance(t, Var) and t.name != v
+                                 and t.name in occurrences)
 
     def invariant(v, lab):
         sig = []
@@ -224,30 +225,47 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
             sig.append((pk, pos, tuple(_term_sig(t, lab) for t in terms)))
         return tuple(sorted(sig))
 
-    def search(lab, remaining):
-        if not remaining:
-            cand = render(lab)
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
-            return
-        sigs = {v: invariant(v, lab) for v in remaining}
+    def frame(lab, sigs):
+        # sigs: unlabeled variable -> signature, in first-occurrence order
         least = min(sigs.values())
-        for v in remaining:
-            if sigs[v] != least:
-                continue
-            lab2 = dict(lab)
-            lab2[v] = len(lab2)
-            search(lab2, [w for w in remaining if w != v])
+        return lab, sigs, iter([v for v, sig in sigs.items() if sig == least])
 
-    search(labels, free)
-    return best[0]
+    best = None
+    stack = [frame(labels, {v: invariant(v, labels) for v in occurrences})]
+    while stack:
+        lab, sigs, todo = stack[-1]
+        v = next(todo, None)
+        if v is None:
+            stack.pop()
+            continue
+        lab2 = dict(lab)
+        lab2[v] = len(lab)
+        sigs2 = dict(sigs)
+        del sigs2[v]
+        if not sigs2:
+            cand = render(lab2)
+            if best is None or cand < best:
+                best = cand
+            continue
+        for w in neighbours[v]:
+            if w in sigs2:
+                sigs2[w] = invariant(w, lab2)
+        stack.append(frame(lab2, sigs2))
+    return best
+
+
+def _pred_key(a: Atom) -> tuple:
+    """An atom's predicate as canonical keys see it: adorned atoms of one
+    base predicate differ by their adornments."""
+    if a.adornment is None:
+        return ("p", a.pred)
+    return ("q", a.pred, a.adornment.key)
 
 
 def canonical_form(r: Rule) -> tuple:
-    """Canonical key of a plain rule."""
-    return canonical_key(("p", r.head.pred),
-                         r.head.terms,
-                         [(("p", a.pred), a.terms) for a in r.body])
+    """Canonical key of a rule, plain or adorned."""
+    return canonical_key(_pred_key(r.head), r.head.terms,
+                         [(_pred_key(a), a.terms) for a in r.body])
 
 
 def _sig_to_term(sig, singleton_labels) -> Term:
@@ -256,18 +274,16 @@ def _sig_to_term(sig, singleton_labels) -> Term:
         if label in singleton_labels:
             return Var(f"{INTERNAL_PREFIX}c{label}")
         return Var(f"V{label}")
-    if sig[0] == "ci":
-        return Const(sig[1])
     return Const(sig[1])
 
 
-def canonical_rule(r: Rule) -> Rule:
-    """A standard representative of r's renaming class.
+def rule_of_key(key: tuple) -> Rule:
+    """The standard representative of the plain rules whose canonical
+    key is `key`; its own canonical key is `key` again.
 
     Head variables are named V0, V1, ... by head position; body-only
     variables occurring exactly once get internal (wildcard) names.
     """
-    key = canonical_form(r)
     (head_key, head_sigs), body = key
     counts: dict = {}
     head_labels = set()
@@ -288,6 +304,11 @@ def canonical_rule(r: Rule) -> Rule:
         for pk, sigs in body
     )
     return Rule(head, atoms)
+
+
+def canonical_rule(r: Rule) -> Rule:
+    """A standard representative of the plain rule r's renaming class."""
+    return rule_of_key(canonical_form(r))
 
 
 # ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ def width_of_predicate(pi: AdornedProgram, q: str,
 
 
 def width_of_program(pi: AdornedProgram, mode: str = "integral") -> Fraction:
-    widths = [width_of_adornment(r.head.apred.adornment, mode)
+    widths = [width_of_adornment(r.head.adornment, mode)
               for r in pi.rules]
     if not widths:
         raise ValidationError("program has no adorned rules")

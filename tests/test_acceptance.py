@@ -38,7 +38,7 @@ def test_acceptance_1_tc_golden_adornment():
     p = parse_program(TC_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
     assert len(pi.rules) == 3
-    keys = {r.head.apred.adornment.key for r in pi.rules}
+    keys = {r.head.adornment.key for r in pi.rules}
     assert keys == {
         adn_key("tc(X,Y) :- e(X,Y)."),
         adn_key("tc(X,Y) :- e(X,W), e(U,Y)."),
@@ -152,7 +152,7 @@ def test_acceptance_6_minimization():
     pi = adorn_program(parse_program(TRIANGLE_SRC), GOut(),
                        MembershipFn("heq"))
     mini = minimize_program(pi)
-    keys = {r.head.apred.adornment.key for r in mini.rules}
+    keys = {r.head.adornment.key for r in mini.rules}
     assert keys == {
         adn_key("p(X,Y,Z) :- e(X,Y,U), e(A,Z,B)."),
         adn_key("q(X,Y) :- e(X,Y,U)."),

@@ -6,13 +6,12 @@ from types import SimpleNamespace
 import pytest
 
 from dlbound import (
-    Adornment, BudgetExceeded, GK, GMin, GOut, Id, MembershipFn,
-    adorn_program, adornments_of, fixpoint_stable, make_relaxation,
-    parse_program, relax, subsumes,
+    Adornment, Atom, BudgetExceeded, GK, GMin, GOut, Id, MembershipFn,
+    adorn_program, adornments_of, canonical_form, fixpoint_stable,
+    make_relaxation, parse_program, relax, subsumes,
 )
-from dlbound.adorn import (
-    AdornedAtom, dependency_cycle, format_adorned_rule, h_cont, h_eq,
-)
+from dlbound.adorn import dependency_cycle, h_cont, h_eq
+from dlbound.core import format_rule
 
 from conftest import TC_SRC, random_programs
 
@@ -51,14 +50,14 @@ def test_gout_drops_redundant_patterns():
 
 
 def test_gk_identity_below_budget():
-    g = GK(2)
+    g = GK(2).start()
     r = rule("q(X) :- e(X,Y), f(Y).")
     assert relax(g, r).key == adn_key("q(X) :- e(X,Y), f(Y).")
     assert not g.triggered
 
 
 def test_gk_triggers_and_sticks():
-    g = GK(2)
+    g = GK(2).start()
     big = rule("q(X) :- e(X,A), e(A,B), e(B,C).")
     assert relax(g, big).key == adn_key("q(X) :- e(X,W).")
     assert g.triggered
@@ -66,6 +65,40 @@ def test_gk_triggers_and_sticks():
     # drops the resulting all-wildcard f atom
     small = rule("q(X) :- e(X,Y), f(Y).")
     assert relax(g, small).key == adn_key("q(X) :- e(X,W).")
+
+
+def test_gk_reused_across_runs_is_pure():
+    g = GK(2)
+    adorn_program(parse_program("t(X) :- e(X,Y), f(Y), h(Y)."), g)
+    p = parse_program("s(X) :- e(X,Y), f(Y).")
+    reused = adorn_program(p, g).pretty()
+    assert reused == adorn_program(p, GK(2)).pretty()
+    assert reused == "s[s(X) :- e(X,V0), f(V0)](X) :- e(X,Y), f(Y).\n"
+
+
+def test_adornment_key_is_its_representatives_key():
+    # the key is computed once, from the rule; it must name the stored
+    # representative as well, including when the representative holds
+    # duplicate atoms that only its own duplicate removal drops
+    twins = Adornment.of(rule("q(X) :- e(X,A), e(X,A), e(X,B)."))
+    assert len(twins.rule.body) == 2
+    assert twins.key == adn_key("q(X) :- e(X,Y).")
+    count = 0
+    for p in random_programs(41, 60):
+        rules = list(p.rules)
+        for g in ("id", "gout", "gmin", "gk=2"):
+            try:
+                pi = adorn_program(p, g, max_rules=6)
+            except BudgetExceeded as exc:
+                pi = exc.partial
+            rules += [a.rule for r in pi.rules
+                      for a in (r.head.adornment, *(
+                          b.adornment for b in r.body if b.adornment))]
+        for r in rules:
+            adn = Adornment.of(r)
+            assert canonical_form(adn.rule) == adn.key
+            count += 1
+    assert count > 1000
 
 
 def test_gmin_triangle():
@@ -126,7 +159,7 @@ def test_tc_three_rules():
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
     assert len(pi.rules) == 3
     assert len(adornments_of(pi, "tc")) == 2
-    keys = {r.head.apred.adornment.key for r in pi.rules}
+    keys = {r.head.adornment.key for r in pi.rules}
     assert keys == {adn_key("tc(X,Y) :- e(X,Y)."),
                     adn_key("tc(X,Y) :- e(X,A), e(B,Y).")}
 
@@ -148,7 +181,7 @@ def test_simultaneous_unifier_dedup():
     p = parse_program("q(X,X,X) :- e(X,A), e(X,B).")
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
     assert len(pi.rules) == 1
-    assert pi.rules[0].head.apred.adornment.key == adn_key("q(X,X,X) :- e(X,W).")
+    assert pi.rules[0].head.adornment.key == adn_key("q(X,X,X) :- e(X,W).")
 
 
 def test_rule_order_determinism():
@@ -159,8 +192,8 @@ def test_rule_order_determinism():
         rng.shuffle(shuffled)
         p2 = type(p).from_rules(tuple(shuffled))
         pi2 = adorn_program(p2, GOut(), MembershipFn("heq"))
-        assert [r.canonical() for r in pi1.rules] == \
-            [r.canonical() for r in pi2.rules]
+        assert [canonical_form(r) for r in pi1.rules] == \
+            [canonical_form(r) for r in pi2.rules]
 
 
 def test_budget_exceeded_carries_partial():
@@ -183,7 +216,7 @@ def test_format_adorned_rule_parses_back_as_plain():
     p = parse_program(TC_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
     for r in pi.rules:
-        line = format_adorned_rule(r)
+        line = format_rule(r)
         assert line.endswith(".")
         assert ":-" in line
 
@@ -197,8 +230,8 @@ def graph_rules(edges, nodes):
     for a, b in edges:
         succ.setdefault(a, []).append(b)
     return [SimpleNamespace(
-        head=SimpleNamespace(apred=apred(u)),
-        body=tuple(AdornedAtom(apred(v), ()) for v in succ.get(u, ())))
+        head=SimpleNamespace(adornment=apred(u)),
+        body=tuple(Atom("p", (), adornment=apred(v)) for v in succ.get(u, ())))
         for u in nodes]
 
 

@@ -6,12 +6,11 @@ import random
 import pytest
 
 from dlbound import (
-    Adornment, AdornedProgram, Const, EDBInstance, GOut, IDBResult,
-    MembershipFn, ValidationError, Var, adorn_program, check_rule_bounded,
-    eval_cq, evaluate, generate_tightness_instance, parse_edb, parse_program,
-    tightness_bound, union_adorned, value_cover_ok,
+    Adornment, AdornedProgram, Atom, Const, EDBInstance, GOut, IDBResult,
+    MembershipFn, Rule, ValidationError, Var, adorn_program,
+    check_rule_bounded, eval_cq, evaluate, generate_tightness_instance,
+    parse_edb, parse_program, tightness_bound, union_adorned, value_cover_ok,
 )
-from dlbound.adorn import AdornedAtom, AdornedPredicate, AdornedRule
 from dlbound.join import _Join, _Relation
 
 from conftest import TC_SRC, naive_oracle, random_edb, random_programs
@@ -101,9 +100,9 @@ def _corrupted_tc():
     bad = Adornment.of(parse_program("tc(X,Y) :- e(X,Y).").rules[0])
     rules = []
     for r in pi.rules:
-        if any(isinstance(a, AdornedAtom) for a in r.body):
-            head = AdornedAtom(AdornedPredicate("tc", bad), r.head.terms)
-            rules.append(AdornedRule(head, r.body))
+        if any(a.adornment is not None for a in r.body):
+            head = Atom("tc", r.head.terms, adornment=bad)
+            rules.append(Rule(head, r.body))
         else:
             rules.append(r)
     return AdornedProgram(rules=tuple(rules), source=pi.source)

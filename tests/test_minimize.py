@@ -25,7 +25,7 @@ def triangle_pi():
 
 def test_triangle_minimizes_to_two_atom_adornment():
     mini = minimize_program(triangle_pi())
-    keys = {r.head.apred.adornment.key for r in mini.rules}
+    keys = {r.head.adornment.key for r in mini.rules}
     assert keys == {
         adn_key("p(X,Y,Z) :- e(X,Y,U), e(A,Z,B)."),
         adn_key("q(X,Y) :- e(X,Y,U)."),

@@ -86,6 +86,8 @@ def test_substitution_apply_atom():
     s = Substitution((("X", Const(1)),))
     a = Atom("e", (Var("X"), Var("Y")))
     assert s.apply_atom(a) == Atom("e", (Const(1), Var("Y")))
+    adorned = Atom("p", (Var("X"),), adornment="an adornment")
+    assert s.apply_atom(adorned) == Atom("p", (Const(1),), "an adornment")
 
 
 def test_fresh_name_avoids_collisions():
@@ -219,6 +221,14 @@ def test_subsumes_long_chains_fast():
 def test_subsumes_long_chain_is_iterative():
     r = chain_rule(1200)
     assert subsumes(r, r)
+
+
+def test_canonical_form_long_chain_is_iterative():
+    r = chain_rule(1200)
+    renamed = ", ".join(f"e(W{i},W{i + 1})" for i in reversed(range(1200)))
+    assert canonical_form(r) == canonical_form(
+        rule(f"r(W0,W1200) :- {renamed}."))
+    assert canonical_form(r) != canonical_form(chain_rule(1199))
 
 
 def test_subsumes_remembers_failed_states():

@@ -22,7 +22,7 @@ def adn(text):
 def triangle_adornment():
     p = parse_program(TRIANGLE_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
-    return [r.head.apred.adornment for r in pi.rules
+    return [r.head.adornment for r in pi.rules
             if r.head.pred == "p"][0]
 
 
@@ -106,7 +106,7 @@ def test_integral_matches_brute_force():
         except Exception:
             continue
         for r in pi.rules:
-            a = r.head.apred.adornment
+            a = r.head.adornment
             h = hypergraph_of(a)
             if not h.vertices or len(h.edges) > 12:
                 continue
