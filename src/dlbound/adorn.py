@@ -3,8 +3,10 @@ engine that rewrites a program into an equivalent EDB-bounded one."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import combinations
+from functools import cached_property
+from itertools import combinations, product
 
 from .core import (
     Atom, Const, INTERNAL_PREFIX, Program, Rule, ValidationError, Var,
@@ -12,7 +14,7 @@ from .core import (
 )
 from .unify import (
     Substitution, _dedup_items, _pred_key, canonical_form, canonical_rule,
-    fresh_name, mgu, rule_of_key, subsumes,
+    distance_profile, fresh_name, may_subsume, mgu, rule_of_key, subsumes,
 )
 
 
@@ -30,10 +32,12 @@ class Adornment:
     """A safe rule with EDB-only body, bounding an IDB predicate.
 
     Stored canonically: identity and hashing go through the canonical key,
-    so adornments equal up to renaming compare equal.
+    so adornments equal up to renaming compare equal.  The key's hash is
+    kept, as dict and set operations on adornments are frequent.
     """
     rule: Rule
     key: tuple = field(compare=False, default=None)
+    key_hash: int = field(compare=False, default=None, repr=False)
 
     @classmethod
     def of(cls, rule: Rule) -> "Adornment":
@@ -45,13 +49,18 @@ class Adornment:
         items = [(a.pred, a.terms) for a in rep.body]
         if len(_dedup_items(rep.head.terms, items)) < len(items):
             key = canonical_form(rep)
-        return cls(rule=rep, key=key)
+        return cls(rule=rep, key=key, key_hash=hash(key))
 
     def __eq__(self, other):
         return isinstance(other, Adornment) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        return self.key_hash
+
+    @cached_property
+    def profile(self) -> tuple:
+        """The representative's distance profile, for `may_subsume`."""
+        return distance_profile(self.rule)
 
     @property
     def base(self) -> str:
@@ -348,41 +357,55 @@ def h_eq(r: Rule, rules, keys=None) -> bool:
     return canonical_form(r) in keys
 
 
-def h_cont(r: Rule, rules, keys=None) -> bool:
-    if h_eq(r, rules, keys):
-        return True
-    rho = r.head.adornment
-    if dependency_cycle((*rules, r), rho.key):
-        return False
-    for other in rules:
-        if other.head.pred != r.head.pred:
-            continue
-        if subsumes(other.head.adornment.rule, rho.rule):
-            return True
-    return False
+def h_cont(r: Rule, rules) -> bool:
+    return MembershipFn("hcont").check(r, _Admitted(rules), canonical_form(r))
 
 
 class MembershipFn:
-    """Thin dispatch wrapper so the engine takes membership as a value."""
+    """Membership as a value the engine takes.
+
+    `start()` gives one engine run its own copy, which memoises the
+    run's hcont verdicts by (subsumer, subsumed) adornment pair; the
+    object a caller holds is never changed by a run.
+    """
 
     def __init__(self, name: str):
         if name not in ("heq", "hcont"):
             raise ValueError(f"unknown membership function {name!r}")
         self.name = name
+        self.verdicts: dict = {}
 
-    def check(self, r: Rule, rules, keys=None) -> bool:
-        if self.name == "heq":
-            return h_eq(r, rules, keys)
-        return h_cont(r, rules, keys)
+    def start(self) -> "MembershipFn":
+        return MembershipFn(self.name)
+
+    def check(self, r: Rule, admitted: "_Admitted", key: tuple) -> bool:
+        """Is r, of canonical form `key`, among the admitted rules?  Under
+        hcont, also if its head adornment, off every cycle, is subsumed
+        by an earlier one; distance profiles settle most pairs."""
+        if key in admitted.rules:
+            return True
+        if self.name == "heq" or admitted.closes_cycle(r):
+            return False
+        rho = r.head.adornment
+        for other in admitted.heads.get(r.head.pred, ()):
+            verdict = self.verdicts.get((other, rho))
+            if verdict is None:
+                verdict = self.verdicts[other, rho] = (
+                    may_subsume(other.profile, rho.profile)
+                    and subsumes(other.rule, rho.rule))
+            if verdict:
+                return True
+        return False
 
 
 # ---------------------------------------------------------------------------
 # The fixpoint engine
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Candidate:
-    """A distinct adorned head available for resolving an IDB body atom."""
+    """A distinct adorned head available for resolving an IDB body atom;
+    one object per key within an engine run, so it hashes by identity."""
     pred: str
     adornment: Adornment
     head_terms: tuple
@@ -434,32 +457,64 @@ def _instantiate_candidate(cand: _Candidate, used: set):
     return head_terms, tuple(body)
 
 
+class _Admitted:
+    """An engine run's admitted rules, with what membership and candidate
+    selection read, kept current rule by rule: the adorned dependency
+    graph, each predicate's distinct head adornments and candidates."""
+
+    def __init__(self, rules=()):
+        self.rules: dict = {}  # canonical form -> rule
+        self.edges: dict = {}
+        self.heads: dict = {}
+        self.pools: dict = {}  # pred -> sorted [(candidate key, candidate)]
+        for r in rules:
+            self.add(r, canonical_form(r))
+
+    def add(self, r: Rule, key: tuple) -> None:
+        self.rules[key] = r
+        pred, adn = r.head.pred, r.head.adornment
+        self.edges.setdefault(adn, set()).update(
+            a.adornment for a in r.body if a.adornment is not None)
+        self.heads.setdefault(pred, {}).setdefault(adn)
+        cand = _Candidate(pred, adn, r.head.terms)
+        ckey, pool = cand.key, self.pools.setdefault(pred, [])
+        i = bisect_left(pool, (ckey,))
+        if i == len(pool) or pool[i][0] != ckey:
+            pool.insert(i, (ckey, cand))
+
+    def closes_cycle(self, r: Rule) -> bool:
+        """Would admitting r put its head's adorned predicate on a cycle?"""
+        target = r.head.adornment
+        stack = [a.adornment for a in r.body if a.adornment is not None]
+        stack.extend(self.edges.get(target, ()))
+        seen: set = set()
+        while stack:
+            node = stack.pop()
+            if node == target:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(self.edges.get(node, ()))
+        return False
+
+
 class _Engine:
     def __init__(self, p: Program, g: RelaxationFn, h: MembershipFn,
-                 max_iterations: int, max_rules: int):
+                 max_iterations: int, max_rules: int, rules=()):
         self.p = p
         self.g = g.start()
-        self.h = h
+        self.h = h.start()
         self.max_iterations = max_iterations
         self.max_rules = max_rules
-        self.rules: list = []
-        self.keys: set = set()
+        self.admitted = _Admitted(rules)
         self.tried: set = set()
 
     def partial(self) -> AdornedProgram:
-        ordered = sorted(self.rules, key=canonical_form)
-        return AdornedProgram(rules=tuple(ordered), source=self.p)
+        rules = self.admitted.rules
+        return AdornedProgram(rules=tuple(rules[k] for k in sorted(rules)),
+                              source=self.p)
 
-    def candidates_for(self, pred: str) -> list:
-        seen: dict = {}
-        for r in self.rules:
-            if r.head.pred == pred:
-                c = _Candidate(pred, r.head.adornment, r.head.terms)
-                seen.setdefault(c.key, c)
-        return [seen[k] for k in sorted(seen)]
-
-    def build(self, rule: Rule, combo) -> Rule | None:
-        idb_atoms, edb_atoms = classify_rule_atoms(rule, self.p)
+    def build(self, rule: Rule, idb_atoms, edb_atoms, combo) -> Rule | None:
         used = set(rule.all_vars())
         pairs = []
         inst_bodies = []
@@ -485,34 +540,35 @@ class _Engine:
         return Rule(head, tuple(a for _, _, a in kept))
 
     def run(self) -> AdornedProgram:
-        from itertools import product
-
+        admitted = self.admitted
+        split = [classify_rule_atoms(rule, self.p) for rule in self.p.rules]
         sweeps = 0
         while True:
             sweeps += 1
             if sweeps > self.max_iterations:
                 raise BudgetExceeded("max-iterations", self.partial())
             added = False
-            per_pred = {q: self.candidates_for(q) for q in self.p.idb}
+            # candidates admitted during a sweep wait for the next one
+            per_pred = {q: [c for _, c in pool]
+                        for q, pool in admitted.pools.items()}
             for idx, rule in enumerate(self.p.rules):
-                idb_atoms, _ = classify_rule_atoms(rule, self.p)
-                pools = [per_pred[a.pred] for a in idb_atoms]
-                if any(not pool for pool in pools):
+                idb_atoms, edb_atoms = split[idx]
+                pools = [per_pred.get(a.pred, ()) for a in idb_atoms]
+                if not all(pools):
                     continue
                 for combo in product(*pools):
-                    key = (idx, tuple(c.key for c in combo))
-                    if key in self.tried:
+                    if (idx, combo) in self.tried:
                         continue
-                    self.tried.add(key)
-                    new_rule = self.build(rule, combo)
+                    self.tried.add((idx, combo))
+                    new_rule = self.build(rule, idb_atoms, edb_atoms, combo)
                     if new_rule is None:
                         continue
-                    if self.h.check(new_rule, tuple(self.rules), self.keys):
+                    key = canonical_form(new_rule)
+                    if self.h.check(new_rule, admitted, key):
                         continue
-                    self.rules.append(new_rule)
-                    self.keys.add(canonical_form(new_rule))
+                    admitted.add(new_rule, key)
                     added = True
-                    if len(self.rules) > self.max_rules:
+                    if len(admitted.rules) > self.max_rules:
                         raise BudgetExceeded("max-rules", self.partial())
             if not added:
                 return self.partial()
@@ -537,11 +593,10 @@ def adorn_program(p: Program, g: RelaxationFn | str,
 def fixpoint_stable(p: Program, pi: AdornedProgram, g: RelaxationFn,
                     h: MembershipFn) -> bool:
     """Re-run one sweep over pi's rules; true iff nothing new is admitted."""
-    engine = _Engine(p, g, h, max_iterations=1, max_rules=10 ** 9)
-    engine.rules = list(pi.rules)
-    engine.keys = {canonical_form(r) for r in pi.rules}
+    engine = _Engine(p, g, h, max_iterations=1, max_rules=10 ** 9,
+                     rules=pi.rules)
     try:
-        engine.run()
+        engine.run()  # a second sweep, run only after an admission, raises
     except BudgetExceeded:
         return False
-    return len(engine.rules) == len(pi.rules)
+    return True

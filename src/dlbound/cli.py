@@ -212,7 +212,7 @@ def cmd_verify(args) -> int:
         if want != got:
             failures.append(f"equivalence failed for {q}")
 
-    bounded = check_rule_bounded(pi, d)
+    bounded = check_rule_bounded(pi, d, adorned_result)
     for v in bounded.violations:
         failures.append(
             f"rule {v.rule_index} derived unbounded tuple {v.tuple_value}")
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emit machine-readable JSON")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **extra):
+    def add(name, fn):
         sp = sub.add_parser(name)
         sp.add_argument("program", help="program file")
         sp.set_defaults(fn=fn)
@@ -280,10 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    _parser = _parser or build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -312,14 +312,18 @@ class RuleBoundedReport:
         return not self.violations
 
 
-def check_rule_bounded(pi: AdornedProgram, d: EDBInstance) -> RuleBoundedReport:
+def check_rule_bounded(pi: AdornedProgram, d: EDBInstance,
+                       result: IDBResult | None = None) -> RuleBoundedReport:
     """Every tuple a rule derives must also be derived by the rule's head
-    adornment evaluated as a standalone query over d."""
-    result = evaluate(pi, d)
+    adornment evaluated as a standalone query over d.  `result`, if
+    given, is `evaluate(pi, d)`."""
+    if result is None:
+        result = evaluate(pi, d)
     idb = {key: (_Relation(rows),) for key, rows in result.relations}
     empty = (_Relation(frozenset()),)
     edb = _EDBRelations(d)
     violations = []
+    allowed_by: dict = {}
     for idx, rule in enumerate(pi.rules):
         sources = [idb.get(_relation_key(a), empty)
                    if a.pred in pi.source.idb
@@ -327,7 +331,10 @@ def check_rule_bounded(pi: AdornedProgram, d: EDBInstance) -> RuleBoundedReport:
         join = _Join([a.terms for a in rule.body])
         head = join.getter(rule.head.terms)
         derived = {head(slots) for slots in join.run(sources)}
-        allowed = _eval_cq(rule.head.adornment.rule, edb)
+        adn = rule.head.adornment
+        if adn not in allowed_by:
+            allowed_by[adn] = _eval_cq(adn.rule, edb)
+        allowed = allowed_by[adn]
         # ints before symbols, so mixed tuples sort too
         for t in sorted(derived - allowed, key=lambda row: tuple(
                 (isinstance(v, str), v) for v in row)):

@@ -4,6 +4,7 @@ canonical forms for rules, and rule subsumption."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 
 from .core import Atom, Const, INTERNAL_PREFIX, Rule, Term, Var
 from .join import _Join, _Relation
@@ -313,6 +314,54 @@ def canonical_rule(r: Rule) -> Rule:
 
 # ---------------------------------------------------------------------------
 # Subsumption
+
+
+def distance_profile(r: Rule) -> tuple:
+    """Distances from r's head terms in the Gaifman graph of its body
+    (terms as vertices, adjacent when they share an atom): (body
+    predicates, per head position i: (distance to each head term j,
+    (pred, arity) -> distance to its nearest atom, 0 if term i occurs in
+    one)).  Unreachable entries are `inf` or absent."""
+    occurs: dict = {}
+    for i, a in enumerate(r.body):
+        for t in a.terms:
+            occurs.setdefault(t, []).append(i)
+    head = r.head.terms
+    rows = []
+    for s in head:
+        dist, near, expanded = {s: 0}, {}, set()
+        frontier, d = [s], 0
+        while frontier:
+            nxt = []
+            for t in frontier:
+                for i in occurs.get(t, ()):
+                    if i in expanded:
+                        continue
+                    expanded.add(i)
+                    a = r.body[i]
+                    near.setdefault((a.pred, a.arity), d)
+                    for u in a.terms:
+                        if u not in dist:
+                            dist[u] = d + 1
+                            nxt.append(u)
+            frontier, d = nxt, d + 1
+        rows.append((tuple(dist.get(t, inf) for t in head), near))
+    return frozenset((a.pred, a.arity) for a in r.body), tuple(rows)
+
+
+def may_subsume(p1: tuple, p2: tuple) -> bool:
+    """False when no head-fixing homomorphism maps the rule profiled p1
+    into the one profiled p2: one maps paths to walks and P-atoms to
+    P-atoms, so p2's distances are at most p1's, and p2's body has every
+    predicate of p1's."""
+    if not p1[0] <= p2[0]:
+        return False
+    for (heads1, near1), (heads2, near2) in zip(p1[1], p2[1]):
+        if any(b > a for a, b in zip(heads1, heads2)):
+            return False
+        if any(near2.get(k, inf) > d for k, d in near1.items()):
+            return False
+    return True
 
 
 def subsumes(r1: Rule, r2: Rule) -> bool:

@@ -208,8 +208,8 @@ def width_of_predicate(pi: AdornedProgram, q: str,
 
 
 def width_of_program(pi: AdornedProgram, mode: str = "integral") -> Fraction:
-    widths = [width_of_adornment(r.head.adornment, mode)
-              for r in pi.rules]
+    widths = [width_of_adornment(a, mode)
+              for a in dict.fromkeys(r.head.adornment for r in pi.rules)]
     if not widths:
         raise ValidationError("program has no adorned rules")
     return max(widths)

@@ -260,3 +260,19 @@ def test_dependency_cycle_on_a_long_chain():
     edges.add((n, 0))
     rules = graph_rules(edges, range(n + 1))
     assert dependency_cycle(rules) and dependency_cycle(rules, n // 2)
+
+
+def test_hcont_reused_across_runs_is_pure():
+    # verdicts are memoised per engine run, never on the caller's object
+    def run(h, src):
+        try:
+            return adorn_program(parse_program(src), Id(), h,
+                                 max_rules=25).pretty()
+        except BudgetExceeded as exc:
+            return exc.partial.pretty()
+
+    reach = "r(Y) :- e(X,Y).\nr(Y) :- r(X), e(X,Y).\n"
+    h = MembershipFn("hcont")
+    assert run(h, TC_SRC) == run(MembershipFn("hcont"), TC_SRC)
+    assert run(h, reach) == run(MembershipFn("hcont"), reach)
+    assert h.verdicts == {}

@@ -112,3 +112,22 @@ def test_degraded_output_is_equivalent():
         d = random_edb(p, rng)
         assert union_adorned(evaluate(out.program, d), "r") == \
             naive_oracle(p, d)["r"]
+
+
+SAMEGEN_SRC = ("sg(X,Y) :- flat(X,Y).\n"
+               "sg(X,Y) :- up(X,U), sg(U,V), down(V,Y).\n")
+
+
+@pytest.mark.parametrize("src", [TC_SRC, SAMEGEN_SRC])
+def test_distance_profiles_settle_chain_ladders_without_a_join(
+        monkeypatch, src):
+    # each unfolding is a longer chain between the head variables, which
+    # no shorter chain maps into; the profiles alone must say so
+    from dlbound import join
+    calls = []
+    exists = join._Join.exists
+    monkeypatch.setattr(join._Join, "exists",
+                        lambda self, *a: calls.append(1) or exists(self, *a))
+    out = check_boundedness(parse_program(src), max_rules=40)
+    assert isinstance(out, Inconclusive) and out.limit == "max-rules"
+    assert calls == []

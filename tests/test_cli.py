@@ -185,3 +185,28 @@ def test_bounds_with_a_250_digit_n(capsys, tmp_path):
 
 def test_threads_flag_is_gone(capsys, tc_file):
     assert main(["--threads", "2", "classify", tc_file]) == 2
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch, tc_file):
+    from dlbound import cli
+    argvs = [["adorn", tc_file, "--nope"], ["--json", "adorn", tc_file],
+             ["adorn", tc_file]]
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build())
+
+    def outputs(fresh):
+        got = []
+        for argv in argvs:
+            if fresh:
+                monkeypatch.setattr(cli, "_parser", None)
+            code = main(argv)
+            got.append((code, *capsys.readouterr()))
+        return got
+
+    monkeypatch.setattr(cli, "_parser", None)
+    reused = outputs(fresh=False)
+    assert len(built) == 1
+    assert reused == outputs(fresh=True)
+    assert [code for code, _, _ in reused] == [2, 0, 0]
