@@ -22,7 +22,8 @@ from .boundedness import (
 )
 from .minimize import minimize_program
 from .evaluate import (
-    check_rule_bounded, evaluate, parse_edb, union_adorned, value_cover_ok,
+    check_rule_bounded, evaluate, parse_edb, union_adorned,
+    value_cover_index, value_cover_ok,
 )
 from .groundable import classify_program, complexity_report, \
     horn_ground_evaluate
@@ -44,16 +45,12 @@ def _adorned(p):
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True)
+                         + "\n")
     else:
         sys.stdout.write(human)
         if not human.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _fact_list(tuples) -> list:
-    return [list(t) for t in sorted(tuples, key=repr)]
 
 
 def cmd_adorn(args) -> int:
@@ -143,17 +140,19 @@ def cmd_eval(args) -> int:
     if args.horn:
         pi = _adorned(p)
         result = horn_ground_evaluate(p, pi, d)
-        rels = {q: union_adorned(result, q) for q in sorted(p.idb)}
+        # an IDB predicate without an adornment derives nothing
+        adorned = pi.adornment_map()
+        rels = {q: union_adorned(result, q) if q in adorned else ()
+                for q in sorted(p.idb)}
     else:
         result = evaluate(p, d)
         rels = {q: result.get(q) for q in sorted(p.idb)}
-    payload = {q: _fact_list(tuples) for q, tuples in rels.items()}
-    human = []
-    for q, tuples in rels.items():
-        for t in sorted(tuples, key=repr):
-            inner = ",".join(str(v) for v in t)
-            human.append(f"{q}({inner}).")
-    _emit(args, payload, "\n".join(human) + "\n")
+    rows = {q: sorted(tuples, key=repr) for q, tuples in rels.items()}
+    if args.json:
+        _emit(args, {q: [list(t) for t in ts] for q, ts in rows.items()}, "")
+    else:
+        _emit(args, {}, "".join(f"{q}({','.join(map(str, t))}).\n"
+                                for q, ts in rows.items() for t in ts))
     return 0
 
 
@@ -176,7 +175,7 @@ def cmd_complexity(args) -> int:
     return 0
 
 
-def _tuple_covered(t, adornments, d, k) -> bool:
+def _tuple_covered(t, adornments, d, k, index) -> bool:
     # only positions the deriving adornment leaves variable need covering;
     # accept the tuple if any adornment of the predicate covers it
     for a in adornments:
@@ -188,7 +187,7 @@ def _tuple_covered(t, adornments, d, k) -> bool:
             else:
                 vals.append(v)
         else:
-            if value_cover_ok(vals, d, k):
+            if value_cover_ok(vals, d, k, index):
                 return True
     return False
 
@@ -217,13 +216,14 @@ def cmd_verify(args) -> int:
         failures.append(
             f"rule {v.rule_index} derived unbounded tuple {v.tuple_value}")
 
+    index = value_cover_index(d)
     for q in sorted(p.idb):
         adns = adornments_of(pi, q)
         if not adns:
             continue
         k = int(width_of_predicate(pi, q, "integral"))
         for t in sorted(plain.get(q), key=repr):
-            if k >= 1 and not _tuple_covered(t, adns, d, k):
+            if k >= 1 and not _tuple_covered(t, adns, d, k, index):
                 failures.append(f"value cover failed for {q}{t} at k={k}")
 
     payload = {"ok": not failures, "failures": failures}

@@ -342,24 +342,34 @@ def check_rule_bounded(pi: AdornedProgram, d: EDBInstance,
     return RuleBoundedReport(tuple(violations))
 
 
-def value_cover_ok(values, d: EDBInstance, k: int) -> bool:
-    """Can every value be found within at most k EDB tuples (brute force)?"""
-    needed = set(values)
-    pool = [set(row) for _, tuples in d.relations for row in tuples]
+def value_cover_index(d: EDBInstance) -> dict:
+    """Value -> the distinct value sets of the EDB tuples holding it."""
+    index: dict = {}
+    for vals in {frozenset(row) for _, tuples in d.relations
+                 for row in tuples}:
+        for v in vals:
+            index.setdefault(v, []).append(vals)
+    return index
+
+
+def value_cover_ok(values, d: EDBInstance, k: int,
+                   index: dict | None = None) -> bool:
+    """Can every value be found within at most k EDB tuples?  A search
+    that branches on the value held by the fewest tuples.  `index`, if
+    given, is `value_cover_index(d)`."""
+    if index is None:
+        index = value_cover_index(d)
 
     def rec(remaining, depth):
         if not remaining:
             return True
         if depth == 0:
             return False
-        v = next(iter(remaining))
-        for tup in pool:
-            if v in tup:
-                if rec(remaining - tup, depth - 1):
-                    return True
-        return False
+        v = min(remaining, key=lambda u: len(index.get(u, ())))
+        return any(rec(remaining - vals, depth - 1)
+                   for vals in index.get(v, ()))
 
-    return rec(needed, k)
+    return rec(frozenset(values), k)
 
 
 # ---------------------------------------------------------------------------

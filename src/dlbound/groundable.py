@@ -3,6 +3,7 @@ Horn-clause grounding evaluation, and evaluation-complexity reports."""
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations as iter_permutations, product
@@ -60,31 +61,61 @@ def horn_ground_evaluate(p: Program, pi: AdornedProgram,
     if ADORNMENT_GROUNDABLE not in classify_program(p):
         raise ValidationError("program is not adornment groundable")
     d.check_schema(p)
-    clauses, apreds = horn_clauses(pi, d)
-    rels = [set() for _ in apreds]
-    for pred_id, tup in _unit_propagate(clauses):
-        rels[pred_id].add(tup)
-    return IDBResult(tuple(sorted(
-        ((apred, frozenset(rows)) for apred, rows in zip(apreds, rels)),
-        key=lambda item: item[0].key)))
+    facts, apreds, _ = horn_clauses(pi, d)
+    return IDBResult(tuple(sorted(zip(apreds, facts),
+                                  key=lambda item: item[0].key)))
 
 
 def horn_clauses(pi: AdornedProgram, d: EDBInstance):
-    """Ground every rule of pi over d into definite Horn clauses.
+    """Ground every rule of pi over d into definite Horn clauses and run
+    unit propagation on each clause as it is generated (Dowling &
+    Gallier, J. Logic Programming 1984).
 
     Groundings of a rule come from joining its EDB body atoms over d;
     head variables the EDB atoms leave open are enumerated from the
-    columns their head-adornment atoms range over.  Returns the clause
-    set and the adorned predicates: a clause is (head fact, frozenset of
-    body facts), a fact is (id, tuple), and apreds[id] is its predicate.
+    columns their head-adornment atoms range over.  Ground facts are
+    ints.  A clause whose head is derived is dropped; one whose body
+    facts are all derived derives its head at once.  Otherwise the
+    clause waits on its missing facts: on one, as its head in that
+    fact's list; on several distinct ones, as a [missing, head] entry
+    shared by their lists.  The derived facts do not depend on the order
+    of the clauses.  Returns the derived tuples of each adorned
+    predicate, the adorned predicates, and the number of groundings
+    generated, each counted, also when it repeats an earlier clause.
     """
-    ids: dict = {}
+    derived = bytearray()  # fact id -> 1 once derived
+    by_pred: dict = {}  # adorned predicate -> {tuple: fact id}
 
-    def pred_id(a) -> int:
-        return ids.setdefault(_relation_key(a), len(ids))
+    def ids_of(a) -> dict:
+        return by_pred.setdefault(_relation_key(a), {})
+
+    def fact_id(ids: dict, tup) -> int:
+        f = ids.get(tup)
+        if f is None:
+            f = ids[tup] = len(derived)
+            derived.append(0)
+        return f
+
+    waiting = defaultdict(list)  # missing fact -> heads missing only it
+    shared = defaultdict(list)   # missing fact -> [missing, head] entries
+
+    def derive(fact: int) -> None:
+        derived[fact] = 1
+        stack = [fact]
+        while stack:
+            f = stack.pop()
+            for head in waiting.pop(f, ()):
+                if not derived[head]:
+                    derived[head] = 1
+                    stack.append(head)
+            for entry in shared.pop(f, ()):
+                entry[0] -= 1
+                if entry[0] == 0 and not derived[entry[1]]:
+                    derived[entry[1]] = 1
+                    stack.append(entry[1])
 
     edb = _EDBRelations(d)
-    clauses = set()
+    groundings = 0
     for rule in pi.rules:
         adn = rule.head.adornment
         idb_atoms = [a for a in rule.body if a.pred in pi.source.idb]
@@ -93,19 +124,58 @@ def horn_clauses(pi: AdornedProgram, d: EDBInstance):
         open_vars = [v for v in rule.head.vars() if v not in join.bound]
         assert {v for a in idb_atoms for v in a.vars()} <= \
             join.bound | set(open_vars)
-        choices = [_column_values(v, rule, adn, d) for v in open_vars]
-        open_slots = [join.slot(v) for v in open_vars]
-        head_id = pred_id(rule.head)
+        # the open variables get fresh, consecutive slots
+        lo = len(join.init)
+        for v in open_vars:
+            join.slot(v)
+        hi = len(join.init)
+        picks = list(product(*[_column_values(v, rule, adn, d)
+                                for v in open_vars]))
+        head_ids = ids_of(rule.head)
         head = join.getter(rule.head.terms)
-        body = [(pred_id(a), join.getter(a.terms)) for a in idb_atoms]
+        body = [(ids_of(a), join.getter(a.terms)) for a in idb_atoms]
+        single = len(body) == 1
+        if single:
+            [(one_ids, one)] = body
         sources = [edb.get(a.pred, a.arity) for a in edb_atoms]
         for slots in join.run(sources):
-            for pick in product(*choices):
-                for s, v in zip(open_slots, pick):
-                    slots[s] = v
-                clauses.add(((head_id, head(slots)), frozenset(
-                    [(i, get(slots)) for i, get in body])))
-    return clauses, list(ids)
+            groundings += len(picks)
+            for pick in picks:
+                slots[lo:hi] = pick
+                # fact_id inlined for the head and a single body atom:
+                # this loop runs once per grounding
+                t = head(slots)
+                h = head_ids.get(t)
+                if h is None:
+                    h = head_ids[t] = len(derived)
+                    derived.append(0)
+                elif derived[h]:
+                    continue
+                if single:
+                    t = one(slots)
+                    b = one_ids.get(t)
+                    if b is None:
+                        b = one_ids[t] = len(derived)
+                        derived.append(0)
+                    elif derived[b]:
+                        derive(h)
+                        continue
+                    waiting[b].append(h)
+                    continue
+                missing = {b for b in [fact_id(ids, get(slots))
+                                       for ids, get in body]
+                           if not derived[b]}
+                if not missing:
+                    derive(h)
+                elif len(missing) == 1:
+                    waiting[missing.pop()].append(h)
+                else:
+                    entry = [len(missing), h]
+                    for f in missing:
+                        shared[f].append(entry)
+    facts = [frozenset(t for t, f in ids.items() if derived[f])
+             for ids in by_pred.values()]
+    return facts, list(by_pred), groundings
 
 
 def _column_values(var_name: str, rule, adn, d: EDBInstance):
@@ -129,35 +199,6 @@ def _column_values(var_name: str, rule, adn, d: EDBInstance):
                 values.add(vals.pop())
         return values
     raise AssertionError(f"variable {var_name} not in adornment body")
-
-
-def _unit_propagate(clauses) -> set:
-    """Forward chaining over definite Horn clauses, linear in total size.
-    The facts derived do not depend on the order of the clauses."""
-    heads = []
-    counts = []
-    waiting: dict = {}
-    facts: set = set()
-    queue = []
-    for i, (head, body) in enumerate(clauses):
-        heads.append(head)
-        counts.append(len(body))
-        if not body:
-            queue.append(head)
-        for b in body:
-            waiting.setdefault(b, []).append(i)
-    while queue:
-        fact = queue.pop()
-        if fact in facts:
-            continue
-        facts.add(fact)
-        for i in waiting.get(fact, ()):
-            counts[i] -= 1
-            if counts[i] == 0:
-                head = heads[i]
-                if head not in facts:
-                    queue.append(head)
-    return facts
 
 
 # ---------------------------------------------------------------------------

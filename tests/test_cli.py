@@ -113,6 +113,22 @@ def test_eval_horn_matches_plain(capsys, tc_file, edb_file):
     assert json.loads(plain) == json.loads(horn)
 
 
+def test_eval_horn_prints_an_underivable_idb_empty(capsys, tmp_path):
+    # r has no base rule, so it gets no adornment and derives nothing
+    prog = tmp_path / "u.dl"
+    prog.write_text("q(X) :- e(X).\nr(X) :- r(X), e(X).\n")
+    edb = tmp_path / "u.facts"
+    edb.write_text("e(1). e(2).")
+    for flags in ((), ("--json",)):
+        outs = [run(capsys, *flags, "eval", str(prog), "--edb", str(edb),
+                    *horn) for horn in ((), ("--horn",))]
+        assert outs[0] == outs[1]
+    assert outs[1] == (0, '{\n  "q": [\n    [\n      1\n    ],\n'
+                          '    [\n      2\n    ]\n  ],\n  "r": []\n}\n')
+    assert run(capsys, "eval", str(prog), "--edb", str(edb), "--horn") \
+        == (0, "q(1).\nq(2).\n")
+
+
 def test_classify(capsys, tc_file):
     code, out = run(capsys, "--json", "classify", tc_file)
     assert code == 0

@@ -9,7 +9,8 @@ from dlbound import (
     Adornment, AdornedProgram, Atom, Const, EDBInstance, GOut, IDBResult,
     MembershipFn, Rule, ValidationError, Var, adorn_program,
     check_rule_bounded, eval_cq, evaluate, generate_tightness_instance,
-    parse_edb, parse_program, tightness_bound, union_adorned, value_cover_ok,
+    parse_edb, parse_program, tightness_bound, union_adorned,
+    value_cover_index, value_cover_ok,
 )
 from dlbound.join import _Join, _Relation
 
@@ -126,6 +127,44 @@ def test_value_cover():
     assert value_cover_ok((1, 3), d, 2)
     assert not value_cover_ok((1, 3), d, 1)
     assert not value_cover_ok((9, 9), d, 2)
+
+
+def brute_force_value_cover(values, d, k) -> bool:
+    """The check as first written: try every EDB tuple holding some
+    still-uncovered value, over a pool rebuilt for every call."""
+    pool = [set(row) for _, tuples in d.relations for row in tuples]
+
+    def rec(remaining, depth):
+        if not remaining:
+            return True
+        if depth == 0:
+            return False
+        v = next(iter(remaining))
+        return any(rec(remaining - tup, depth - 1)
+                   for tup in pool if v in tup)
+
+    return rec(set(values), k)
+
+
+def test_value_cover_matches_brute_force():
+    rng = random.Random(61)
+    verdicts = set()
+    for _ in range(60):
+        vals = range(rng.randint(2, 7))
+        d = EDBInstance.of({
+            f"e{ar}": {tuple(rng.choice(vals) for _ in range(ar))
+                       for _ in range(rng.randint(0, 5))}
+            for ar in (1, 2, 3)})
+        index = value_cover_index(d)
+        for _ in range(10):
+            values = [rng.choice(range(len(vals) + 1))
+                      for _ in range(rng.randint(0, 4))]
+            for k in range(4):
+                want = brute_force_value_cover(values, d, k)
+                assert value_cover_ok(values, d, k) == want
+                assert value_cover_ok(values, d, k, index) == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_tightness_generator_goldens():

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from dlbound import (
-    ADORNMENT_GROUNDABLE, EDBInstance, GOut, LINEAR, MembershipFn,
-    SIMPLE_CHAIN, ValidationError, adorn_program, classify_program,
-    complexity_report, evaluate, horn_ground_evaluate, integral_fchw,
-    parse_edb, parse_program, union_adorned,
+    ADORNMENT_GROUNDABLE, AdornedProgram, EDBInstance, GOut, LINEAR,
+    MembershipFn, SIMPLE_CHAIN, ValidationError, adorn_program,
+    classify_program, complexity_report, evaluate, horn_ground_evaluate,
+    integral_fchw, parse_edb, parse_program, union_adorned,
 )
 from dlbound.groundable import horn_clauses
 from dlbound.width import Hypergraph
@@ -197,11 +197,70 @@ def test_horn_clause_count_grows_as_n_to_the_ew(src):
     assert bound.formula == f"O({rep.f} * {rep.rule_count} * N^{ew})"
     counts = {}
     for n in (10, 20, 40):
-        clauses, _ = horn_clauses(pi, EDBInstance.of({"e": path(n)}))
-        counts[n] = len(clauses)
+        _, _, counts[n] = horn_clauses(pi, EDBInstance.of({"e": path(n)}))
         # one base rule grounds to n clauses, each of the two recursive
         # adorned rules to n * n
         assert counts[n] == n + 2 * n * n
         assert counts[n] <= rep.f * rep.rule_count * n ** ew
     for n in (10, 20):
         assert counts[2 * n] <= counts[n] * 2 ** ew
+
+
+# ---------------------------------------------------------------------------
+# Streaming unit propagation: clauses are propagated as they are generated
+
+
+def backwards(pi):
+    """pi with its rules in reverse order, so that clauses come before
+    the clauses deriving their body facts."""
+    return AdornedProgram(rules=tuple(reversed(pi.rules)), source=pi.source)
+
+
+@pytest.mark.parametrize("src,edb_kind", [
+    (TC_SRC, "e2"), (TC_LEFT_SRC, "e2"), (REACH_SRC, "e2"),
+    (SAMEGEN_SRC, "samegen"), (TRIANGLE_SRC, "e3")],
+    ids=["tc_right", "tc_left", "reach", "samegen", "triangle"])
+def test_horn_independent_of_rule_order(src, edb_kind):
+    p = parse_program(src)
+    pi = adorn_program(p, GOut(), MembershipFn("heq"))
+    for edbs in graph_edbs(11):
+        d = EDBInstance.of(edbs[edb_kind])
+        semi = evaluate(pi, d)
+        horn = horn_ground_evaluate(p, backwards(pi), d)
+        assert horn == horn_ground_evaluate(p, pi, d)
+        for q in sorted(p.idb):
+            assert union_adorned(horn, q) == union_adorned(semi, q)
+        assert horn_clauses(backwards(pi), d)[2] == horn_clauses(pi, d)[2]
+
+
+# Each EDB grounds a clause whose body repeats a fact: the self-loop
+# e(1,1) gives p(1,1) :- q(1,1), q(1,1), and q(1,1), q(1,2) give
+# p(1,1,2) :- q(1,1), q(1,2), q(1,2).  Rules in reverse order make these
+# clauses wait on their body facts.
+@pytest.mark.parametrize("src,edb", [
+    ("q(X,Y) :- e(X,Y).\np(X,Y) :- q(X,Y), q(Y,X), e(X,Y).\n",
+     "e(1,1). e(1,2). e(2,1). e(2,3). e(3,3)."),
+    (TRIANGLE_SRC, "e(1,1,0). e(1,2,0). e(2,2,0). e(2,3,1)."),
+], ids=["symmetric", "triangle"])
+def test_horn_repeated_body_fact(src, edb):
+    p = parse_program(src)
+    assert ADORNMENT_GROUNDABLE in classify_program(p)
+    pi = adorn_program(p, GOut(), MembershipFn("heq"))
+    d = parse_edb(edb)
+    semi = evaluate(pi, d)
+    assert union_adorned(semi, "p")
+    for prog in (pi, backwards(pi)):
+        horn = horn_ground_evaluate(p, prog, d)
+        for q in sorted(p.idb):
+            assert union_adorned(horn, q) == union_adorned(semi, q)
+
+
+def test_horn_counts_groundings_not_distinct_clauses():
+    # q(1,2) :- . is grounded once per Z
+    pi = adorn_program(parse_program("q(X,Y) :- e(X,Y,Z).\n"), GOut(),
+                       MembershipFn("heq"))
+    facts, apreds, groundings = horn_clauses(
+        pi, parse_edb("e(1,2,0). e(1,2,1). e(2,3,0)."))
+    assert groundings == 3
+    assert [a.base for a in apreds] == ["q"]
+    assert facts == [{(1, 2), (2, 3)}]
