@@ -1,5 +1,8 @@
 """CLI goldens: every subcommand, in plain text and with --json, on the
-five named programs of conftest and 20 seeded random programs.
+five named programs of conftest and 20 seeded random programs; and `eval`,
+`eval --horn` and `verify` of TC on EDB files that exercise the fact
+syntax (symbols, negative ints, comments, blank lines, CRLF, tabs,
+non-ASCII symbols) and on malformed ones.
 
 Each case's exit code, stdout and stderr must equal the recorded ones in
 cli_goldens.json byte for byte.  After an intended change of output,
@@ -51,6 +54,25 @@ COMMANDS = [
 ]
 
 
+# (name, EDB text) for TC; the last five are malformed
+EDB_CASES = [
+    ("symbols", "e(a,b).\ne(b,c1).\ne(c1,a_B9).\ne(a_B9,a).\n"),
+    ("negative", "e(-1,2).\ne(2,-30).\ne(-30,-0).\ne(007,-1).\n"
+                 "e(123456789012345678901234567890,-1).\n"),
+    ("comments", "% edges\n\n  e(1,2).   % first\n\n\te( 2 ,\t3 ) .\n"
+                 "e(3, % a comment, (inside) a fact\n 1).\n% no newline"),
+    ("crlf", "e(1,2).\r\ne(2,x).\r\n\r\ne(x,1).\r\n"),
+    ("nonascii", "e(\u00e9t\u00e9,b).\ne(b,\u00e9t\u00e9).\n"),
+    ("no-dot", "e(1,2).\ne(2,3)\n"),
+    ("variable", "e(1,2).\ne(X,3).\n"),
+    ("empty-args", "e(1,2).\ne().\n"),
+    ("int-then-name", "e(12ab,3).\n"),
+    ("mixed-arity", "e(1,2).\ne(1,2,3).\n"),
+]
+EDB_COMMANDS = [["eval", "--edb", "EDB"], ["eval", "--edb", "EDB", "--horn"],
+                ["verify", "--edb", "EDB"]]
+
+
 def corpus():
     """(name, program text, EDB text) for every program of the corpus."""
     named = [("tc", TC_SRC), ("triangle", TRIANGLE_SRC), ("reach", REACH_SRC),
@@ -63,7 +85,9 @@ def corpus():
         facts = "".join(f"{rel}({','.join(map(str, t))}).\n"
                         for rel, tuples in d.relations
                         for t in sorted(tuples))
-        out.append((name, src, facts))
+        out.append((name, src, facts, COMMANDS))
+    out += [(f"edb-{name}", TC_SRC, facts, EDB_COMMANDS)
+            for name, facts in EDB_CASES]
     return out
 
 
@@ -76,10 +100,10 @@ def run_all() -> dict:
         with tempfile.TemporaryDirectory() as tmp:
             prog_path = os.path.join(tmp, "p.dl")
             edb_path = os.path.join(tmp, "d.facts")
-            for name, src, facts in corpus():
+            for name, src, facts, commands in corpus():
                 Path(prog_path).write_text(src)
-                Path(edb_path).write_text(facts)
-                for cmd in COMMANDS:
+                Path(edb_path).write_text(facts, encoding="utf-8")
+                for cmd in commands:
                     for flags in ([], ["--json"]):
                         argv = [*flags, cmd[0], prog_path, *(
                             edb_path if a == "EDB" else a for a in cmd[1:])]
