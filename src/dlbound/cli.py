@@ -6,9 +6,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from fractions import Fraction
+from itertools import chain
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from .core import Const, DatalogError, format_rule, parse_program
 from .adorn import (
@@ -43,9 +44,53 @@ def _adorned(p):
     return adorn_program(p, "gout", "heq", max_rules=_max_rules())
 
 
+# One C encoder, made once, for a list of scalars or a list of rows of
+# scalars.  Its item separator is a control character, which the ASCII
+# string escape never leaves raw, so each raw one in its output is a
+# separator and becomes the separator of the indented layout.
+_SEP = "\x1f"
+_SCALARS = {str, int, float, bool, type(None)}
+_encode_flat = c_make_encoder(
+    None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ",
+    _SEP, True, False, True) if c_make_encoder else None
+
+
+def _json_text(o, pad: str = "\n") -> str:
+    """`json.dumps(o, indent=2, sort_keys=True)`; `pad` is the newline
+    and indent of o's own line."""
+    inner = pad + "  "
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+            for k, v in sorted(o.items())) + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        kinds = set(map(type, o))
+        if kinds <= _SCALARS:
+            flat = "".join(_encode_flat(o, 0))
+            return ("[" + inner + flat[1:-1].replace(_SEP, "," + inner)
+                    + pad + "]")
+        if (kinds <= {list, tuple} and all(o)
+                and set(map(type, chain.from_iterable(o))) <= _SCALARS):
+            # "[[a\x1fb]\x1f[c\x1fd]]": "]\x1f[" only between rows
+            row = inner + "  "
+            flat = "".join(_encode_flat(o, 0))
+            body = flat[2:-2].replace(
+                "]" + _SEP + "[", inner + "]," + inner + "[" + row
+            ).replace(_SEP, "," + row)
+            return "[" + inner + "[" + row + body + inner + "]" + pad + "]"
+        return "[" + inner + ("," + inner).join(
+            _json_text(x, inner) for x in o) + pad + "]"
+    return "".join(_encode_flat(o, 0))
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True)
+        sys.stdout.write((_json_text(payload) if _encode_flat else
+                          json.dumps(payload, indent=2, sort_keys=True))
                          + "\n")
     else:
         sys.stdout.write(human)
@@ -149,7 +194,7 @@ def cmd_eval(args) -> int:
         rels = {q: result.get(q) for q in sorted(p.idb)}
     rows = {q: sorted(tuples, key=repr) for q, tuples in rels.items()}
     if args.json:
-        _emit(args, {q: [list(t) for t in ts] for q, ts in rows.items()}, "")
+        _emit(args, rows, "")
     else:
         _emit(args, {}, "".join(f"{q}({','.join(map(str, t))}).\n"
                                 for q, ts in rows.items() for t in ts))
@@ -195,8 +240,6 @@ def _tuple_covered(t, adornments, d, k, index) -> bool:
 def cmd_verify(args) -> int:
     p = parse_program(_read(args.program))
     d = parse_edb(_read(args.edb))
-    rng = random.Random(args.seed)
-    del rng  # sampler hook; the supplied EDB is always checked
     pi = _adorned(p)
 
     failures = []

@@ -4,6 +4,7 @@ of instances on which the combinatorial size bound is exactly tight."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -62,8 +63,49 @@ class EDBInstance:
                         f"program expects {arities[name]}")
 
 
+# One fact of an EDB file and the blanks and `%` comments before it: a
+# name, `(`, int or symbol arguments, `)`, `.`.  A comment runs to the end
+# of its line (the lookahead keeps backtracking linear).  At the end of
+# the text the blanks meet `\Z`; anything else that starts no fact is
+# taken whole as the rest, which sends the text to the token parser.
+_BLANK = r"(?:[ \t\r\n]|%[^\n]*(?![^\n]))*"
+_ARG = rf"{_BLANK}(?:-?[0-9]+|[a-z][A-Za-z0-9_]*){_BLANK}"
+_FACT = re.compile(
+    rf"{_BLANK}(?:([a-z][A-Za-z0-9_]*){_BLANK}\(({_ARG}(?:,{_ARG})*)\)"
+    rf"{_BLANK}\.|\Z|(.+))", re.ASCII | re.DOTALL)
+
+
 def parse_edb(text: str) -> EDBInstance:
-    """Parse an EDB file: one ground fact per line, `%` comments."""
+    """Parse an EDB file: ground facts `name(c1,...,ck).` with int or
+    symbol constants, separated by blanks and `%` comments.
+
+    One pattern reads the facts of a well-formed ASCII file.  Any other
+    text, malformed or not, is read by the program tokenizer, which
+    raises the positioned `ParseError`."""
+    rels: dict = {}
+    try:
+        for name, args, rest in _FACT.findall(text):
+            if rest:
+                return _parse_edb_tokens(text)
+            if not name:
+                continue
+            if "%" in args:
+                args = "\n".join(line.partition("%")[0]
+                                 for line in args.split("\n"))
+            vals = []
+            for a in args.split(","):
+                a = a.strip()
+                vals.append(int(a) if a[0] in "-0123456789" else a)
+            rel = rels.get(name)
+            if rel is None:
+                rel = rels[name] = set()
+            rel.add(tuple(vals))
+    except ValueError:  # an int past Python's digit limit
+        return _parse_edb_tokens(text)
+    return EDBInstance.of(rels)
+
+
+def _parse_edb_tokens(text: str) -> EDBInstance:
     from .core import _tokenize
 
     tokens = _tokenize(text)

@@ -1,6 +1,7 @@
 """End-to-end checks for the command-line interface."""
 
 import json
+import random
 
 import pytest
 
@@ -226,3 +227,40 @@ def test_parser_is_built_once_and_reused(capsys, monkeypatch, tc_file):
     assert len(built) == 1
     assert reused == outputs(fresh=True)
     assert [code for code, _, _ in reused] == [2, 0, 0]
+
+
+_AWKWARD = ['"', "\\", "\x00", "\x1f", "\n", "\t", "é", "☃",
+            "\U0001d11e", "[", "]", ",", "]\x1f[", "a", " ", "\x7f"]
+
+
+def _random_json(rng, depth=0):
+    kind = rng.randrange(9 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice([True, False, 1, 0, None, -1, 1.5, -0.0, 1e300])
+    if kind == 1:
+        return rng.choice([1, -1]) * rng.randrange(10 ** 299, 10 ** 300)
+    if kind == 2:
+        return "".join(rng.choice(_AWKWARD) for _ in range(rng.randrange(4)))
+    if kind == 3:
+        return rng.randrange(-5, 50)
+    if kind in (4, 5):  # a list of scalars; a list of rows of scalars
+        row = list if rng.random() < 0.5 else tuple
+        scalars = [row(_random_json(rng, 4) for _ in range(rng.randrange(4)))
+                   for _ in range(rng.randrange(5))]
+        return scalars[0] if kind == 4 and scalars else scalars
+    if kind == 6:
+        # keys are strings, as in every payload of the CLI
+        return {"".join(rng.choice(_AWKWARD) for _ in range(rng.randrange(3))):
+                _random_json(rng, depth + 1) for _ in range(rng.randrange(4))}
+    items = [_random_json(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return items if kind == 7 else tuple(items)
+
+
+def test_json_writer_matches_json_dumps():
+    from dlbound.cli import _json_text
+    rng = random.Random(8)
+    fixed = [{}, [], [[]], [[], []], [[1], []], [[1, 2], (3,)],
+             {"tc": [(1, "a"), (2, "]\x1f[")]}, [True, 1, False, 0, None]]
+    payloads = fixed + [_random_json(rng) for _ in range(3000)]
+    for p in payloads:
+        assert _json_text(p) == json.dumps(p, indent=2, sort_keys=True), p
