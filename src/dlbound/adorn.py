@@ -42,14 +42,7 @@ class Adornment:
     @classmethod
     def of(cls, rule: Rule) -> "Adornment":
         key = canonical_form(rule)
-        rep = rule_of_key(key)
-        # dropping duplicate atoms can leave a variable occurring once,
-        # so the representative may hold duplicates of its own; its key,
-        # which names the adornment, is then the smaller one
-        items = [(a.pred, a.terms) for a in rep.body]
-        if len(_dedup_items(rep.head.terms, items)) < len(items):
-            key = canonical_form(rep)
-        return cls(rule=rep, key=key, key_hash=hash(key))
+        return cls(rule=rule_of_key(key), key=key, key_hash=hash(key))
 
     def __eq__(self, other):
         return isinstance(other, Adornment) and self.key == other.key

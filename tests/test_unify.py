@@ -133,6 +133,14 @@ def test_canonical_dedups_singleton_twins():
     assert canonical_form(a) == canonical_form(b)
 
 
+def test_canonical_dedups_twins_left_by_a_drop():
+    # dropping the duplicate e(X,A) leaves A occurring once, which makes
+    # the remaining two atoms twins
+    a = rule("q(X) :- e(X,A), e(X,A), e(X,B).")
+    b = rule("q(X) :- e(X,B).")
+    assert canonical_form(a) == canonical_form(b)
+
+
 def test_canonical_rule_representative_parses():
     r = canonical_rule(rule("tc(P,Q) :- e(P,M), e(M,Q)."))
     assert r.head.pred == "tc"
