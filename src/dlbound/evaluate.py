@@ -83,25 +83,27 @@ def parse_edb(text: str) -> EDBInstance:
     text, malformed or not, is read by the program tokenizer, which
     raises the positioned `ParseError`."""
     rels: dict = {}
-    try:
-        for name, args, rest in _FACT.findall(text):
-            if rest:
-                return _parse_edb_tokens(text)
-            if not name:
-                continue
-            if "%" in args:
-                args = "\n".join(line.partition("%")[0]
-                                 for line in args.split("\n"))
-            vals = []
-            for a in args.split(","):
-                a = a.strip()
-                vals.append(int(a) if a[0] in "-0123456789" else a)
-            rel = rels.get(name)
-            if rel is None:
-                rel = rels[name] = set()
-            rel.add(tuple(vals))
-    except ValueError:  # an int past Python's digit limit
-        return _parse_edb_tokens(text)
+    for name, args, rest in _FACT.findall(text):
+        if rest:
+            return _parse_edb_tokens(text)
+        if not name:
+            continue
+        if "%" in args:
+            args = "\n".join(line.partition("%")[0]
+                             for line in args.split("\n"))
+        vals = []
+        for a in args.split(","):
+            a = a.strip()
+            if a[0] in "-0123456789":
+                try:
+                    a = int(a)
+                except ValueError:  # past Python's int digit limit
+                    return _parse_edb_tokens(text)
+            vals.append(a)
+        rel = rels.get(name)
+        if rel is None:
+            rel = rels[name] = set()
+        rel.add(tuple(vals))
     return EDBInstance.of(rels)
 
 
