@@ -149,39 +149,44 @@ def _term_sig(t: Term, labels: dict):
 
 def _dedup_items(head_terms, items):
     """Drop body atoms identical to an earlier one up to renaming of
-    variables that occur only once in the whole rule, until none is left.
-    An item is (pred key, terms, ...); the kept items are returned whole.
+    variables that occur only once in the whole rule.  An item is
+    (pred key, terms, ...); the kept items are returned whole.
 
     A drop can leave a variable occurring once, which makes two more
     atoms twins, so the pass repeats while it drops anything."""
-    while True:
-        counts: dict = {}
-        for terms in (head_terms, *[item[1] for item in items]):
-            for t in terms:
-                if isinstance(t, Var):
-                    counts[t.name] = counts.get(t.name, 0) + 1
+    kept = _dedup_once(head_terms, items)
+    while len(kept) < len(items):
+        items, kept = kept, _dedup_once(head_terms, kept)
+    return kept
 
-        def pattern(pred_key, terms):
-            sig = []
-            for t in terms:
-                if isinstance(t, Var) and counts.get(t.name, 0) == 1:
-                    sig.append(("_",))
-                else:
-                    sig.append(_term_sig(t, {}) if isinstance(t, Const)
-                               else ("v", t.name))
-            return (pred_key, tuple(sig))
 
-        seen = set()
-        out = []
-        for item in items:
-            p = pattern(item[0], item[1])
-            if p in seen:
-                continue
-            seen.add(p)
-            out.append(item)
-        if len(out) == len(items):
-            return out
-        items = out
+def _dedup_once(head_terms, items):
+    """One pass of `_dedup_items`."""
+    counts: dict = {}
+    for terms in (head_terms, *[item[1] for item in items]):
+        for t in terms:
+            if isinstance(t, Var):
+                counts[t.name] = counts.get(t.name, 0) + 1
+
+    def pattern(pred_key, terms):
+        sig = []
+        for t in terms:
+            if isinstance(t, Var) and counts.get(t.name, 0) == 1:
+                sig.append(("_",))
+            else:
+                sig.append(_term_sig(t, {}) if isinstance(t, Const)
+                           else ("v", t.name))
+        return (pred_key, tuple(sig))
+
+    seen = set()
+    out = []
+    for item in items:
+        p = pattern(item[0], item[1])
+        if p in seen:
+            continue
+        seen.add(p)
+        out.append(item)
+    return out
 
 
 def canonical_key(head_key, head_terms, body_items) -> tuple:
