@@ -65,8 +65,9 @@ class EDBInstance:
 
 # One fact of an EDB file and the blanks and `%` comments before it: a
 # name, `(`, int or symbol arguments, `)`, `.`.  A comment runs to the end
-# of its line (the lookahead keeps backtracking linear).  At the end of
-# the text the blanks meet `\Z`; anything else that starts no fact is
+# of its line; the lookahead stops it from ending early, which would let
+# a `,` or `)` inside it count, and keeps backtracking linear.  At the end
+# of the text the blanks meet `\Z`; anything else that starts no fact is
 # taken whole as the rest, which sends the text to the token parser.
 _BLANK = r"(?:[ \t\r\n]|%[^\n]*(?![^\n]))*"
 _ARG = rf"{_BLANK}(?:-?[0-9]+|[a-z][A-Za-z0-9_]*){_BLANK}"
