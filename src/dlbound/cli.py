@@ -52,7 +52,7 @@ _SEP = "\x1f"
 _SCALARS = {str, int, float, bool, type(None)}
 _encode_flat = c_make_encoder(
     None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ",
-    _SEP, True, False, True) if c_make_encoder else None
+    _SEP, True, False, True)
 
 
 def _json_text(o, pad: str = "\n") -> str:
@@ -89,9 +89,7 @@ def _json_text(o, pad: str = "\n") -> str:
 
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
-        sys.stdout.write((_json_text(payload) if _encode_flat else
-                          json.dumps(payload, indent=2, sort_keys=True))
-                         + "\n")
+        sys.stdout.write(_json_text(payload) + "\n")
     else:
         sys.stdout.write(human)
         if not human.endswith("\n"):
