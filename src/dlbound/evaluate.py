@@ -64,34 +64,33 @@ class EDBInstance:
 
 
 # One fact of an EDB file and the blanks and `%` comments before it: a
-# name, `(`, int or symbol arguments, `)`, `.`.  A comment runs to the end
-# of its line; the lookahead stops it from ending early, which would let
-# a `,` or `)` inside it count, and keeps backtracking linear.  At the end
-# of the text the blanks meet `\Z`; anything else that starts no fact is
+# name, `(`, int or symbol arguments, `)`, `.`, with only blanks inside.
+# A comment runs to the end of its line; the lookahead stops it from
+# ending early, so the blanks can be read in only one way and
+# backtracking stays linear.  At the end of the text the blanks meet `\Z`;
+# anything else that starts no fact, a comment inside a fact included, is
 # taken whole as the rest, which sends the text to the token parser.
 _BLANK = r"(?:[ \t\r\n]|%[^\n]*(?![^\n]))*"
-_ARG = rf"{_BLANK}(?:-?[0-9]+|[a-z][A-Za-z0-9_]*){_BLANK}"
+_WS = r"[ \t\r\n]*"
+_ARG = rf"{_WS}(?:-?[0-9]+|[a-z][A-Za-z0-9_]*){_WS}"
 _FACT = re.compile(
-    rf"{_BLANK}(?:([a-z][A-Za-z0-9_]*){_BLANK}\(({_ARG}(?:,{_ARG})*)\)"
-    rf"{_BLANK}\.|\Z|(.+))", re.ASCII | re.DOTALL)
+    rf"{_BLANK}(?:([a-z][A-Za-z0-9_]*){_WS}\(({_ARG}(?:,{_ARG})*)\)"
+    rf"{_WS}\.|\Z|(.+))", re.ASCII | re.DOTALL)
 
 
 def parse_edb(text: str) -> EDBInstance:
     """Parse an EDB file: ground facts `name(c1,...,ck).` with int or
     symbol constants, separated by blanks and `%` comments.
 
-    One pattern reads the facts of a well-formed ASCII file.  Any other
-    text, malformed or not, is read by the program tokenizer, which
-    raises the positioned `ParseError`."""
+    One pattern reads the facts of a well-formed ASCII file with no
+    comment inside a fact.  Any other text, malformed or not, is read by
+    the program tokenizer, which raises the positioned `ParseError`."""
     rels: dict = {}
     for name, args, rest in _FACT.findall(text):
         if rest:
             return _parse_edb_tokens(text)
         if not name:
             continue
-        if "%" in args:
-            args = "\n".join(line.partition("%")[0]
-                             for line in args.split("\n"))
         vals = []
         for a in args.split(","):
             a = a.strip()

@@ -340,8 +340,8 @@ def _random_edb_text(rng) -> str:
     def pick(pool, valid):
         return rng.choice(pool[:valid] if rng.random() < 0.95 else pool)
 
-    def blank():
-        return rng.choice(_EDB_BLANKS)
+    def blank():  # inside a fact, now and then a comment
+        return pick(_EDB_BLANKS, 6)
 
     arity = {}
     facts = []
@@ -356,7 +356,7 @@ def _random_edb_text(rng) -> str:
         if rng.random() < 0.05:
             i = rng.randrange(len(fact))
             fact = fact[:i] + fact[i + 1:]
-        facts.append(blank() + fact)
+        facts.append(rng.choice(_EDB_BLANKS) + fact)
     tail = rng.choice(["", "\n", "% end", "\n% end, no newline"])
     return "".join(facts) + tail
 
