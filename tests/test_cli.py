@@ -44,6 +44,19 @@ def test_adorn_membership_cont(capsys, tc_file):
     assert len(json.loads(out)["rules"]) == 3
 
 
+def test_adorn_and_minimize_drop_twins_left_by_a_drop(capsys, tmp_path):
+    # Dropping the first `e(X,A)` leaves `e(X,A), e(X,B)`, twins up to
+    # renaming of the unused A and B, so one atom is left.
+    f = tmp_path / "twins.dl"
+    f.write_text("q(X) :- e(X,A), e(X,A), e(X,B).\n")
+    for cmd in ("adorn", "minimize"):
+        code, out = run(capsys, cmd, str(f))
+        assert code == 0
+        assert out == "q[q(X) :- e(X,_)](X) :- e(X,A).\n"
+    code, out = run(capsys, "--json", "adorn", str(f))
+    assert json.loads(out) == {"rules": ["q[q(X) :- e(X,_)](X) :- e(X,A)."]}
+
+
 def test_widths(capsys, tc_file):
     code, out = run(capsys, "--json", "widths", tc_file)
     assert code == 0
