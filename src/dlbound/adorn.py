@@ -6,11 +6,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
 from .core import (
     Atom, Const, INTERNAL_PREFIX, Program, Rule, ValidationError, Var,
-    classify_rule_atoms, format_rule,
+    classify_rule_atoms, format_rule, min_cover,
 )
 from .unify import (
     Substitution, _dedup_items, _pred_key, canonical_form, canonical_rule,
@@ -249,23 +249,10 @@ def _gmin(rule: Rule) -> Rule:
     pats = _patterns(canon)
     pats.sort(key=lambda p: (p[0], tuple((1,) if x is None else (0, x)
                                          for x in p[1])))
-    need = set(canon.head_vars())
     # smallest covering subset of atoms, so the minimal adornment keeps
     # exactly as many atoms as the integral edge-cover width; ties go to
     # the lexicographically first index tuple for determinism
-    cover: tuple = ()
-    if need:
-        sets = [frozenset(x for x in pat if x is not None)
-                for _, pat in pats]
-        for k in range(1, len(pats) + 1):
-            found = None
-            for combo in combinations(range(len(pats)), k):
-                if need <= frozenset().union(*(sets[i] for i in combo)):
-                    found = combo
-                    break
-            if found is not None:
-                cover = found
-                break
+    cover = min_cover(canon.head_vars(), [pat for _, pat in pats]) or ()
     covered: set = set()
     kept = []
     for i in cover:

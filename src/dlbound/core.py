@@ -1,4 +1,5 @@
-"""Datalog AST, textual dialect parser, pretty-printer, and program validation.
+"""Datalog AST, textual dialect parser, pretty-printer, program validation,
+and the minimum-cover search every width uses.
 
 Dialect: identifiers starting with an uppercase letter are variables,
 lowercase identifiers are predicate symbols or symbol constants, integers
@@ -9,6 +10,9 @@ are constants, `_` is a wildcard (only in rule bodies), rules end with `.`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import combinations
+from operator import or_
 
 
 class DatalogError(Exception):
@@ -207,6 +211,39 @@ def classify_rule_atoms(r: Rule, p: Program):
     idb_atoms = [a for a in r.body if a.pred in p.idb]
     edb_atoms = [a for a in r.body if a.pred in p.edb]
     return idb_atoms, edb_atoms
+
+
+# ---------------------------------------------------------------------------
+# Covers
+
+
+def min_cover(need, sets, least: int = 1) -> tuple | None:
+    """Indices of a smallest subfamily of `sets` whose union holds `need`.
+
+    Ties go to the lexicographically first index tuple.  Returns () when
+    need is empty and None when no subfamily covers it.  `least` is a
+    known lower bound on the cover size; smaller sizes are not tried.
+    """
+    bit = {x: 1 << i for i, x in enumerate(set(need))}
+    full = (1 << len(bit)) - 1
+    if not full:
+        return ()
+    masks = []  # each set's share of need
+    for s in sets:
+        m = 0
+        for x in s:
+            m |= bit.get(x, 0)
+        masks.append(m)
+    if reduce(or_, masks, 0) != full:
+        return None
+    for size in range(max(1, least), len(masks) + 1):
+        for combo in combinations(range(len(masks)), size):
+            m = 0
+            for i in combo:
+                m |= masks[i]
+            if m == full:
+                return combo
+    raise AssertionError("unreachable: the sets cover need")
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations as iter_permutations, product
+from functools import cache
+from itertools import product
 
-from .core import Program, Rule, ValidationError, Var, classify_rule_atoms
+from .core import (
+    Program, Rule, ValidationError, Var, classify_rule_atoms, min_cover,
+)
 from .adorn import AdornedProgram
 from .evaluate import EDBInstance, IDBResult, _EDBRelations, _relation_key
 from .join import _Join
@@ -244,9 +247,9 @@ class ComplexityReport:
 def complexity_report(p: Program, pi: AdornedProgram) -> ComplexityReport:
     """Applicable evaluation-time bounds with the numbers filled in.
 
-    fchw is brute-forced (integral variant, an upper bound on the
-    fractional one) only on small rules; otherwise the simple-chain bound
-    of 2 or a symbolic placeholder is reported.
+    fchw is exact, by a DP over eliminated sets (integral variant, an
+    upper bound on the fractional one), only on small rules; otherwise the
+    simple-chain bound of 2 or a symbolic placeholder is reported.
     """
     classes = classify_program(p)
     f = len({r.head.adornment.key for r in pi.rules})
@@ -294,59 +297,48 @@ def complexity_report(p: Program, pi: AdornedProgram) -> ComplexityReport:
 
 
 def integral_fchw(h) -> int:
-    """Brute-force integral free-connex width of a small hypergraph.
+    """Exact integral free-connex width of a small hypergraph.
 
-    Searches tree decompositions through vertex elimination orderings of
-    the graph augmented with an output-variable clique (forcing the
-    output variables to share a bag, the connex condition), and requires
-    every bag to be coverable by few real edges.
+    The least, over vertex elimination orders of the primal graph
+    augmented with an output-variable clique (forcing the output
+    variables to share a bag, the connex condition), of the largest
+    number of real edges needed to cover a bag.  Found by the subset DP
+    of Bodlaender, Fomin, Koster, Kratsch & Thilikos (ACM TALG 2012):
+    best(S) = min over v in S of max(best(S - v), cover(bag(S - v, v))),
+    where bag(S, v) is v with every uneliminated vertex v reaches through
+    the eliminated set S.  O*(2^n) instead of n! orders.
     """
     vertices = sorted(h.vertices)
-    if not vertices:
+    n = len(vertices)
+    edge_sets = [e for _, e in h.edges if e]
+    if not n or not edge_sets:
         return 1
-    edge_sets = [set(e) for _, e in h.edges if e]
-    if not edge_sets:
-        return 1
+    index = {v: i for i, v in enumerate(vertices)}
+    adj = [0] * n  # bitmask of each vertex's neighbours
+    for e in (*edge_sets, h.v_out):
+        m = sum(1 << index[v] for v in e)
+        for v in e:
+            adj[index[v]] |= m & ~(1 << index[v])
 
-    def min_cover(bag: frozenset) -> int:
-        if not bag:
-            return 0
-        for k in range(1, len(edge_sets) + 1):
-            for combo in combinations(edge_sets, k):
-                if bag <= set().union(*combo):
-                    return k
-        return len(edge_sets) + 1  # uncoverable; forces a larger width
+    @cache
+    def cover(bag: int) -> int:
+        found = min_cover({vertices[i] for i in range(n) if bag >> i & 1},
+                          edge_sets)
+        # an uncoverable bag forces a width above every real cover
+        return len(edge_sets) + 1 if found is None else len(found)
 
-    cover_memo: dict = {}
+    def bag(eliminated: int, v: int) -> int:
+        reached = todo = 1 << v
+        while todo:
+            u = todo.bit_length() - 1
+            todo ^= 1 << u
+            new = adj[u] & ~reached
+            reached |= new
+            todo |= new & eliminated
+        return reached & ~eliminated
 
-    def cover(bag: frozenset) -> int:
-        if bag not in cover_memo:
-            cover_memo[bag] = min_cover(bag)
-        return cover_memo[bag]
-
-    # adjacency of the primal graph of H plus the v_out clique
-    adj = {v: set() for v in vertices}
-    for e in (*edge_sets, set(h.v_out)):
-        for a in e:
-            for b in e:
-                if a != b:
-                    adj[a].add(b)
-
-    best = len(edge_sets) + 1
-    for order in iter_permutations(vertices):
-        g = {v: set(adj[v]) for v in vertices}
-        width = 0
-        for v in order:
-            bag = frozenset({v} | g[v])
-            width = max(width, cover(bag))
-            if width >= best:
-                break
-            neigh = g[v]
-            for a in neigh:
-                g[a] |= neigh - {a}
-                g[a].discard(v)
-            for a in g:
-                g[a].discard(v)
-        else:
-            best = min(best, width)
-    return best
+    best = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        best[s] = min(max(best[s & ~(1 << v)], cover(bag(s & ~(1 << v), v)))
+                      for v in range(n) if s >> v & 1)
+    return best[-1]

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .core import Rule, ValidationError, Var
+from .core import Rule, ValidationError, Var, min_cover
 from .adorn import Adornment, AdornedProgram, adornments_of
 
 
@@ -78,7 +77,10 @@ def hypergraph_of(r) -> Hypergraph:
 
 def _distinct_edges(h: Hypergraph):
     """Indices of representative edges with distinct, nonempty vertex sets
-    that touch v_out (duplicates share a representative)."""
+    that touch v_out (duplicates share a representative).
+
+    Raises UncoverableError when an output variable lies in no edge.
+    """
     reps = []
     seen = set()
     for i, (_, e) in enumerate(h.edges):
@@ -87,44 +89,32 @@ def _distinct_edges(h: Hypergraph):
             continue
         seen.add(members)
         reps.append((i, members))
+    missing = h.v_out.difference(*seen)
+    if missing:
+        raise UncoverableError(
+            f"output variables in no edge: {sorted(missing)}")
     return reps
 
 
 def integral_edge_cover(h: Hypergraph) -> EdgeCoverSolution:
     """Exact minimum-cardinality edge cover of v_out."""
-    if not h.v_out:
-        return EdgeCoverSolution(tuple(Fraction(0) for _ in h.edges),
-                                 Fraction(0), True)
     reps = _distinct_edges(h)
-    covered = frozenset().union(*(m for _, m in reps)) if reps else frozenset()
-    if not h.v_out <= covered:
-        missing = sorted(h.v_out - covered)
-        raise UncoverableError(f"output variables in no edge: {missing}")
+    # the LP optimum bounds the search from below: a wide head over many
+    # unary atoms would otherwise walk every smaller subset first
     lower = _fractional(h, reps)[0]
-    lower_int = -(-lower.numerator // lower.denominator)  # ceil
-    for k in range(max(1, lower_int), len(reps) + 1):
-        for subset in combinations(range(len(reps)), k):
-            union = frozenset().union(*(reps[i][1] for i in subset))
-            if h.v_out <= union:
-                weights = [Fraction(0)] * len(h.edges)
-                for i in subset:
-                    weights[reps[i][0]] = Fraction(1)
-                sol = EdgeCoverSolution(tuple(weights), Fraction(k), True)
-                sol.verify(h)
-                return sol
-    raise AssertionError("unreachable: cover must exist")
+    cover = min_cover(h.v_out, [m for _, m in reps],
+                      -(-lower.numerator // lower.denominator))
+    weights = [Fraction(0)] * len(h.edges)
+    for i in cover:
+        weights[reps[i][0]] = Fraction(1)
+    sol = EdgeCoverSolution(tuple(weights), Fraction(len(cover)), True)
+    sol.verify(h)
+    return sol
 
 
 def fractional_edge_cover(h: Hypergraph) -> EdgeCoverSolution:
     """Exact rational optimum of the fractional edge-cover LP."""
-    if not h.v_out:
-        return EdgeCoverSolution(tuple(Fraction(0) for _ in h.edges),
-                                 Fraction(0), False)
     reps = _distinct_edges(h)
-    covered = frozenset().union(*(m for _, m in reps)) if reps else frozenset()
-    if not h.v_out <= covered:
-        missing = sorted(h.v_out - covered)
-        raise UncoverableError(f"output variables in no edge: {missing}")
     objective, weights_by_rep = _fractional(h, reps, want_weights=True)
     weights = [Fraction(0)] * len(h.edges)
     for (i, _), w in zip(reps, weights_by_rep):

@@ -1,4 +1,7 @@
-"""Parser, validation, and printing."""
+"""Parser, validation, printing, and the minimum-cover search."""
+
+import random
+from itertools import combinations
 
 import pytest
 
@@ -6,7 +9,7 @@ from dlbound import (
     Atom, Const, ParseError, ValidationError, Var, parse_program,
     print_program,
 )
-from dlbound.core import classify_rule_atoms, format_rule
+from dlbound.core import classify_rule_atoms, format_rule, min_cover
 
 from conftest import TC_SRC
 
@@ -121,3 +124,38 @@ def test_format_rule_terminator():
 def test_atom_vars_order():
     a = Atom("e", (Var("X"), Const(1), Var("Y"), Var("X")))
     assert list(a.vars()) == ["X", "Y"]
+
+
+def brute_first_cover(need, sets):
+    """First subset of indices, in (size, index tuple) order, covering need."""
+    for size in range(len(sets) + 1):
+        for combo in combinations(range(len(sets)), size):
+            if set(need) <= set().union(*(sets[i] for i in combo)):
+                return combo
+    return None
+
+
+def test_min_cover_matches_brute_force():
+    rng = random.Random(11)
+    kinds = set()
+    for _ in range(600):
+        universe = range(rng.randint(0, 6))
+        sets = [frozenset(x for x in universe if rng.random() < 0.35)
+                for _ in range(rng.randint(0, 8))]
+        if sets and rng.random() < 0.3:
+            sets.insert(rng.randrange(len(sets)), rng.choice(sets))
+        need = {x for x in universe if rng.random() < 0.6}
+        if rng.random() < 0.1:
+            need.add(99)  # in no set
+        expected = brute_first_cover(need, sets)
+        kinds.add("empty need" if not need else
+                  "uncoverable" if expected is None else "covered")
+        if frozenset() in sets:
+            kinds.add("empty set")
+        if len(set(sets)) < len(sets):
+            kinds.add("duplicate")
+        assert min_cover(need, sets) == expected, (need, sets)
+        for least in range(2, len(expected or ()) + 1):
+            assert min_cover(need, sets, least) == expected, (need, sets)
+    assert kinds == {"empty need", "uncoverable", "covered", "empty set",
+                     "duplicate"}

@@ -1,6 +1,8 @@
 """Program classification, Horn grounding, and complexity reports."""
 
 import random
+from functools import cache
+from itertools import combinations, permutations
 
 import pytest
 
@@ -119,6 +121,61 @@ def test_integral_fchw_single_edge():
                    edges=(("a", frozenset({"x", "y"})),),
                    v_out=("x", "y"))
     assert integral_fchw(h) == 1
+
+
+def fchw_by_elimination_orders(h) -> int:
+    """Integral fchw by trying every elimination order: the search the
+    subset DP replaced, kept as its reference."""
+    vertices = sorted(h.vertices)
+    edge_sets = [set(e) for _, e in h.edges if e]
+    if not vertices or not edge_sets:
+        return 1
+
+    @cache
+    def cover(bag: frozenset) -> int:
+        for k in range(1, len(edge_sets) + 1):
+            for combo in combinations(edge_sets, k):
+                if bag <= set().union(*combo):
+                    return k
+        return len(edge_sets) + 1  # uncoverable
+
+    adj = {v: set() for v in vertices}
+    for e in (*edge_sets, set(h.v_out)):
+        for a in e:
+            adj[a] |= e - {a}
+    best = len(edge_sets) + 1
+    for order in permutations(vertices):
+        g = {v: set(adj[v]) for v in vertices}
+        width = 0
+        for v in order:
+            width = max(width, cover(frozenset({v} | g[v])))
+            if width >= best:
+                break
+            neigh = g.pop(v)
+            for a in neigh:
+                g[a] |= neigh - {a}
+                g[a].discard(v)
+        else:
+            best = width
+    return best
+
+
+def test_integral_fchw_matches_elimination_orders():
+    # mostly binary edges: on dense graphs the fill-in of elimination
+    # decides the width, which wide random edges rarely show
+    rng = random.Random(5)
+    isolated = 0
+    for _ in range(300):
+        vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
+        edges = tuple(
+            (f"e{j}", frozenset(rng.sample(
+                vertices, min(len(vertices), rng.choice((0, 1, 2, 2, 2, 3))))))
+            for j in range(rng.randint(0, 10)))
+        v_out = [v for v in vertices if rng.random() < 0.3]
+        h = Hypergraph(vertices=vertices, edges=edges, v_out=v_out)
+        isolated += bool(set(vertices) - set().union(*(e for _, e in edges)))
+        assert integral_fchw(h) == fchw_by_elimination_orders(h), h
+    assert isolated
 
 
 # ---------------------------------------------------------------------------
