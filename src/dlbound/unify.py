@@ -1,4 +1,4 @@
-"""Substitutions, simultaneous most general unifiers, renaming-apart,
+"""Substitutions, simultaneous most general unifiers, fresh names,
 canonical forms for rules, and rule subsumption."""
 
 from __future__ import annotations
@@ -21,13 +21,6 @@ class Substitution:
             object.__setattr__(self, "bindings",
                                tuple(sorted(self.bindings.items())))
         object.__setattr__(self, "_map", dict(self.bindings))
-
-    def as_dict(self) -> dict:
-        return dict(self.bindings)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.bindings
 
     def apply_term(self, t: Term) -> Term:
         if isinstance(t, Var):
@@ -103,7 +96,7 @@ def mgu(pairs) -> Substitution | None:
 
 
 # ---------------------------------------------------------------------------
-# Renaming apart
+# Fresh names
 
 
 def fresh_name(base: str, used: set) -> str:
@@ -116,21 +109,6 @@ def fresh_name(base: str, used: set) -> str:
         k += 1
     used.add(f"{base}_{k}")
     return f"{base}_{k}"
-
-
-def rename_rule(r: Rule, used: set) -> Rule:
-    """Rename r's variables away from `used`, updating `used` in place."""
-    mapping = {}
-    for v in r.all_vars():
-        mapping[v] = Var(fresh_name(v, used))
-    sub = Substitution({k: v for k, v in mapping.items()})
-    return sub.apply_rule(r)
-
-
-def rename_apart(rules) -> list:
-    """Pairwise variable-disjoint copies of the given rules."""
-    used: set = set()
-    return [rename_rule(r, used) for r in rules]
 
 
 # ---------------------------------------------------------------------------

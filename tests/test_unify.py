@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dlbound import Const, Var, canonical_form, canonical_rule, mgu, subsumes
 from dlbound.core import Atom, Rule
 from dlbound.unify import (
-    Substitution, distance_profile, fresh_name, may_subsume, rename_apart,
+    Substitution, distance_profile, fresh_name, may_subsume,
 )
 
 from conftest import brute_homomorphism, random_programs
@@ -97,12 +97,6 @@ def test_fresh_name_avoids_collisions():
     used = {"X", "X_2"}
     n = fresh_name("X", used)
     assert n not in {"X", "X_2"}
-
-
-def test_rename_apart_disjoint():
-    r1, r2 = rename_apart([rule("q(X) :- e(X,Y)."),
-                           rule("q(X) :- e(X,Y).")])
-    assert not set(r1.all_vars()) & set(r2.all_vars())
 
 
 # ---------------------------------------------------------------------------
