@@ -141,8 +141,8 @@ def test_min_cover_matches_brute_force():
     for _ in range(600):
         universe = range(rng.randint(0, 6))
         sets = [frozenset(x for x in universe if rng.random() < 0.35)
-                for _ in range(rng.randint(0, 8))]
-        if sets and rng.random() < 0.3:
+                for _ in range(rng.randint(0, 7))]
+        if sets and rng.random() < 0.3:  # at most 8 sets with the copy
             sets.insert(rng.randrange(len(sets)), rng.choice(sets))
         need = {x for x in universe if rng.random() < 0.6}
         if rng.random() < 0.1:
