@@ -7,14 +7,16 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from operator import attrgetter
 
 from .core import (
-    Atom, Const, INTERNAL_PREFIX, Program, Rule, ValidationError, Var,
+    Atom, INTERNAL_PREFIX, Program, Rule, ValidationError, Var,
     classify_rule_atoms, format_rule, min_cover,
 )
 from .unify import (
     Substitution, _dedup_items, _pred_key, canonical_form, canonical_rule,
-    distance_profile, fresh_name, may_subsume, mgu, rule_of_key, subsumes,
+    distance_profile, may_subsume, mgu, rename_apart, rule_of_key,
+    subsumes,
 )
 
 
@@ -294,11 +296,10 @@ def make_relaxation(name: str) -> RelaxationFn:
 # Membership functions
 
 
-def dependency_cycle(rules, key=None) -> bool:
-    """True iff the adorned predicate `key` reaches itself in the adorned
-    dependency graph of `rules`; with no key, iff any predicate does.
-    An adorned predicate is named by its adornment's key, which holds
-    the base predicate.
+def dependency_cycle(rules) -> bool:
+    """True iff some adorned predicate reaches itself in the adorned
+    dependency graph of `rules`.  An adorned predicate is named by its
+    adornment's key, which holds the base predicate.
 
     Iterative depth-first search: a node is on the search path (1) or
     finished (2), and an edge back onto the path closes a cycle.
@@ -310,7 +311,7 @@ def dependency_cycle(rules, key=None) -> bool:
             if a.adornment is not None:
                 edges.setdefault(src, set()).add(a.adornment.key)
     state: dict = {}
-    for start in (list(edges) if key is None else [key]):
+    for start in edges:
         if start in state:
             continue
         state[start] = 1
@@ -319,7 +320,7 @@ def dependency_cycle(rules, key=None) -> bool:
             node, succ = stack[-1]
             for nxt in succ:
                 seen = state.get(nxt)
-                if seen == 1 and (key is None or nxt == key):
+                if seen == 1:
                     return True
                 if seen is None:
                     state[nxt] = 1
@@ -331,10 +332,8 @@ def dependency_cycle(rules, key=None) -> bool:
     return False
 
 
-def h_eq(r: Rule, rules, keys=None) -> bool:
-    if keys is None:
-        keys = {canonical_form(x) for x in rules}
-    return canonical_form(r) in keys
+def h_eq(r: Rule, rules) -> bool:
+    return canonical_form(r) in {canonical_form(x) for x in rules}
 
 
 def h_cont(r: Rule, rules) -> bool:
@@ -367,7 +366,7 @@ class MembershipFn:
         if self.name == "heq" or admitted.closes_cycle(r):
             return False
         rho = r.head.adornment
-        for other in admitted.heads.get(r.head.pred, ()):
+        for other in admitted.pools.get(r.head.pred, ()):
             verdict = self.verdicts.get((other, rho))
             if verdict is None:
                 verdict = self.verdicts[other, rho] = (
@@ -382,85 +381,30 @@ class MembershipFn:
 # The fixpoint engine
 
 
-@dataclass(frozen=True, eq=False)
-class _Candidate:
-    """A distinct adorned head available for resolving an IDB body atom;
-    one object per key within an engine run, so it hashes by identity."""
-    pred: str
-    adornment: Adornment
-    head_terms: tuple
-
-    @property
-    def key(self) -> tuple:
-        labels: dict = {}
-        sig = []
-        for t in self.head_terms:
-            if isinstance(t, Var):
-                lab = labels.setdefault(t.name, len(labels))
-                sig.append(("v", lab))
-            else:
-                sig.append(("c", str(t.value)))
-        return (self.pred, self.adornment.key, tuple(sig))
-
-
-def _instantiate_candidate(cand: _Candidate, used: set):
-    """Rename the candidate's head apart and instantiate its adornment
-    body in terms of the renamed head variables."""
-    renaming: dict = {}
-    for t in cand.head_terms:
-        if isinstance(t, Var) and t.name not in renaming:
-            renaming[t.name] = Var(fresh_name(t.name, used))
-    head_terms = tuple(
-        renaming[t.name] if isinstance(t, Var) else t
-        for t in cand.head_terms)
-
-    # map the canonical adornment onto the renamed head terms
-    rep = cand.adornment.rule
-    mapping: dict = {}
-    for canon_t, inst_t in zip(rep.head.terms, head_terms):
-        if isinstance(canon_t, Var):
-            mapping.setdefault(canon_t.name, inst_t)
-    body = []
-    for a in rep.body:
-        terms = []
-        for t in a.terms:
-            if isinstance(t, Const):
-                terms.append(t)
-            elif t.name in mapping:
-                terms.append(mapping[t.name])
-            else:
-                v = Var(fresh_name(f"{INTERNAL_PREFIX}b{t.name.lstrip('_')}",
-                                   used))
-                mapping[t.name] = v
-                terms.append(v)
-        body.append(Atom(a.pred, tuple(terms)))
-    return head_terms, tuple(body)
-
-
 class _Admitted:
     """An engine run's admitted rules, with what membership and candidate
     selection read, kept current rule by rule: the adorned dependency
-    graph, each predicate's distinct head adornments and candidates."""
+    graph and each predicate's pool of distinct head adornments, the
+    candidates for resolving its atoms.  An admitted rule's head has its
+    adornment representative's head pattern, so a candidate is its
+    adornment."""
 
     def __init__(self, rules=()):
         self.rules: dict = {}  # canonical form -> rule
         self.edges: dict = {}
-        self.heads: dict = {}
-        self.pools: dict = {}  # pred -> sorted [(candidate key, candidate)]
+        self.pools: dict = {}  # pred -> adornments sorted by key
         for r in rules:
             self.add(r, canonical_form(r))
 
     def add(self, r: Rule, key: tuple) -> None:
         self.rules[key] = r
-        pred, adn = r.head.pred, r.head.adornment
+        adn = r.head.adornment
         self.edges.setdefault(adn, set()).update(
             a.adornment for a in r.body if a.adornment is not None)
-        self.heads.setdefault(pred, {}).setdefault(adn)
-        cand = _Candidate(pred, adn, r.head.terms)
-        ckey, pool = cand.key, self.pools.setdefault(pred, [])
-        i = bisect_left(pool, (ckey,))
-        if i == len(pool) or pool[i][0] != ckey:
-            pool.insert(i, (ckey, cand))
+        pool = self.pools.setdefault(r.head.pred, [])
+        i = bisect_left(pool, adn.key, key=attrgetter("key"))
+        if i == len(pool) or pool[i] != adn:
+            pool.insert(i, adn)
 
     def closes_cycle(self, r: Rule) -> bool:
         """Would admitting r put its head's adorned predicate on a cycle?"""
@@ -487,7 +431,6 @@ class _Engine:
         self.max_iterations = max_iterations
         self.max_rules = max_rules
         self.admitted = _Admitted(rules)
-        self.tried: set = set()
 
     def partial(self) -> AdornedProgram:
         rules = self.admitted.rules
@@ -495,13 +438,16 @@ class _Engine:
                               source=self.p)
 
     def build(self, rule: Rule, idb_atoms, edb_atoms, combo) -> Rule | None:
+        """Resolve each IDB atom of `rule` against its candidate of
+        `combo`, renamed apart, then relax what results into the head's
+        adornment."""
         used = set(rule.all_vars())
         pairs = []
         inst_bodies = []
-        for atom, cand in zip(idb_atoms, combo):
-            head_terms, body = _instantiate_candidate(cand, used)
-            pairs.append((atom.terms, head_terms))
-            inst_bodies.append(body)
+        for atom, adn in zip(idb_atoms, combo):
+            inst = rename_apart(adn.rule, used)
+            pairs.append((atom.terms, inst.head.terms))
+            inst_bodies.append(inst.body)
         sigma = mgu(pairs) if pairs else Substitution()
         if sigma is None:
             return None
@@ -512,8 +458,8 @@ class _Engine:
         rho0 = Rule(Atom(rule.head.pred, head_terms), tuple(rho0_body))
         head = Atom(rule.head.pred, head_terms, relax(self.g, rho0))
         body = tuple(
-            Atom(atom.pred, sigma.apply_terms(atom.terms), cand.adornment)
-            for atom, cand in zip(idb_atoms, combo)
+            Atom(atom.pred, sigma.apply_terms(atom.terms), adn)
+            for atom, adn in zip(idb_atoms, combo)
         ) + tuple(sigma.apply_atom(a) for a in edb_atoms)
         kept = _dedup_items(head_terms,
                             [(_pred_key(a), a.terms, a) for a in body])
@@ -522,24 +468,20 @@ class _Engine:
     def run(self) -> AdornedProgram:
         admitted = self.admitted
         split = [classify_rule_atoms(rule, self.p) for rule in self.p.rules]
-        sweeps = 0
-        while True:
-            sweeps += 1
-            if sweeps > self.max_iterations:
-                raise BudgetExceeded("max-iterations", self.partial())
+        # every combination of the previous sweep's candidates was tried
+        # in it or before; None before the first sweep
+        tried = None
+        for _ in range(self.max_iterations):
             added = False
             # candidates admitted during a sweep wait for the next one
-            per_pred = {q: [c for _, c in pool]
-                        for q, pool in admitted.pools.items()}
-            for idx, rule in enumerate(self.p.rules):
-                idb_atoms, edb_atoms = split[idx]
+            per_pred = {q: list(pool) for q, pool in admitted.pools.items()}
+            for rule, (idb_atoms, edb_atoms) in zip(self.p.rules, split):
                 pools = [per_pred.get(a.pred, ()) for a in idb_atoms]
                 if not all(pools):
                     continue
                 for combo in product(*pools):
-                    if (idx, combo) in self.tried:
+                    if tried is not None and all(c in tried for c in combo):
                         continue
-                    self.tried.add((idx, combo))
                     new_rule = self.build(rule, idb_atoms, edb_atoms, combo)
                     if new_rule is None:
                         continue
@@ -552,6 +494,8 @@ class _Engine:
                         raise BudgetExceeded("max-rules", self.partial())
             if not added:
                 return self.partial()
+            tried = {c for pool in per_pred.values() for c in pool}
+        raise BudgetExceeded("max-iterations", self.partial())
 
 
 def adorn_program(p: Program, g: RelaxationFn | str,

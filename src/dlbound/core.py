@@ -217,12 +217,13 @@ def classify_rule_atoms(r: Rule, p: Program):
 # Covers
 
 
-def min_cover(need, sets, least: int = 1) -> tuple | None:
+def min_cover(need, sets) -> tuple | None:
     """Indices of a smallest subfamily of `sets` whose union holds `need`.
 
     Ties go to the lexicographically first index tuple.  Returns () when
-    need is empty and None when no subfamily covers it.  `least` is a
-    known lower bound on the cover size; smaller sizes are not tried.
+    need is empty and None when no subfamily covers it.  No cover is
+    smaller than |need| over the largest share of need one set holds, so
+    smaller sizes are not tried.
     """
     bit = {x: 1 << i for i, x in enumerate(set(need))}
     full = (1 << len(bit)) - 1
@@ -236,7 +237,8 @@ def min_cover(need, sets, least: int = 1) -> tuple | None:
         masks.append(m)
     if reduce(or_, masks, 0) != full:
         return None
-    for size in range(max(1, least), len(masks) + 1):
+    largest = max(m.bit_count() for m in masks)
+    for size in range(-(-len(bit) // largest), len(masks) + 1):
         for combo in combinations(range(len(masks)), size):
             m = 0
             for i in combo:

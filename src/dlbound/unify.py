@@ -38,57 +38,43 @@ class Substitution:
                     tuple(self.apply_atom(a) for a in r.body))
 
 
-def _resolve(t: Term, bindings: dict) -> Term:
-    if isinstance(t, Var) and t.name in bindings:
-        return bindings[t.name]
-    return t
-
-
 def mgu(pairs) -> Substitution | None:
     """Simultaneous most general unifier of a list of term-tuple pairs.
 
-    Returns None on failure.  When two variables unify, the one whose
-    first occurrence in the flattened pair list is later maps to the
-    earlier one, making the result deterministic.
+    Returns None on failure.  A union-find over the variables: each class
+    is named by its constant, else by its variable whose first occurrence
+    in the flattened pair list is earliest, making the result
+    deterministic.
     """
     order: dict = {}
-    idx = 0
     equations = []
     for s_tuple, t_tuple in pairs:
         if len(s_tuple) != len(t_tuple):
             raise ValueError("tuples in a unification pair differ in length")
         for t in (*s_tuple, *t_tuple):
-            if isinstance(t, Var) and t.name not in order:
-                order[t.name] = idx
-                idx += 1
+            if isinstance(t, Var):
+                order.setdefault(t.name, len(order))
         equations.extend(zip(s_tuple, t_tuple))
 
-    bindings: dict = {}
+    parent: dict = {}  # variable name -> a term of its class; roots absent
 
-    def bind(v: Var, t: Term) -> None:
-        for k in list(bindings):
-            u = bindings[k]
-            if isinstance(u, Var) and u.name == v.name:
-                bindings[k] = t
-        bindings[v.name] = t
+    def find(t: Term) -> Term:
+        while isinstance(t, Var) and t.name in parent:
+            t = parent[t.name]
+        return t
 
     for s, t in equations:
-        s = _resolve(s, bindings)
-        t = _resolve(t, bindings)
+        s, t = find(s), find(t)
         if s == t:
             continue
-        if isinstance(s, Const) and isinstance(t, Const):
-            return None
-        if isinstance(s, Var) and isinstance(t, Var):
-            if order[s.name] <= order[t.name]:
-                bind(t, s)
-            else:
-                bind(s, t)
-        elif isinstance(s, Var):
-            bind(s, t)
-        else:
-            bind(t, s)
-    sub = Substitution(bindings)
+        if isinstance(s, Const):
+            if isinstance(t, Const):
+                return None
+            s, t = t, s
+        if isinstance(t, Var) and order[t.name] > order[s.name]:
+            s, t = t, s
+        parent[s.name] = t
+    sub = Substitution({v: find(t) for v, t in parent.items()})
     # idempotence and soundness are cheap to assert here
     for s_tuple, t_tuple in pairs:
         assert sub.apply_terms(s_tuple) == sub.apply_terms(t_tuple)
@@ -109,6 +95,22 @@ def fresh_name(base: str, used: set) -> str:
         k += 1
     used.add(f"{base}_{k}")
     return f"{base}_{k}"
+
+
+def rename_apart(r: Rule, used: set) -> Rule:
+    """r with every variable given a fresh name, recorded in `used`."""
+    names: dict = {}
+
+    def term(t: Term) -> Term:
+        if isinstance(t, Const):
+            return t
+        v = names.get(t.name)
+        if v is None:
+            v = names[t.name] = Var(fresh_name(t.name, used))
+        return v
+
+    return Rule(Atom(r.head.pred, tuple(map(term, r.head.terms))), tuple(
+        Atom(a.pred, tuple(map(term, a.terms))) for a in r.body))
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,7 @@ def _distinct_edges(h: Hypergraph):
 def integral_edge_cover(h: Hypergraph) -> EdgeCoverSolution:
     """Exact minimum-cardinality edge cover of v_out."""
     reps = _distinct_edges(h)
-    # the LP optimum bounds the search from below: a wide head over many
-    # unary atoms would otherwise walk every smaller subset first
-    lower = _fractional(h, reps)[0]
-    cover = min_cover(h.v_out, [m for _, m in reps],
-                      -(-lower.numerator // lower.denominator))
+    cover = min_cover(h.v_out, [m for _, m in reps])
     weights = [Fraction(0)] * len(h.edges)
     for i in cover:
         weights[reps[i][0]] = Fraction(1)

@@ -85,6 +85,70 @@ def test_mgu_idempotent(eqs):
         assert s.apply_term(t) == t
 
 
+def reference_mgu(pairs):
+    """The unifier mgu must equal: equations solved in order, each new
+    binding rewritten into every earlier one; of two variables, the one
+    first occurring later in the flattened pairs maps to the other."""
+    order = {}
+    for s_tuple, t_tuple in pairs:
+        for t in (*s_tuple, *t_tuple):
+            if isinstance(t, Var):
+                order.setdefault(t.name, len(order))
+    bindings = {}
+
+    def resolve(t):
+        return bindings.get(t.name, t) if isinstance(t, Var) else t
+
+    def bind(v, t):
+        for k, u in list(bindings.items()):
+            if u == v:
+                bindings[k] = t
+        bindings[v.name] = t
+
+    for s_tuple, t_tuple in pairs:
+        for s, t in zip(s_tuple, t_tuple):
+            s, t = resolve(s), resolve(t)
+            if s == t:
+                continue
+            if isinstance(s, Const) and isinstance(t, Const):
+                return None
+            if isinstance(s, Var) and isinstance(t, Var):
+                if order[s.name] <= order[t.name]:
+                    bind(t, s)
+                else:
+                    bind(s, t)
+            elif isinstance(s, Var):
+                bind(s, t)
+            else:
+                bind(t, s)
+    return Substitution(bindings)
+
+
+def test_mgu_matches_reference():
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(1500):
+        pool = [Var(n) for n in "ABCDEFG"[:rng.randint(1, 7)]]
+        pool += [Const(c) for c in (1, 2, "a")[:rng.randint(0, 3)]]
+        pairs = []
+        for _ in range(rng.randint(0, 4)):
+            n = rng.randint(0, 4)
+            pairs.append((tuple(rng.choice(pool) for _ in range(n)),
+                          tuple(rng.choice(pool) for _ in range(n))))
+        want = reference_mgu(pairs)
+        assert mgu(pairs) == want, pairs
+        terms = [t for s_t, t_t in pairs for t in (*s_t, *t_t)]
+        kinds.add("clash" if want is None else
+                  "constant" if any(isinstance(t, Const)
+                                    for _, t in want.bindings) else
+                  "variables only")
+        if len({t for t in terms if isinstance(t, Var)}) < sum(
+                isinstance(t, Var) for t in terms):
+            kinds.add("repeated variable")
+    assert kinds == {"clash", "constant", "variables only",
+                     "repeated variable"}
+
+
 def test_substitution_apply_atom():
     s = Substitution((("X", Const(1)),))
     a = Atom("e", (Var("X"), Var("Y")))
