@@ -7,9 +7,9 @@ from .core import (
 )
 from .unify import Substitution, canonical_form, canonical_rule, mgu, subsumes
 from .adorn import (
-    Adornment, AdornedPredicate, AdornedProgram, BudgetExceeded, GK, GMin,
-    GOut, Id, MembershipFn, adorn_program, adornments_of, fixpoint_stable,
-    h_cont, h_eq, make_relaxation, relax,
+    Adornment, AdornedProgram, BudgetExceeded, GK, GMin, GOut, Id,
+    MembershipFn, adorn_program, adornments_of, fixpoint_stable, h_cont,
+    h_eq, make_relaxation, relax,
 )
 from .width import (
     EdgeCoverSolution, Hypergraph, UncoverableError, fractional_edge_cover,

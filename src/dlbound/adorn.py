@@ -66,21 +66,6 @@ class Adornment:
 
 
 @dataclass(frozen=True)
-class AdornedPredicate:
-    """An IDB predicate together with one of its adornments: the key of
-    an adorned relation in an evaluation result."""
-    base: str
-    adornment: Adornment
-
-    @property
-    def key(self) -> tuple:
-        return (self.base, self.adornment.key)
-
-    def __str__(self) -> str:
-        return f"{self.base}[{self.adornment}]"
-
-
-@dataclass(frozen=True)
 class AdornedProgram:
     """Output of the fixpoint engine: rules sorted by canonical form.
 
@@ -89,18 +74,13 @@ class AdornedProgram:
     rules: tuple
     source: Program
 
-    def adorned_predicates(self) -> list:
-        seen = {}
-        for r in self.rules:
-            ap = AdornedPredicate(r.head.pred, r.head.adornment)
-            seen.setdefault(ap.key, ap)
-        return [seen[k] for k in sorted(seen)]
-
     def adornment_map(self) -> dict:
-        """Base predicate -> sorted list of its adornments."""
+        """Base predicate -> its rules' distinct head adornments, sorted
+        by key."""
         out: dict = {}
-        for ap in self.adorned_predicates():
-            out.setdefault(ap.base, []).append(ap.adornment)
+        for adn in sorted({r.head.adornment for r in self.rules},
+                          key=attrgetter("key")):
+            out.setdefault(adn.base, []).append(adn)
         return out
 
     def pretty(self) -> str:

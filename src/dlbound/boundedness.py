@@ -83,11 +83,4 @@ def extract_ucq(outcome, q: str) -> list:
             "UCQ extraction requires a non-recursive outcome")
     if q not in outcome.program.source.idb:
         raise ValidationError(f"unknown IDB predicate {q}")
-    seen = []
-    for r in outcome.program.rules:
-        if r.head.pred != q:
-            continue
-        adn = r.head.adornment
-        if adn not in seen:
-            seen.append(adn)
-    return [a.rule for a in sorted(seen, key=lambda a: a.key)]
+    return [a.rule for a in outcome.program.adornment_map().get(q, ())]

@@ -11,7 +11,7 @@ from itertools import product
 from .core import (
     Atom, ParseError, Program, Rule, ValidationError, Var,
 )
-from .adorn import AdornedPredicate, AdornedProgram
+from .adorn import AdornedProgram
 from .join import _Join, _Relation
 from .sizebound import SchemaStats, bound1
 
@@ -151,8 +151,10 @@ def _parse_edb_tokens(text: str) -> EDBInstance:
 class IDBResult:
     """Least-fixpoint contents of every derived relation.
 
-    Keys are predicate names for plain programs and AdornedPredicate
-    values for adorned ones.
+    Keys are predicate names for plain programs and adornments for
+    adorned ones: an adorned relation is named by its adornment, which
+    holds its base predicate.  Adornments sort by key, and a key starts
+    with the base predicate, so relations sort by base predicate first.
     """
     relations: tuple  # of (key, frozenset)
     _by_key: dict = field(init=False, repr=False, compare=False)
@@ -226,13 +228,17 @@ class _ERule:
         head = self.head
         return {head(slots) for slots in self.join.run(sources)}
 
+    def sources(self, idb, edb) -> list:
+        """Each body atom's source: its IDB relation in `idb` (indexed by
+        key), or its EDB relation."""
+        return [(idb[key],) if is_idb else edb.get(key, arity)
+                for key, arity, is_idb in self.body]
+
 
 def _relation_key(a: Atom):
-    """The IDBResult key of an IDB atom: its predicate, adorned if the
-    atom carries an adornment."""
-    if a.adornment is None:
-        return a.pred
-    return AdornedPredicate(a.pred, a.adornment)
+    """The IDBResult key of an IDB atom: its adornment, or its predicate
+    if it carries none."""
+    return a.pred if a.adornment is None else a.adornment
 
 
 def _normalize(prog):
@@ -264,13 +270,9 @@ def evaluate(prog, d: EDBInstance, method: str = "seminaive") -> IDBResult:
         rels = _seminaive(rules, len(idb_keys), edb)
     else:
         raise ValueError(f"unknown method {method!r}")
-
-    def sort_key(item):
-        key = item[0]
-        return (getattr(key, "key", (key,)),)
     return IDBResult(tuple(sorted(
         ((key, frozenset(rel.rows)) for key, rel in zip(idb_keys, rels)),
-        key=sort_key)))
+        key=lambda item: getattr(item[0], "key", item[0]))))
 
 
 def _naive(rules, n_idb, edb):
@@ -279,9 +281,8 @@ def _naive(rules, n_idb, edb):
     while changed:
         changed = False
         for rule in rules:
-            sources = [(rels[key],) if is_idb else edb.get(key, arity)
-                       for key, arity, is_idb in rule.body]
-            new = rule.apply(sources) - rels[rule.head_key].rows
+            new = rule.apply(rule.sources(rels, edb)) \
+                - rels[rule.head_key].rows
             if new:
                 rels[rule.head_key].add(new)
                 changed = True
@@ -359,22 +360,18 @@ class RuleBoundedReport:
 def check_rule_bounded(pi: AdornedProgram, d: EDBInstance,
                        result: IDBResult | None = None) -> RuleBoundedReport:
     """Every tuple a rule derives must also be derived by the rule's head
-    adornment evaluated as a standalone query over d.  `result`, if
-    given, is `evaluate(pi, d)`."""
+    adornment evaluated as a standalone query over d.  A rule's tuples
+    are derived from `result` by the rule as `evaluate` compiles it;
+    `result`, if given, is `evaluate(pi, d)`."""
     if result is None:
         result = evaluate(pi, d)
-    idb = {key: (_Relation(rows),) for key, rows in result.relations}
-    empty = (_Relation(frozenset()),)
+    erules, idb_keys, _ = _normalize(pi)
+    idb = [_Relation(result.get(key)) for key in idb_keys]
     edb = _EDBRelations(d)
     violations = []
     allowed_by: dict = {}
-    for idx, rule in enumerate(pi.rules):
-        sources = [idb.get(_relation_key(a), empty)
-                   if a.pred in pi.source.idb
-                   else edb.get(a.pred, a.arity) for a in rule.body]
-        join = _Join([a.terms for a in rule.body])
-        head = join.getter(rule.head.terms)
-        derived = {head(slots) for slots in join.run(sources)}
+    for idx, (rule, erule) in enumerate(zip(pi.rules, erules)):
+        derived = erule.apply(erule.sources(idb, edb))
         adn = rule.head.adornment
         if adn not in allowed_by:
             allowed_by[adn] = _eval_cq(adn.rule, edb)

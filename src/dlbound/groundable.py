@@ -7,13 +7,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
 
 from .core import (
-    Program, Rule, ValidationError, Var, classify_rule_atoms, min_cover,
+    Atom, Program, Rule, ValidationError, Var, classify_rule_atoms,
+    min_cover,
 )
 from .adorn import AdornedProgram
-from .evaluate import EDBInstance, IDBResult, _EDBRelations, _relation_key
+from .evaluate import (
+    EDBInstance, IDBResult, _EDBRelations, _eval_cq, _relation_key,
+)
 from .join import _Join
 from .width import hypergraph_of, width_of_program
 
@@ -75,15 +77,17 @@ def horn_clauses(pi: AdornedProgram, d: EDBInstance):
     Gallier, J. Logic Programming 1984).
 
     Groundings of a rule come from joining its EDB body atoms over d;
-    head variables the EDB atoms leave open are enumerated from the
-    columns their head-adornment atoms range over.  Ground facts are
-    ints.  A clause whose head is derived is dropped; one whose body
-    facts are all derived derives its head at once.  Otherwise the
-    clause waits on its missing facts: on one, as its head in that
-    fact's list; on several distinct ones, as a [missing, head] entry
-    shared by their lists.  The derived facts do not depend on the order
-    of the clauses.  Returns the derived tuples of each adorned
-    predicate, the adorned predicates, and the number of groundings
+    head variables the EDB atoms leave open take their values from the
+    join of the head adornment's body atoms that hold one, projected
+    onto them.  Every tuple the rule derives is an answer of its head
+    adornment, so no derivation is lost.  Ground facts are ints.  A
+    clause whose head is derived is dropped; one whose body facts are
+    all derived derives its head at once.  Otherwise the clause waits on
+    its missing facts: on one, as its head in that fact's list; on
+    several distinct ones, as a [missing, head] entry shared by their
+    lists.  The derived facts do not depend on the order of the clauses.
+    Returns the derived tuples of each adorned predicate, the adorned
+    predicates (their adornments), and the number of groundings
     generated, each counted, also when it repeats an earlier clause.
     """
     derived = bytearray()  # fact id -> 1 once derived
@@ -132,8 +136,16 @@ def horn_clauses(pi: AdornedProgram, d: EDBInstance):
         for v in open_vars:
             join.slot(v)
         hi = len(join.init)
-        picks = list(product(*[_column_values(v, rule, adn, d)
-                                for v in open_vars]))
+        # the adornment's variables for the open ones: its head has the
+        # rule head's pattern
+        canon = {t.name: c for t, c in zip(rule.head.terms,
+                                           adn.rule.head.terms)
+                 if isinstance(t, Var)}
+        wanted = {canon[v].name for v in open_vars}
+        picks = _eval_cq(Rule(
+            Atom(adn.base, tuple(canon[v] for v in open_vars)),
+            tuple(a for a in adn.rule.body
+                  if wanted.intersection(a.vars()))), edb)
         head_ids = ids_of(rule.head)
         head = join.getter(rule.head.terms)
         body = [(ids_of(a), join.getter(a.terms)) for a in idb_atoms]
@@ -179,29 +191,6 @@ def horn_clauses(pi: AdornedProgram, d: EDBInstance):
     facts = [frozenset(t for t, f in ids.items() if derived[f])
              for ids in by_pred.values()]
     return facts, list(by_pred), groundings
-
-
-def _column_values(var_name: str, rule, adn, d: EDBInstance):
-    """Candidate values for a head variable not fixed by the rule's EDB
-    atoms: the matching columns of the first adornment atom holding it."""
-    canon_name = None
-    for canon_t, rule_t in zip(adn.rule.head.terms, rule.head.terms):
-        if isinstance(rule_t, Var) and rule_t.name == var_name:
-            canon_name = canon_t.name
-            break
-    assert canon_name is not None, "head variable missing from adornment"
-    for atom in adn.rule.body:
-        positions = [i for i, t in enumerate(atom.terms)
-                     if isinstance(t, Var) and t.name == canon_name]
-        if not positions:
-            continue
-        values = set()
-        for row in d.get(atom.pred):
-            vals = {row[i] for i in positions}
-            if len(vals) == 1:
-                values.add(vals.pop())
-        return values
-    raise AssertionError(f"variable {var_name} not in adornment body")
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ def integral_edge_cover(h: Hypergraph) -> EdgeCoverSolution:
 def fractional_edge_cover(h: Hypergraph) -> EdgeCoverSolution:
     """Exact rational optimum of the fractional edge-cover LP."""
     reps = _distinct_edges(h)
-    objective, weights_by_rep = _fractional(h, reps, want_weights=True)
+    objective, weights_by_rep = _fractional(h, reps)
     weights = [Fraction(0)] * len(h.edges)
     for (i, _), w in zip(reps, weights_by_rep):
         weights[i] = w
@@ -120,7 +120,7 @@ def fractional_edge_cover(h: Hypergraph) -> EdgeCoverSolution:
     return sol
 
 
-def _fractional(h: Hypergraph, reps, want_weights: bool = False):
+def _fractional(h: Hypergraph, reps):
     """Solve the covering LP exactly via its matching dual.
 
     Dual: maximize sum(y_v) over v in v_out subject to, per edge,
@@ -168,11 +168,7 @@ def _fractional(h: Hypergraph, reps, want_weights: bool = False):
             obj = [a - f * b for a, b in zip(obj, rows[leave])]
         basis[leave] = enter
 
-    optimum = obj[-1]
-    if not want_weights:
-        return optimum, None
-    weights = [obj[n + i] for i in range(m)]
-    return optimum, weights
+    return obj[-1], [obj[n + i] for i in range(m)]
 
 
 def width_of_adornment(adn: Adornment, mode: str = "integral") -> Fraction:

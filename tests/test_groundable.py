@@ -1,6 +1,7 @@
 """Program classification, Horn grounding, and complexity reports."""
 
 import random
+from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations
 
@@ -221,10 +222,22 @@ def graph_edbs(seed):
         }
 
 
+# Rules whose open head variables (those no EDB body atom binds) take
+# their values jointly from the head adornment's join.
+SHARED_ATOM_SRC = "q(X,Y) :- e(X,Y).\np(X,Y) :- q(X,Y), q(Y,X).\n"
+REPEATED_SRC = "q(X,Y) :- flat(X,Y).\np(Y) :- q(Y,Y).\n"
+BESIDE_CONSTANT_SRC = "q(X,Y) :- e(X,Y).\np(X,1,Y) :- q(X,Y), q(Y,1).\n"
+EDB_BOUND_NEIGHBOUR_SRC = "q(X,Y) :- up(X,Y).\np(X,Y) :- flat(X,X), q(X,Y).\n"
+
+
 @pytest.mark.parametrize("src,edb_kind", [
     (TC_SRC, "e2"), (TC_LEFT_SRC, "e2"), (REACH_SRC, "e2"),
-    (SAMEGEN_SRC, "samegen"), (TRIANGLE_SRC, "e3")],
-    ids=["tc_right", "tc_left", "reach", "samegen", "triangle"])
+    (SAMEGEN_SRC, "samegen"), (TRIANGLE_SRC, "e3"),
+    (SHARED_ATOM_SRC, "e2"), (REPEATED_SRC, "samegen"),
+    (BESIDE_CONSTANT_SRC, "e2"), (EDB_BOUND_NEIGHBOUR_SRC, "samegen")],
+    ids=["tc_right", "tc_left", "reach", "samegen", "triangle",
+         "shared_atom", "repeated_variable", "beside_constant",
+         "edb_bound_neighbour"])
 def test_horn_seminaive_naive_agree_on_graphs(src, edb_kind):
     p = parse_program(src)
     assert ADORNMENT_GROUNDABLE in classify_program(p)
@@ -260,6 +273,27 @@ def test_horn_clause_count_grows_as_n_to_the_ew(src):
         assert counts[n] == n + 2 * n * n
         assert counts[n] <= rep.f * rep.rule_count * n ** ew
     for n in (10, 20):
+        assert counts[2 * n] <= counts[n] * 2 ** ew
+
+
+def test_horn_triangle_grounds_within_n_to_the_ew():
+    # N random e(x,y,0) facts over 4N values: the p rule has no EDB atom,
+    # and its picks are the triangles of the adornment's join, at most
+    # N^(3/2) of them (Atserias, Grohe & Marx, SICOMP 2013)
+    p = parse_program(TRIANGLE_SRC)
+    pi = adorn_program(p, GOut(), MembershipFn("heq"))
+    rep = complexity_report(p, pi)
+    ew = {b.applies_to: b for b in rep.bounds}[ADORNMENT_GROUNDABLE].exponent
+    assert ew == rep.ew == Fraction(3, 2)
+    rng = random.Random(3)
+    counts = {}
+    for n in (20, 40, 80, 160):
+        facts = set()
+        while len(facts) < n:
+            facts.add((rng.randrange(4 * n), rng.randrange(4 * n), 0))
+        _, _, counts[n] = horn_clauses(pi, EDBInstance.of({"e": facts}))
+        assert counts[n] <= rep.f * rep.rule_count * n ** ew
+    for n in (20, 40, 80):
         assert counts[2 * n] <= counts[n] * 2 ** ew
 
 

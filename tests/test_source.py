@@ -70,3 +70,78 @@ def test_no_unused_private_definitions():
     src = Path(dlbound.__file__).parent
     texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
     assert not unused_private_definitions(texts)
+
+
+
+def argument(call, index, param):
+    """What `call` passes for a parameter at position `index` (None if
+    keyword-only) named `param`: None for nothing, the dump of a
+    literal, or the call itself when that is no literal or cannot be
+    told (`*args`, `**kwargs`)."""
+    if any(isinstance(a, ast.Starred) for a in call.args) \
+            or any(k.arg is None for k in call.keywords):
+        return call
+    value = next((k.value for k in call.keywords if k.arg == param), None)
+    if value is None and index is not None and index < len(call.args):
+        value = call.args[index]
+    if value is None:
+        return None
+    return ast.dump(value) if isinstance(value, ast.Constant) else call
+
+
+def constant_private_parameters(texts: dict) -> list:
+    """(module, function, parameter) of each defaulted parameter of a
+    module-level `_function` that no call passes, or that every call
+    passes as one and the same literal.  A function also referred to
+    otherwise than by a call is skipped: it may be called out of sight."""
+    trees = {module: ast.parse(text) for module, text in texts.items()}
+    used = sum(map(references, trees.values()), Counter())
+    calls: dict = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = getattr(node.func, "id", None) or node.func.attr
+                calls.setdefault(name, []).append(node)
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            own = calls.get(node.name, [])
+            if used[node.name] != len(own):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional)
+                         if i >= first]
+            defaulted += [(None, a.arg) for a, default in
+                          zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            for index, param in defaulted:
+                passed = {argument(call, index, param) for call in own}
+                if len(passed) == 1 and \
+                        isinstance(passed.pop(), (str, type(None))):
+                    found.append((module, node.name, param))
+    return sorted(found)
+
+
+def test_constant_private_parameters_finds_both_kinds():
+    texts = {"a.py": "def _scale(x, factor=2, exact=False):\n"
+                     "    return x * factor\n\n"
+                     "def _clip(x, *, hi=None):\n"
+                     "    return x\n",
+             "b.py": "from a import _clip, _scale\n"
+                     "y = _scale(1, exact=True) + _scale(2, 3, True)\n"
+                     "z = _clip(y) + _clip(_scale(y, factor=y, exact=True))\n"}
+    assert constant_private_parameters(texts) == [
+        ("a.py", "_clip", "hi"), ("a.py", "_scale", "exact")]
+
+
+def test_no_constant_private_parameters():
+    src = Path(dlbound.__file__).parent
+    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert not constant_private_parameters(texts)
