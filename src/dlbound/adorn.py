@@ -76,7 +76,11 @@ class AdornedProgram:
 
     def adornment_map(self) -> dict:
         """Base predicate -> its rules' distinct head adornments, sorted
-        by key."""
+        by key; computed once, for every caller to read."""
+        return self._adornment_map
+
+    @cached_property
+    def _adornment_map(self) -> dict:
         out: dict = {}
         for adn in sorted({r.head.adornment for r in self.rules},
                           key=attrgetter("key")):
@@ -90,11 +94,11 @@ class AdornedProgram:
         return self.pretty()
 
 
-def adornments_of(pi: AdornedProgram, q: str) -> set:
-    """Distinct adornments the predicate q carries in pi."""
+def adornments_of(pi: AdornedProgram, q: str) -> list:
+    """Distinct adornments the predicate q carries in pi, sorted by key."""
     if q not in pi.source.idb:
         raise ValidationError(f"unknown IDB predicate {q}")
-    return {r.head.adornment for r in pi.rules if r.head.pred == q}
+    return pi.adornment_map().get(q, [])
 
 
 # ---------------------------------------------------------------------------
@@ -105,26 +109,22 @@ class RelaxationFn:
     """Base class; subclasses turn a candidate bounding rule into an
     adornment, never making it more restrictive."""
 
-    name = "id"
-
     def apply(self, rule: Rule) -> Rule:
         return rule
 
-    def start(self) -> "RelaxationFn":
-        """The relaxation one engine run uses; it may keep state for that
-        run, so the relaxation itself stays a pure function."""
+    def then(self, rule: Rule) -> "RelaxationFn":
+        """The relaxation for `rule` and every later candidate of the
+        same engine run."""
         return self
 
 
 class Id(RelaxationFn):
-    name = "id"
+    """The identity relaxation."""
 
 
 class GOut(RelaxationFn):
     """Wildcard every non-head body argument, then drop body atoms that
     impose no restriction beyond another atom of the same predicate."""
-
-    name = "gout"
 
     def apply(self, rule: Rule) -> Rule:
         return _gout(rule)
@@ -133,8 +133,8 @@ class GOut(RelaxationFn):
 class GK(RelaxationFn):
     """Identity until some candidate body exceeds k atoms, then GOut.
 
-    Within one engine run the switch is sticky: once triggered, every
-    later candidate of the run is relaxed with GOut as well.
+    Within one engine run the switch is sticky: `then` hands the run
+    GOut for that candidate and every later one.
     """
 
     def __init__(self, k: int):
@@ -142,34 +142,16 @@ class GK(RelaxationFn):
             raise ValueError("k must be positive")
         self.k = k
 
-    @property
-    def name(self) -> str:
-        return f"gk={self.k}"
-
     def apply(self, rule: Rule) -> Rule:
         return _gout(rule) if len(rule.body) > self.k else rule
 
-    def start(self) -> "GK":
-        return _GKRun(self.k)
-
-
-class _GKRun(GK):
-    """GK within one engine run: remembers whether it has triggered."""
-
-    def __init__(self, k: int):
-        super().__init__(k)
-        self.triggered = False
-
-    def apply(self, rule: Rule) -> Rule:
-        self.triggered = self.triggered or len(rule.body) > self.k
-        return _gout(rule) if self.triggered else rule
+    def then(self, rule: Rule) -> RelaxationFn:
+        return GOut() if len(rule.body) > self.k else self
 
 
 class GMin(RelaxationFn):
     """Greedy minimal covering subset of the body; each head variable
     survives in exactly one position."""
-
-    name = "gmin"
 
     def apply(self, rule: Rule) -> Rule:
         return _gmin(rule)
@@ -291,11 +273,11 @@ def dependency_cycle(rules) -> bool:
             if a.adornment is not None:
                 edges.setdefault(src, set()).add(a.adornment.key)
     state: dict = {}
-    for start in edges:
-        if start in state:
+    for root in edges:
+        if root in state:
             continue
-        state[start] = 1
-        stack = [(start, iter(edges.get(start, ())))]
+        state[root] = 1
+        stack = [(root, iter(edges.get(root, ())))]
         while stack:
             node, succ = stack[-1]
             for nxt in succ:
@@ -321,21 +303,13 @@ def h_cont(r: Rule, rules) -> bool:
 
 
 class MembershipFn:
-    """Membership as a value the engine takes.
-
-    `start()` gives one engine run its own copy, which memoises the
-    run's hcont verdicts by (subsumer, subsumed) adornment pair; the
-    object a caller holds is never changed by a run.
-    """
+    """Membership as a value the engine takes: it holds only its name,
+    and an hcont run memoises its verdicts on the run's `_Admitted`."""
 
     def __init__(self, name: str):
         if name not in ("heq", "hcont"):
             raise ValueError(f"unknown membership function {name!r}")
         self.name = name
-        self.verdicts: dict = {}
-
-    def start(self) -> "MembershipFn":
-        return MembershipFn(self.name)
 
     def check(self, r: Rule, admitted: "_Admitted", key: tuple) -> bool:
         """Is r, of canonical form `key`, among the admitted rules?  Under
@@ -347,9 +321,9 @@ class MembershipFn:
             return False
         rho = r.head.adornment
         for other in admitted.pools.get(r.head.pred, ()):
-            verdict = self.verdicts.get((other, rho))
+            verdict = admitted.verdicts.get((other, rho))
             if verdict is None:
-                verdict = self.verdicts[other, rho] = (
+                verdict = admitted.verdicts[other, rho] = (
                     may_subsume(other.profile, rho.profile)
                     and subsumes(other.rule, rho.rule))
             if verdict:
@@ -367,12 +341,14 @@ class _Admitted:
     graph and each predicate's pool of distinct head adornments, the
     candidates for resolving its atoms.  An admitted rule's head has its
     adornment representative's head pattern, so a candidate is its
-    adornment."""
+    adornment.  hcont memoises its verdicts here, by (subsumer,
+    subsumed) adornment pair, so they last for one run."""
 
     def __init__(self, rules=()):
         self.rules: dict = {}  # canonical form -> rule
         self.edges: dict = {}
         self.pools: dict = {}  # pred -> adornments sorted by key
+        self.verdicts: dict = {}
         for r in rules:
             self.add(r, canonical_form(r))
 
@@ -406,8 +382,8 @@ class _Engine:
     def __init__(self, p: Program, g: RelaxationFn, h: MembershipFn,
                  max_iterations: int, max_rules: int, rules=()):
         self.p = p
-        self.g = g.start()
-        self.h = h.start()
+        self.g = g
+        self.h = h
         self.max_iterations = max_iterations
         self.max_rules = max_rules
         self.admitted = _Admitted(rules)
@@ -436,6 +412,7 @@ class _Engine:
                      for body in inst_bodies for a in body]
         rho0_body += [sigma.apply_atom(a) for a in edb_atoms]
         rho0 = Rule(Atom(rule.head.pred, head_terms), tuple(rho0_body))
+        self.g = self.g.then(rho0)
         head = Atom(rule.head.pred, head_terms, relax(self.g, rho0))
         body = tuple(
             Atom(atom.pred, sigma.apply_terms(atom.terms), adn)

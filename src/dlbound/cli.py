@@ -96,8 +96,7 @@ def _emit(args, payload: dict, human: str) -> None:
             sys.stdout.write("\n")
 
 
-def cmd_adorn(args) -> int:
-    p = parse_program(_read(args.program))
+def cmd_adorn(p, args) -> int:
     g = make_relaxation(args.relax)
     h = MembershipFn({"eq": "heq", "cont": "hcont"}[args.membership])
     try:
@@ -109,8 +108,7 @@ def cmd_adorn(args) -> int:
     return 0
 
 
-def cmd_widths(args) -> int:
-    p = parse_program(_read(args.program))
+def cmd_widths(p, args) -> int:
     pi = _adorned(p)
     mode = "fractional" if args.fractional else "integral"
     per = {q: width_of_predicate(pi, q, mode)
@@ -127,8 +125,7 @@ def cmd_widths(args) -> int:
     return 0
 
 
-def cmd_bounds(args) -> int:
-    p = parse_program(_read(args.program))
+def cmd_bounds(p, args) -> int:
     pi = _adorned(p)
     report = size_report(p, pi, args.n)
     human_lines = []
@@ -141,8 +138,7 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def cmd_boundedness(args) -> int:
-    p = parse_program(_read(args.program))
+def cmd_boundedness(p, args) -> int:
     outcome = check_boundedness(p, budget=args.budget,
                                 max_rules=args.max_rules,
                                 max_sweeps=args.max_sweeps)
@@ -170,15 +166,13 @@ def cmd_boundedness(args) -> int:
     return 1
 
 
-def cmd_minimize(args) -> int:
-    p = parse_program(_read(args.program))
+def cmd_minimize(p, args) -> int:
     pi = minimize_program(_adorned(p))
     _emit(args, {"rules": [format_rule(r) for r in pi.rules]}, pi.pretty())
     return 0
 
 
-def cmd_eval(args) -> int:
-    p = parse_program(_read(args.program))
+def cmd_eval(p, args) -> int:
     d = parse_edb(_read(args.edb))
     if args.horn:
         pi = _adorned(p)
@@ -199,15 +193,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_classify(args) -> int:
-    p = parse_program(_read(args.program))
+def cmd_classify(p, args) -> int:
     classes = sorted(classify_program(p))
     _emit(args, {"classes": classes}, " ".join(classes) or "(none)")
     return 0
 
 
-def cmd_complexity(args) -> int:
-    p = parse_program(_read(args.program))
+def cmd_complexity(p, args) -> int:
     pi = _adorned(p)
     report = complexity_report(p, pi)
     human = [f"classes: {' '.join(report.classes) or '(none)'}",
@@ -235,8 +227,7 @@ def _tuple_covered(t, adornments, d, k, index) -> bool:
     return False
 
 
-def cmd_verify(args) -> int:
-    p = parse_program(_read(args.program))
+def cmd_verify(p, args) -> int:
     d = parse_edb(_read(args.edb))
     pi = _adorned(p)
 
@@ -332,7 +323,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return args.fn(parse_program(_read(args.program)), args)
     except (DatalogError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

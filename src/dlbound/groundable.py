@@ -241,7 +241,7 @@ def complexity_report(p: Program, pi: AdornedProgram) -> ComplexityReport:
     simple-chain bound of 2 or a symbolic placeholder is reported.
     """
     classes = classify_program(p)
-    f = len({r.head.adornment.key for r in pi.rules})
+    f = sum(map(len, pi.adornment_map().values()))
     ew = Fraction(width_of_program(pi, "fractional"))
     small = all(len(r.body) <= 5 and len(r.all_vars()) <= 8
                 for r in p.rules)

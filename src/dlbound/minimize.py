@@ -25,17 +25,12 @@ def minimize_program(pi: AdornedProgram) -> AdornedProgram:
             mapping[adn.key] = relax(gmin, adn.rule)
         return replace(atom, adornment=mapping[adn.key])
 
-    new_rules = []
-    keys = set()
+    new_rules: dict = {}  # canonical form -> first rule of that form
     for r in pi.rules:
         nr = Rule(rewrite(r.head), tuple(rewrite(a) for a in r.body))
-        key = canonical_form(nr)
-        if key in keys:
-            continue
-        keys.add(key)
-        new_rules.append(nr)
-    new_rules.sort(key=canonical_form)
-    return AdornedProgram(rules=tuple(new_rules), source=pi.source)
+        new_rules.setdefault(canonical_form(nr), nr)
+    return AdornedProgram(rules=tuple(new_rules[k] for k in sorted(new_rules)),
+                          source=pi.source)
 
 
 def _adornment_minimal(adn: Adornment) -> bool:

@@ -191,7 +191,7 @@ def width_of_predicate(pi: AdornedProgram, q: str,
 
 def width_of_program(pi: AdornedProgram, mode: str = "integral") -> Fraction:
     widths = [width_of_adornment(a, mode)
-              for a in dict.fromkeys(r.head.adornment for r in pi.rules)]
+              for adns in pi.adornment_map().values() for a in adns]
     if not widths:
         raise ValidationError("program has no adorned rules")
     return max(widths)

@@ -1,6 +1,8 @@
 """Adornments, relaxation/membership functions, and the fixpoint engine."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from types import SimpleNamespace
 
@@ -51,21 +53,25 @@ def test_gout_drops_redundant_patterns():
 
 
 def test_gk_identity_below_budget():
-    g = GK(2).start()
-    r = rule("q(X) :- e(X,Y), f(Y).")
-    assert relax(g, r).key == adn_key("q(X) :- e(X,Y), f(Y).")
-    assert not g.triggered
+    g = GK(2)
+    small = rule("q(X) :- e(X,Y), f(Y).")
+    assert g.then(small) is g
+    assert relax(g, small).key == adn_key("q(X) :- e(X,Y), f(Y).")
 
 
 def test_gk_triggers_and_sticks():
-    g = GK(2).start()
+    g = GK(2)
     big = rule("q(X) :- e(X,A), e(A,B), e(B,C).")
-    assert relax(g, big).key == adn_key("q(X) :- e(X,W).")
-    assert g.triggered
+    run = g.then(big)
+    assert isinstance(run, GOut)
+    assert relax(run, big).key == adn_key("q(X) :- e(X,W).")
     # sticky: even small rules now get the output relaxation, which also
     # drops the resulting all-wildcard f atom
     small = rule("q(X) :- e(X,Y), f(Y).")
-    assert relax(g, small).key == adn_key("q(X) :- e(X,W).")
+    assert run.then(small) is run
+    assert relax(run, small).key == adn_key("q(X) :- e(X,W).")
+    # the switch belongs to the run: the original GK is unchanged
+    assert relax(g, small).key == adn_key("q(X) :- e(X,Y), f(Y).")
 
 
 def test_gk_reused_across_runs_is_pure():
@@ -340,4 +346,25 @@ def test_hcont_reused_across_runs_is_pure():
     h = MembershipFn("hcont")
     assert run(h, TC_SRC) == run(MembershipFn("hcont"), TC_SRC)
     assert run(h, reach) == run(MembershipFn("hcont"), reach)
-    assert h.verdicts == {}
+    assert vars(h) == {"name": "hcont"}
+
+
+@pytest.mark.parametrize("membership", ["heq", "hcont"])
+def test_shared_relaxation_and_membership_across_threads(membership):
+    # one GK and one MembershipFn, used by several runs at once, give
+    # what fresh objects give one run at a time
+    programs = list(random_programs(43, 40))
+
+    def adorn_all(g, h):
+        return [adorn_program(p, g, h).pretty() for p in programs]
+
+    fresh = adorn_all(GK(2), MembershipFn(membership))
+    g, h = GK(2), MembershipFn(membership)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the runs finely
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(lambda _: adorn_all(g, h), range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [fresh] * 4

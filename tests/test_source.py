@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -145,3 +147,21 @@ def test_no_constant_private_parameters():
     src = Path(dlbound.__file__).parent
     texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
     assert not constant_private_parameters(texts)
+
+
+def test_bench_layers_resolve():
+    # the traced bench patches each layer by name; a renamed function or
+    # method would otherwise break only the traced runs
+    path = Path(__file__).parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, _ in tracing.LAYERS.values():
+        owner = importlib.import_module(f"dlbound.{module}")
+        cls_name, _, name = attr.rpartition(".")
+        if cls_name:
+            owner = getattr(owner, cls_name, None)
+        if not callable(getattr(owner, "__dict__", {}).get(name)):
+            missing.append(f"{module}.{attr}")
+    assert not missing
