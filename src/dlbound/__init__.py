@@ -29,8 +29,7 @@ from .minimize import is_minimal, minimize_program
 from .evaluate import (
     BoundednessViolation, EDBInstance, IDBResult, RuleBoundedReport,
     check_rule_bounded, eval_cq, evaluate, generate_tightness_instance,
-    parse_edb, tightness_bound, union_adorned, value_cover_index,
-    value_cover_ok,
+    parse_edb, tightness_bound, union_adorned, value_cover_ok,
 )
 from .groundable import (
     ADORNMENT_GROUNDABLE, ComplexityBound, ComplexityReport, LINEAR,

@@ -471,10 +471,10 @@ def adorn_program(p: Program, g: RelaxationFn | str,
     return _Engine(p, g, h, max_iterations, max_rules).run()
 
 
-def fixpoint_stable(p: Program, pi: AdornedProgram, g: RelaxationFn,
+def fixpoint_stable(pi: AdornedProgram, g: RelaxationFn,
                     h: MembershipFn) -> bool:
     """Re-run one sweep over pi's rules; true iff nothing new is admitted."""
-    engine = _Engine(p, g, h, max_iterations=1, max_rules=10 ** 9,
+    engine = _Engine(pi.source, g, h, max_iterations=1, max_rules=10 ** 9,
                      rules=pi.rules)
     try:
         engine.run()  # a second sweep, run only after an admission, raises

@@ -23,8 +23,7 @@ from .boundedness import (
 )
 from .minimize import minimize_program
 from .evaluate import (
-    check_rule_bounded, evaluate, parse_edb, union_adorned,
-    value_cover_index, value_cover_ok,
+    check_rule_bounded, evaluate, parse_edb, union_adorned, value_cover_ok,
 )
 from .groundable import classify_program, complexity_report, \
     horn_ground_evaluate
@@ -127,7 +126,7 @@ def cmd_widths(p, args) -> int:
 
 def cmd_bounds(p, args) -> int:
     pi = _adorned(p)
-    report = size_report(p, pi, args.n)
+    report = size_report(pi, args.n)
     human_lines = []
     for pb in report.predicates:
         human_lines.append(
@@ -176,7 +175,7 @@ def cmd_eval(p, args) -> int:
     d = parse_edb(_read(args.edb))
     if args.horn:
         pi = _adorned(p)
-        result = horn_ground_evaluate(p, pi, d)
+        result = horn_ground_evaluate(pi, d)
         # an IDB predicate without an adornment derives nothing
         adorned = pi.adornment_map()
         rels = {q: union_adorned(result, q) if q in adorned else ()
@@ -201,7 +200,7 @@ def cmd_classify(p, args) -> int:
 
 def cmd_complexity(p, args) -> int:
     pi = _adorned(p)
-    report = complexity_report(p, pi)
+    report = complexity_report(pi)
     human = [f"classes: {' '.join(report.classes) or '(none)'}",
              f"f={report.f} |P|={report.rule_count} ew={report.ew} "
              f"fchw={report.fchw} ({report.fchw_mode})"]
@@ -210,7 +209,7 @@ def cmd_complexity(p, args) -> int:
     return 0
 
 
-def _tuple_covered(t, adornments, d, k, index) -> bool:
+def _tuple_covered(t, adornments, d, k) -> bool:
     # only positions the deriving adornment leaves variable need covering;
     # accept the tuple if any adornment of the predicate covers it
     for a in adornments:
@@ -222,7 +221,7 @@ def _tuple_covered(t, adornments, d, k, index) -> bool:
             else:
                 vals.append(v)
         else:
-            if value_cover_ok(vals, d, k, index):
+            if value_cover_ok(vals, d, k):
                 return True
     return False
 
@@ -248,14 +247,13 @@ def cmd_verify(p, args) -> int:
         failures.append(
             f"rule {v.rule_index} derived unbounded tuple {v.tuple_value}")
 
-    index = value_cover_index(d)
     for q in sorted(p.idb):
         adns = adornments_of(pi, q)
         if not adns:
             continue
         k = int(width_of_predicate(pi, q, "integral"))
         for t in sorted(plain.get(q), key=repr):
-            if k >= 1 and not _tuple_covered(t, adns, d, k, index):
+            if k >= 1 and not _tuple_covered(t, adns, d, k):
                 failures.append(f"value cover failed for {q}{t} at k={k}")
 
     payload = {"ok": not failures, "failures": failures}

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .core import (
@@ -18,12 +19,16 @@ from .sizebound import SchemaStats, bound1
 
 @dataclass(frozen=True)
 class EDBInstance:
-    """Ground facts: relation name -> set of constant tuples."""
+    """Ground facts: relation name -> set of constant tuples.  Its join
+    sources and value-cover index are made on first use and kept, so
+    every evaluation and check over one instance shares them."""
     relations: tuple  # of (name, frozenset of tuples)
     _by_name: dict = field(init=False, repr=False, compare=False)
+    _sources: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_by_name", dict(self.relations))
+        object.__setattr__(self, "_sources", {})
 
     @classmethod
     def of(cls, mapping) -> "EDBInstance":
@@ -43,6 +48,28 @@ class EDBInstance:
 
     def get(self, name: str) -> frozenset:
         return self._by_name.get(name, frozenset())
+
+    def source(self, name: str, arity: int) -> tuple:
+        """The relation as the one-part join source of an atom of `arity`
+        (empty when its tuples have another arity), with its hash
+        indexes."""
+        src = self._sources.get((name, arity))
+        if src is None:
+            rows = self.get(name)
+            if rows and len(next(iter(rows))) != arity:
+                rows = frozenset()
+            src = self._sources.setdefault((name, arity), (_Relation(rows),))
+        return src
+
+    @cached_property
+    def value_cover_index(self) -> dict:
+        """Value -> the distinct value sets of the tuples holding it."""
+        index: dict = {}
+        for vals in {frozenset(row) for _, tuples in self.relations
+                     for row in tuples}:
+            for v in vals:
+                index.setdefault(v, []).append(vals)
+        return index
 
     @property
     def n(self) -> int:
@@ -184,30 +211,6 @@ def union_adorned(result: IDBResult, q: str) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# EDB relations for the join kernel
-
-
-class _EDBRelations:
-    """The EDB relations of one instance as indexed _Relations, made on
-    first use and shared by every join that holds this object."""
-
-    def __init__(self, d: EDBInstance):
-        self.d = d
-        self._rels: dict = {}
-
-    def get(self, name: str, arity: int) -> tuple:
-        """The relation as the one-part source of an atom of `arity`
-        (empty when its tuples have another arity)."""
-        src = self._rels.get((name, arity))
-        if src is None:
-            rows = self.d.get(name)
-            if rows and len(next(iter(rows))) != arity:
-                rows = frozenset()
-            src = self._rels[(name, arity)] = (_Relation(rows),)
-        return src
-
-
-# ---------------------------------------------------------------------------
 # Evaluation core
 
 
@@ -228,10 +231,10 @@ class _ERule:
         head = self.head
         return {head(slots) for slots in self.join.run(sources)}
 
-    def sources(self, idb, edb) -> list:
+    def sources(self, idb, d) -> list:
         """Each body atom's source: its IDB relation in `idb` (indexed by
-        key), or its EDB relation."""
-        return [(idb[key],) if is_idb else edb.get(key, arity)
+        key), or its relation in d."""
+        return [(idb[key],) if is_idb else d.source(key, arity)
                 for key, arity, is_idb in self.body]
 
 
@@ -263,11 +266,10 @@ def evaluate(prog, d: EDBInstance, method: str = "seminaive") -> IDBResult:
     """Least fixpoint of prog over d (exact, deterministic)."""
     rules, idb_keys, source = _normalize(prog)
     d.check_schema(source)
-    edb = _EDBRelations(d)
     if method == "naive":
-        rels = _naive(rules, len(idb_keys), edb)
+        rels = _naive(rules, len(idb_keys), d)
     elif method == "seminaive":
-        rels = _seminaive(rules, len(idb_keys), edb)
+        rels = _seminaive(rules, len(idb_keys), d)
     else:
         raise ValueError(f"unknown method {method!r}")
     return IDBResult(tuple(sorted(
@@ -275,13 +277,13 @@ def evaluate(prog, d: EDBInstance, method: str = "seminaive") -> IDBResult:
         key=lambda item: getattr(item[0], "key", item[0]))))
 
 
-def _naive(rules, n_idb, edb):
+def _naive(rules, n_idb, d):
     rels = [_Relation(set()) for _ in range(n_idb)]
     changed = True
     while changed:
         changed = False
         for rule in rules:
-            new = rule.apply(rule.sources(rels, edb)) \
+            new = rule.apply(rule.sources(rels, d)) \
                 - rels[rule.head_key].rows
             if new:
                 rels[rule.head_key].add(new)
@@ -289,7 +291,7 @@ def _naive(rules, n_idb, edb):
     return rels
 
 
-def _seminaive(rules, n_idb, edb):
+def _seminaive(rules, n_idb, d):
     full = [_Relation(set()) for _ in range(n_idb)]
     delta = [set() for _ in range(n_idb)]
 
@@ -297,7 +299,7 @@ def _seminaive(rules, n_idb, edb):
     for rule in rules:
         if not rule.idb_positions:
             delta[rule.head_key] |= rule.apply(
-                [edb.get(key, arity) for key, arity, _ in rule.body])
+                [d.source(key, arity) for key, arity, _ in rule.body])
 
     # body atoms before the pivot read the old full relation, the pivot
     # reads the delta, and atoms after it read full and delta (disjoint)
@@ -307,7 +309,7 @@ def _seminaive(rules, n_idb, edb):
         for rule in rules:
             for pivot in rule.idb_positions:
                 sources = [
-                    edb.get(key, arity) if not is_idb
+                    d.source(key, arity) if not is_idb
                     else (full[key],) if j < pivot
                     else (parts[key],) if j == pivot
                     else (full[key], parts[key])
@@ -321,7 +323,8 @@ def _seminaive(rules, n_idb, edb):
     return full
 
 
-def _eval_cq(rule: Rule, edb: _EDBRelations) -> frozenset:
+def eval_cq(rule: Rule, d: EDBInstance) -> frozenset:
+    """Evaluate a single EDB-only rule as a conjunctive query over d."""
     if not rule.body:
         for t in rule.head.terms:
             if isinstance(t, Var):
@@ -329,13 +332,8 @@ def _eval_cq(rule: Rule, edb: _EDBRelations) -> frozenset:
                     "empty-body query with head variables")
     join = _Join([a.terms for a in rule.body])
     head = join.getter(rule.head.terms)
-    sources = [edb.get(a.pred, a.arity) for a in rule.body]
+    sources = [d.source(a.pred, a.arity) for a in rule.body]
     return frozenset(head(slots) for slots in join.run(sources))
-
-
-def eval_cq(rule: Rule, d: EDBInstance) -> frozenset:
-    """Evaluate a single EDB-only rule as a conjunctive query over d."""
-    return _eval_cq(rule, _EDBRelations(d))
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +365,13 @@ def check_rule_bounded(pi: AdornedProgram, d: EDBInstance,
         result = evaluate(pi, d)
     erules, idb_keys, _ = _normalize(pi)
     idb = [_Relation(result.get(key)) for key in idb_keys]
-    edb = _EDBRelations(d)
     violations = []
     allowed_by: dict = {}
     for idx, (rule, erule) in enumerate(zip(pi.rules, erules)):
-        derived = erule.apply(erule.sources(idb, edb))
+        derived = erule.apply(erule.sources(idb, d))
         adn = rule.head.adornment
         if adn not in allowed_by:
-            allowed_by[adn] = _eval_cq(adn.rule, edb)
+            allowed_by[adn] = eval_cq(adn.rule, d)
         allowed = allowed_by[adn]
         # ints before symbols, so mixed tuples sort too
         for t in sorted(derived - allowed, key=lambda row: tuple(
@@ -383,23 +380,11 @@ def check_rule_bounded(pi: AdornedProgram, d: EDBInstance,
     return RuleBoundedReport(tuple(violations))
 
 
-def value_cover_index(d: EDBInstance) -> dict:
-    """Value -> the distinct value sets of the EDB tuples holding it."""
-    index: dict = {}
-    for vals in {frozenset(row) for _, tuples in d.relations
-                 for row in tuples}:
-        for v in vals:
-            index.setdefault(v, []).append(vals)
-    return index
-
-
-def value_cover_ok(values, d: EDBInstance, k: int,
-                   index: dict | None = None) -> bool:
-    """Can every value be found within at most k EDB tuples?  A search
-    that branches on the value held by the fewest tuples.  `index`, if
-    given, is `value_cover_index(d)`."""
-    if index is None:
-        index = value_cover_index(d)
+def value_cover_ok(values, d: EDBInstance, k: int) -> bool:
+    """Can every value be found within at most k EDB tuples?  A search on
+    d's value-cover index that branches on the value held by the fewest
+    tuples."""
+    index = d.value_cover_index
 
     def rec(remaining, depth):
         if not remaining:

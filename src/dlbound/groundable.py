@@ -13,10 +13,8 @@ from .core import (
     min_cover,
 )
 from .adorn import AdornedProgram
-from .evaluate import (
-    EDBInstance, IDBResult, _EDBRelations, _eval_cq, _relation_key,
-)
-from .join import _Join
+from .evaluate import EDBInstance, IDBResult, _relation_key, eval_cq
+from .join import _Join, _Relation
 from .width import hypergraph_of, width_of_program
 
 
@@ -59,13 +57,12 @@ def _rule_groundable(r: Rule, p: Program) -> bool:
 # Horn grounding
 
 
-def horn_ground_evaluate(p: Program, pi: AdornedProgram,
-                         d: EDBInstance) -> IDBResult:
+def horn_ground_evaluate(pi: AdornedProgram, d: EDBInstance) -> IDBResult:
     """Evaluate pi by grounding every rule into propositional Horn clauses
     and running linear-time unit propagation."""
-    if ADORNMENT_GROUNDABLE not in classify_program(p):
+    if ADORNMENT_GROUNDABLE not in classify_program(pi.source):
         raise ValidationError("program is not adornment groundable")
-    d.check_schema(p)
+    d.check_schema(pi.source)
     facts, apreds, _ = horn_clauses(pi, d)
     return IDBResult(tuple(sorted(zip(apreds, facts),
                                   key=lambda item: item[0].key)))
@@ -76,16 +73,16 @@ def horn_clauses(pi: AdornedProgram, d: EDBInstance):
     unit propagation on each clause as it is generated (Dowling &
     Gallier, J. Logic Programming 1984).
 
-    Groundings of a rule come from joining its EDB body atoms over d;
-    head variables the EDB atoms leave open take their values from the
-    join of the head adornment's body atoms that hold one, projected
-    onto them.  Every tuple the rule derives is an answer of its head
-    adornment, so no derivation is lost.  Ground facts are ints.  A
-    clause whose head is derived is dropped; one whose body facts are
-    all derived derives its head at once.  Otherwise the clause waits on
-    its missing facts: on one, as its head in that fact's list; on
-    several distinct ones, as a [missing, head] entry shared by their
-    lists.  The derived facts do not depend on the order of the clauses.
+    Groundings of a rule come from joining its EDB body atoms over d with
+    one more atom, the picks: the answers of the head adornment's body
+    atoms that hold a head variable the EDB atoms leave open, projected
+    onto every head variable those atoms hold.  Every tuple the rule
+    derives is an answer of its head adornment, so no derivation is
+    lost.  Ground facts are ints.  A clause whose head is derived is
+    dropped; one whose body facts are all derived derives its head at
+    once.  Otherwise the clause waits on its missing facts: on one, as
+    its head in that fact's list; on several distinct ones, as a
+    [missing, head] entry shared by their lists.  The derived facts do not depend on the order of the clauses.
     Returns the derived tuples of each adorned predicate, the adorned
     predicates (their adornments), and the number of groundings
     generated, each counted, also when it repeats an earlier clause.
@@ -121,73 +118,72 @@ def horn_clauses(pi: AdornedProgram, d: EDBInstance):
                     derived[entry[1]] = 1
                     stack.append(entry[1])
 
-    edb = _EDBRelations(d)
     groundings = 0
     for rule in pi.rules:
         adn = rule.head.adornment
         idb_atoms = [a for a in rule.body if a.pred in pi.source.idb]
         edb_atoms = [a for a in rule.body if a.pred not in pi.source.idb]
-        join = _Join([a.terms for a in edb_atoms])
-        open_vars = [v for v in rule.head.vars() if v not in join.bound]
-        assert {v for a in idb_atoms for v in a.vars()} <= \
-            join.bound | set(open_vars)
-        # the open variables get fresh, consecutive slots
-        lo = len(join.init)
-        for v in open_vars:
-            join.slot(v)
-        hi = len(join.init)
-        # the adornment's variables for the open ones: its head has the
+        atoms = [a.terms for a in edb_atoms]
+        sources = [d.source(a.pred, a.arity) for a in edb_atoms]
+        edb_vars = {v for a in edb_atoms for v in a.vars()}
+        # the adornment's variables for the rule head's: its head has the
         # rule head's pattern
         canon = {t.name: c for t, c in zip(rule.head.terms,
                                            adn.rule.head.terms)
                  if isinstance(t, Var)}
-        wanted = {canon[v].name for v in open_vars}
-        picks = _eval_cq(Rule(
-            Atom(adn.base, tuple(canon[v] for v in open_vars)),
-            tuple(a for a in adn.rule.body
-                  if wanted.intersection(a.vars()))), edb)
+        wanted = {canon[v].name for v in rule.head.vars()
+                  if v not in edb_vars}
+        if wanted:
+            held = [a for a in adn.rule.body if wanted.intersection(a.vars())]
+            held_vars = {v for a in held for v in a.vars()}
+            pick_vars = [v for v in rule.head.vars()
+                         if canon[v].name in held_vars]
+            picks = eval_cq(Rule(
+                Atom(adn.base, tuple(canon[v] for v in pick_vars)),
+                tuple(held)), d)
+            atoms.append(tuple(Var(v) for v in pick_vars))
+            sources.append((_Relation(picks),))
+        join = _Join(atoms)
+        assert {v for a in rule.body for v in a.vars()} <= join.bound
         head_ids = ids_of(rule.head)
         head = join.getter(rule.head.terms)
         body = [(ids_of(a), join.getter(a.terms)) for a in idb_atoms]
         single = len(body) == 1
         if single:
             [(one_ids, one)] = body
-        sources = [edb.get(a.pred, a.arity) for a in edb_atoms]
         for slots in join.run(sources):
-            groundings += len(picks)
-            for pick in picks:
-                slots[lo:hi] = pick
-                # fact_id inlined for the head and a single body atom:
-                # this loop runs once per grounding
-                t = head(slots)
-                h = head_ids.get(t)
-                if h is None:
-                    h = head_ids[t] = len(derived)
+            groundings += 1
+            # fact_id inlined for the head and a single body atom: this
+            # loop runs once per grounding
+            t = head(slots)
+            h = head_ids.get(t)
+            if h is None:
+                h = head_ids[t] = len(derived)
+                derived.append(0)
+            elif derived[h]:
+                continue
+            if single:
+                t = one(slots)
+                b = one_ids.get(t)
+                if b is None:
+                    b = one_ids[t] = len(derived)
                     derived.append(0)
-                elif derived[h]:
-                    continue
-                if single:
-                    t = one(slots)
-                    b = one_ids.get(t)
-                    if b is None:
-                        b = one_ids[t] = len(derived)
-                        derived.append(0)
-                    elif derived[b]:
-                        derive(h)
-                        continue
-                    waiting[b].append(h)
-                    continue
-                missing = {b for b in [fact_id(ids, get(slots))
-                                       for ids, get in body]
-                           if not derived[b]}
-                if not missing:
+                elif derived[b]:
                     derive(h)
-                elif len(missing) == 1:
-                    waiting[missing.pop()].append(h)
-                else:
-                    entry = [len(missing), h]
-                    for f in missing:
-                        shared[f].append(entry)
+                    continue
+                waiting[b].append(h)
+                continue
+            missing = {b for b in [fact_id(ids, get(slots))
+                                   for ids, get in body]
+                       if not derived[b]}
+            if not missing:
+                derive(h)
+            elif len(missing) == 1:
+                waiting[missing.pop()].append(h)
+            else:
+                entry = [len(missing), h]
+                for f in missing:
+                    shared[f].append(entry)
     facts = [frozenset(t for t, f in ids.items() if derived[f])
              for ids in by_pred.values()]
     return facts, list(by_pred), groundings
@@ -233,13 +229,14 @@ class ComplexityReport:
         }
 
 
-def complexity_report(p: Program, pi: AdornedProgram) -> ComplexityReport:
+def complexity_report(pi: AdornedProgram) -> ComplexityReport:
     """Applicable evaluation-time bounds with the numbers filled in.
 
     fchw is exact, by a DP over eliminated sets (integral variant, an
     upper bound on the fractional one), only on small rules; otherwise the
     simple-chain bound of 2 or a symbolic placeholder is reported.
     """
+    p = pi.source
     classes = classify_program(p)
     f = sum(map(len, pi.adornment_map().values()))
     ew = Fraction(width_of_program(pi, "fractional"))

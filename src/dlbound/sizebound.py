@@ -194,8 +194,9 @@ class SizeBoundReport:
         }
 
 
-def size_report(p: Program, pi: AdornedProgram, n: int) -> SizeBoundReport:
+def size_report(pi: AdornedProgram, n: int) -> SizeBoundReport:
     """Per-IDB width, coefficient, and bound figures for EDBs of size <= n."""
+    p = pi.source
     entries = []
     for q in sorted(p.idb):
         stats = SchemaStats.of(p, q)

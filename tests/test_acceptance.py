@@ -48,7 +48,7 @@ def test_acceptance_1_tc_golden_adornment():
     assert width_of_predicate(pi, "tc", "integral") == 2
     assert width_of_predicate(pi, "tc", "fractional") == 2
     from dlbound import size_report
-    assert size_report(p, pi, 2).for_predicate("tc").f_exact == 2
+    assert size_report(pi, 2).for_predicate("tc").f_exact == 2
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -190,7 +190,7 @@ def test_acceptance_7_horn_grounding():
         pi = adorn_program(p, GOut(), MembershipFn("heq"))
         amap = pi.adornment_map()
         d = random_edb(p, rng)
-        got = horn_ground_evaluate(p, pi, d)
+        got = horn_ground_evaluate(pi, d)
         want = evaluate(pi, d)
         for q in p.idb:
             if amap.get(q):

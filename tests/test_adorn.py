@@ -183,7 +183,7 @@ def test_tc_three_rules():
 def test_tc_fixpoint_stable():
     p = parse_program(TC_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
-    assert fixpoint_stable(p, pi, GOut(), MembershipFn("heq"))
+    assert fixpoint_stable(pi, GOut(), MembershipFn("heq"))
 
 
 def test_adorned_pretty_golden():

@@ -3,15 +3,17 @@ rule boundedness, value covers, and the tightness-instance generator."""
 
 import importlib
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from dlbound import (
-    Adornment, AdornedProgram, Atom, Const, EDBInstance, GOut, IDBResult,
-    MembershipFn, Rule, ValidationError, Var, adorn_program,
-    check_rule_bounded, eval_cq, evaluate, generate_tightness_instance,
-    parse_edb, parse_program, tightness_bound, union_adorned,
-    value_cover_index, value_cover_ok,
+    ADORNMENT_GROUNDABLE, Adornment, AdornedProgram, Atom, Const,
+    EDBInstance, GOut, IDBResult, MembershipFn, Rule, ValidationError, Var,
+    adorn_program, check_rule_bounded, classify_program, eval_cq, evaluate,
+    generate_tightness_instance, horn_ground_evaluate, parse_edb,
+    parse_program, tightness_bound, union_adorned, value_cover_ok,
 )
 from dlbound.join import _Join, _Relation
 
@@ -87,6 +89,14 @@ def test_eval_cq():
     assert eval_cq(r, d) == {(1, 3)}
 
 
+def test_atom_of_another_arity_reads_its_relation_as_empty():
+    d = parse_edb("e(1,2). f(3).")
+    both = parse_program("q(X) :- e(X), f(X).").rules[0]
+    assert eval_cq(both, d) == frozenset()
+    assert eval_cq(parse_program("q(X) :- e(X).").rules[0], d) == frozenset()
+    assert eval_cq(parse_program("q(X) :- f(X).").rules[0], d) == {(3,)}
+
+
 def test_check_rule_bounded_clean():
     p = parse_program(TC_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
@@ -156,14 +166,12 @@ def test_value_cover_matches_brute_force():
             f"e{ar}": {tuple(rng.choice(vals) for _ in range(ar))
                        for _ in range(rng.randint(0, 5))}
             for ar in (1, 2, 3)})
-        index = value_cover_index(d)
         for _ in range(10):
             values = [rng.choice(range(len(vals) + 1))
                       for _ in range(rng.randint(0, 4))]
             for k in range(4):
                 want = brute_force_value_cover(values, d, k)
                 assert value_cover_ok(values, d, k) == want
-                assert value_cover_ok(values, d, k, index) == want
                 verdicts.add(want)
     assert verdicts == {True, False}
 
@@ -390,3 +398,44 @@ def test_parse_edb_matches_token_parser(monkeypatch):
     assert len(by_pattern) > 1000
     errors = sum(isinstance(r, tuple) for r in results)
     assert 300 < errors < len(texts) - 1000
+
+
+def test_shared_instance_across_threads():
+    # one EDBInstance per program, its join sources and value-cover index
+    # made on first use by several threads at once, gives what a fresh
+    # instance gives one run at a time
+    rng = random.Random(97)
+    cases = []
+    for p in random_programs(101, 40):
+        try:
+            pi = adorn_program(p, GOut(), MembershipFn("heq"))
+        except Exception:
+            continue
+        cases.append((p, pi, random_edb(p, rng)))
+
+    def check(p, pi, d):
+        result = evaluate(pi, d)
+        horn = (horn_ground_evaluate(pi, d)
+                if ADORNMENT_GROUNDABLE in classify_program(p) else None)
+        covers = tuple(value_cover_ok(t, d, k) for _, ts in result.relations
+                       for t in sorted(ts, key=repr) for k in (1, 2))
+        return result, check_rule_bounded(pi, d, result), horn, covers
+
+    def check_all(fresh):
+        return [check(p, pi, EDBInstance.of(d.relations) if fresh else d)
+                for p, pi, d in cases]
+
+    want = check_all(fresh=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the runs finely
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(lambda _: check_all(fresh=False), range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [want] * 4
+    assert sum(horn is not None for _, _, horn, _ in want) >= 5
+    for _, _, d in cases:
+        for name, tuples in d.relations:
+            for k in {len(t) for t in tuples}:
+                assert d.source(name, k) is d.source(name, k)

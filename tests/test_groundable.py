@@ -53,7 +53,7 @@ def test_horn_equals_seminaive_tc():
     p = parse_program(TC_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
     d = parse_edb("e(1,2). e(2,3). e(3,1). e(2,4).")
-    got = horn_ground_evaluate(p, pi, d)
+    got = horn_ground_evaluate(pi, d)
     assert union_adorned(got, "tc") == evaluate(p, d).get("tc")
 
 
@@ -61,7 +61,7 @@ def test_horn_rejects_non_groundable():
     p = parse_program("q(X) :- e(X,Y), f(Y,X).")
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
     with pytest.raises(ValidationError):
-        horn_ground_evaluate(p, pi, parse_edb("e(1,2). f(2,1)."))
+        horn_ground_evaluate(pi, parse_edb("e(1,2). f(2,1)."))
 
 
 def test_horn_equals_seminaive_corpus():
@@ -75,7 +75,7 @@ def test_horn_equals_seminaive_corpus():
         except Exception:
             continue
         d = random_edb(p, rng)
-        got = horn_ground_evaluate(p, pi, d)
+        got = horn_ground_evaluate(pi, d)
         want = evaluate(pi, d)
         for q in sorted(p.idb):
             if pi.adornment_map().get(q):
@@ -87,7 +87,7 @@ def test_horn_equals_seminaive_corpus():
 def test_complexity_report_tc():
     p = parse_program(TC_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
-    rep = complexity_report(p, pi)
+    rep = complexity_report(pi)
     assert rep.f == 2
     assert rep.ew == 2
     assert rep.fchw == 2
@@ -102,7 +102,7 @@ def test_complexity_report_tc():
 def test_complexity_report_simple_chain_not_groundable():
     p = parse_program("q(X) :- e(X,Y), f(Y,X).")
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
-    rep = complexity_report(p, pi)
+    rep = complexity_report(pi)
     assert SIMPLE_CHAIN in rep.classes
     assert ADORNMENT_GROUNDABLE not in rep.classes
     by_class = {b.applies_to: b for b in rep.bounds}
@@ -248,7 +248,7 @@ def test_horn_seminaive_naive_agree_on_graphs(src, edb_kind):
         assert plain == evaluate(p, d, method="naive")
         semi = evaluate(pi, d)
         assert semi == evaluate(pi, d, method="naive")
-        horn = horn_ground_evaluate(p, pi, d)
+        horn = horn_ground_evaluate(pi, d)
         for q in sorted(p.idb):
             assert union_adorned(horn, q) == union_adorned(semi, q) \
                 == plain.get(q)
@@ -260,7 +260,7 @@ def test_horn_seminaive_naive_agree_on_graphs(src, edb_kind):
 def test_horn_clause_count_grows_as_n_to_the_ew(src):
     p = parse_program(src)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
-    rep = complexity_report(p, pi)
+    rep = complexity_report(pi)
     bound = {b.applies_to: b for b in rep.bounds}[ADORNMENT_GROUNDABLE]
     ew = bound.exponent
     assert ew == rep.ew == 2
@@ -282,7 +282,7 @@ def test_horn_triangle_grounds_within_n_to_the_ew():
     # N^(3/2) of them (Atserias, Grohe & Marx, SICOMP 2013)
     p = parse_program(TRIANGLE_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
-    rep = complexity_report(p, pi)
+    rep = complexity_report(pi)
     ew = {b.applies_to: b for b in rep.bounds}[ADORNMENT_GROUNDABLE].exponent
     assert ew == rep.ew == Fraction(3, 2)
     rng = random.Random(3)
@@ -295,6 +295,19 @@ def test_horn_triangle_grounds_within_n_to_the_ew():
         assert counts[n] <= rep.f * rep.rule_count * n ** ew
     for n in (20, 40, 80):
         assert counts[2 * n] <= counts[n] * 2 ** ew
+
+
+def test_horn_picks_join_the_edb_bound_head_slots():
+    # Y is open, X is bound by flat(X,X): the picks are up's pairs, joined
+    # on X with flat, so only the 4 flat values x pair with their up
+    # neighbours (4 groundings, not 4 * 12 for every up target)
+    p = parse_program(EDB_BOUND_NEIGHBOUR_SRC)
+    pi = adorn_program(p, GOut(), MembershipFn("heq"))
+    d = EDBInstance.of(next(graph_edbs(7))["samegen"])
+    facts, apreds, groundings = horn_clauses(pi, d)
+    assert groundings == 12 + 4
+    semi = evaluate(pi, d)
+    assert facts == [semi.get(adn) for adn in apreds]
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +330,8 @@ def test_horn_independent_of_rule_order(src, edb_kind):
     for edbs in graph_edbs(11):
         d = EDBInstance.of(edbs[edb_kind])
         semi = evaluate(pi, d)
-        horn = horn_ground_evaluate(p, backwards(pi), d)
-        assert horn == horn_ground_evaluate(p, pi, d)
+        horn = horn_ground_evaluate(backwards(pi), d)
+        assert horn == horn_ground_evaluate(pi, d)
         for q in sorted(p.idb):
             assert union_adorned(horn, q) == union_adorned(semi, q)
         assert horn_clauses(backwards(pi), d)[2] == horn_clauses(pi, d)[2]
@@ -341,7 +354,7 @@ def test_horn_repeated_body_fact(src, edb):
     semi = evaluate(pi, d)
     assert union_adorned(semi, "p")
     for prog in (pi, backwards(pi)):
-        horn = horn_ground_evaluate(p, prog, d)
+        horn = horn_ground_evaluate(prog, d)
         for q in sorted(p.idb):
             assert union_adorned(horn, q) == union_adorned(semi, q)
 

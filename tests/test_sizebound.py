@@ -126,7 +126,7 @@ def test_coeff_minimal_le_naive_cap():
 def test_size_report_tc():
     p = parse_program(TC_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
-    rep = size_report(p, pi, 2)
+    rep = size_report(pi, 2)
     pb = rep.for_predicate("tc")
     assert pb.f_exact == 2
     assert pb.ew_integral == 2
@@ -144,7 +144,7 @@ def test_size_report_respects_actual_counts():
     p = parse_program(TC_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
     d = parse_edb("e(1,2). e(2,3).")
-    rep = size_report(p, pi, 2)
+    rep = size_report(pi, 2)
     pb = rep.for_predicate("tc")
     got = len(union_adorned(evaluate(pi, d), "tc"))
     assert got <= pb.bound1 <= pb.bound2
