@@ -4,9 +4,10 @@ engine that rewrites a program into an equivalent EDB-bounded one."""
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from operator import attrgetter
 
 from .core import (
@@ -74,18 +75,15 @@ class AdornedProgram:
     rules: tuple
     source: Program
 
+    @cached_property
+    def graph(self) -> _Graph:
+        """The rules' dependency graph and pools, built on first use."""
+        return _Graph(self.rules)
+
     def adornment_map(self) -> dict:
         """Base predicate -> its rules' distinct head adornments, sorted
-        by key; computed once, for every caller to read."""
-        return self._adornment_map
-
-    @cached_property
-    def _adornment_map(self) -> dict:
-        out: dict = {}
-        for adn in sorted({r.head.adornment for r in self.rules},
-                          key=attrgetter("key")):
-            out.setdefault(adn.base, []).append(adn)
-        return out
+        by key; the graph's pools, for every caller to read."""
+        return self.graph.pools
 
     def pretty(self) -> str:
         return "\n".join(format_rule(r) for r in self.rules) + "\n"
@@ -258,42 +256,6 @@ def make_relaxation(name: str) -> RelaxationFn:
 # Membership functions
 
 
-def dependency_cycle(rules) -> bool:
-    """True iff some adorned predicate reaches itself in the adorned
-    dependency graph of `rules`.  An adorned predicate is named by its
-    adornment's key, which holds the base predicate.
-
-    Iterative depth-first search: a node is on the search path (1) or
-    finished (2), and an edge back onto the path closes a cycle.
-    """
-    edges: dict = {}
-    for r in rules:
-        src = r.head.adornment.key
-        for a in r.body:
-            if a.adornment is not None:
-                edges.setdefault(src, set()).add(a.adornment.key)
-    state: dict = {}
-    for root in edges:
-        if root in state:
-            continue
-        state[root] = 1
-        stack = [(root, iter(edges.get(root, ())))]
-        while stack:
-            node, succ = stack[-1]
-            for nxt in succ:
-                seen = state.get(nxt)
-                if seen == 1:
-                    return True
-                if seen is None:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(edges.get(nxt, ()))))
-                    break
-            else:
-                state[node] = 2
-                stack.pop()
-    return False
-
-
 def h_eq(r: Rule, rules) -> bool:
     return canonical_form(r) in {canonical_form(x) for x in rules}
 
@@ -317,10 +279,10 @@ class MembershipFn:
         by an earlier one; distance profiles settle most pairs."""
         if key in admitted.rules:
             return True
-        if self.name == "heq" or admitted.closes_cycle(r):
+        if self.name == "heq" or admitted.graph.closes_cycle(r):
             return False
         rho = r.head.adornment
-        for other in admitted.pools.get(r.head.pred, ()):
+        for other in admitted.graph.pools.get(r.head.pred, ()):
             verdict = admitted.verdicts.get((other, rho))
             if verdict is None:
                 verdict = admitted.verdicts[other, rho] = (
@@ -335,25 +297,20 @@ class MembershipFn:
 # The fixpoint engine
 
 
-class _Admitted:
-    """An engine run's admitted rules, with what membership and candidate
-    selection read, kept current rule by rule: the adorned dependency
-    graph and each predicate's pool of distinct head adornments, the
-    candidates for resolving its atoms.  An admitted rule's head has its
-    adornment representative's head pattern, so a candidate is its
-    adornment.  hcont memoises its verdicts here, by (subsumer,
-    subsumed) adornment pair, so they last for one run."""
+class _Graph:
+    """The adorned dependency graph of some adorned rules, each head
+    adornment -> its rules' body adornments, and each predicate's pool of
+    distinct head adornments sorted by key, the candidates for resolving
+    its atoms.  An engine run fills one rule by rule; an adorned program
+    builds one from its rules."""
 
     def __init__(self, rules=()):
-        self.rules: dict = {}  # canonical form -> rule
         self.edges: dict = {}
-        self.pools: dict = {}  # pred -> adornments sorted by key
-        self.verdicts: dict = {}
+        self.pools: dict = {}
         for r in rules:
-            self.add(r, canonical_form(r))
+            self.add(r)
 
-    def add(self, r: Rule, key: tuple) -> None:
-        self.rules[key] = r
+    def add(self, r: Rule) -> None:
         adn = r.head.adornment
         self.edges.setdefault(adn, set()).update(
             a.adornment for a in r.body if a.adornment is not None)
@@ -363,7 +320,7 @@ class _Admitted:
             pool.insert(i, adn)
 
     def closes_cycle(self, r: Rule) -> bool:
-        """Would admitting r put its head's adorned predicate on a cycle?"""
+        """Would adding r put its head's adorned predicate on a cycle?"""
         target = r.head.adornment
         stack = [a.adornment for a in r.body if a.adornment is not None]
         stack.extend(self.edges.get(target, ()))
@@ -376,6 +333,39 @@ class _Admitted:
                 seen.add(node)
                 stack.extend(self.edges.get(node, ()))
         return False
+
+    def cyclic(self) -> bool:
+        """Does some adorned predicate reach itself?  Kahn's peeling (CACM
+        1962): drop nodes that no remaining edge enters; what is left lies
+        on a cycle or is reachable from one."""
+        entering = Counter(chain.from_iterable(self.edges.values()))
+        ready = [node for node in self.edges if not entering[node]]
+        for node in ready:  # grows as nodes are dropped
+            for succ in self.edges.get(node, ()):
+                entering[succ] -= 1
+                if not entering[succ]:
+                    ready.append(succ)
+        return any(entering.values())
+
+
+class _Admitted:
+    """An engine run's admitted rules by canonical form, with the graph
+    that membership and candidate selection read, kept current rule by
+    rule.  An admitted rule's head has its adornment representative's
+    head pattern, so a candidate is its adornment.  hcont memoises its
+    verdicts here, by (subsumer, subsumed) adornment pair, so they last
+    for one run."""
+
+    def __init__(self, rules=()):
+        self.rules: dict = {}  # canonical form -> rule
+        self.graph = _Graph()
+        self.verdicts: dict = {}
+        for r in rules:
+            self.add(r, canonical_form(r))
+
+    def add(self, r: Rule, key: tuple) -> None:
+        self.rules[key] = r
+        self.graph.add(r)
 
 
 class _Engine:
@@ -431,7 +421,7 @@ class _Engine:
         for _ in range(self.max_iterations):
             added = False
             # candidates admitted during a sweep wait for the next one
-            per_pred = {q: list(pool) for q, pool in admitted.pools.items()}
+            per_pred = {q: list(a) for q, a in admitted.graph.pools.items()}
             for rule, (idb_atoms, edb_atoms) in zip(self.p.rules, split):
                 pools = [per_pred.get(a.pred, ()) for a in idb_atoms]
                 if not all(pools):

@@ -9,7 +9,6 @@ from .core import Program, Rule, ValidationError
 from .unify import subsumes
 from .adorn import (
     AdornedProgram, BudgetExceeded, GK, Id, MembershipFn, adorn_program,
-    dependency_cycle,
 )
 
 
@@ -70,7 +69,7 @@ def check_boundedness(p: Program, budget: int | None = None,
                            max_iterations=max_sweeps, max_rules=max_rules)
     except BudgetExceeded as exc:
         return Inconclusive(partial=exc.partial, limit=exc.limit)
-    if dependency_cycle(pi.rules):
+    if pi.graph.cyclic():
         return Degraded(program=pi, budget=budget)
     return NonRecursive(program=pi)
 

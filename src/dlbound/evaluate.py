@@ -381,21 +381,21 @@ def check_rule_bounded(pi: AdornedProgram, d: EDBInstance,
 
 
 def value_cover_ok(values, d: EDBInstance, k: int) -> bool:
-    """Can every value be found within at most k EDB tuples?  A search on
-    d's value-cover index that branches on the value held by the fewest
-    tuples."""
+    """Can every value be found within at most k EDB tuples?  A depth-first
+    search on d's value-cover index, one iterator of what each try leaves
+    uncovered per level, branching on the value held by the fewest tuples."""
     index = d.value_cover_index
-
-    def rec(remaining, depth):
-        if not remaining:
+    stack = [iter((frozenset(values),))]
+    while stack:
+        remaining = next(stack[-1], None)
+        if remaining is None:
+            stack.pop()
+        elif not remaining:
             return True
-        if depth == 0:
-            return False
-        v = min(remaining, key=lambda u: len(index.get(u, ())))
-        return any(rec(remaining - vals, depth - 1)
-                   for vals in index.get(v, ()))
-
-    return rec(frozenset(values), k)
+        elif len(stack) <= k:
+            v = min(remaining, key=lambda u: len(index.get(u, ())))
+            stack.append(map(remaining.difference, index.get(v, ())))
+    return False
 
 
 # ---------------------------------------------------------------------------

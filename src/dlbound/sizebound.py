@@ -19,14 +19,16 @@ from .width import width_of_predicate
 
 @lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
-    """Number of partitions of n labeled elements into k unlabeled blocks."""
+    """Number of partitions of n labeled elements into k unlabeled blocks,
+    one row of S(i, j) = j·S(i-1, j) + S(i-1, j-1) at a time."""
     if n < 0 or k < 0:
         raise ValueError("stirling2 requires non-negative arguments")
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
-        return 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    row = [1] + [0] * k  # S(0, j)
+    for i in range(1, n + 1):
+        for j in range(min(i, k), 0, -1):
+            row[j] = j * row[j] + row[j - 1]
+        row[0] = 0
+    return row[k]
 
 
 def permutations(n: int, k: int) -> int:
@@ -118,8 +120,9 @@ def bound2(stats: SchemaStats, ew, n: int) -> int:
     return coeff * pow_ceil(n, Fraction(ew))
 
 
-def coeff_naive(stats: SchemaStats) -> int:
-    """Upper bound on the number of adornments any predicate can take.
+def coeff_naive(stats: SchemaStats) -> int | None:
+    """Upper bound on the number of adornments any predicate can take, or
+    None when longer than the 4,300 digits Python prints by default.
 
     The size-of-program factor counts term occurrences, not rules: the
     underlying argument bounds the pool of constants an adornment head can
@@ -127,8 +130,13 @@ def coeff_naive(stats: SchemaStats) -> int:
     """
     if stats.arq == 0:
         return 1
-    return ((stats.arq + stats.term_count) ** stats.arq
-            * 2 ** (stats.num_edbs * ((stats.arq + 1) ** stats.ear - 1)))
+    exp2 = stats.num_edbs * ((stats.arq + 1) ** stats.ear - 1)
+    # the bound is at least 2 ** (arq + exp2), and 2 ** 14300 > 10 ** 4300:
+    # decide that before forming any power
+    if stats.arq + exp2 >= 14300:
+        return None
+    coeff = (stats.arq + stats.term_count) ** stats.arq * 2 ** exp2
+    return coeff if coeff < 10 ** 4300 else None
 
 
 def coeff_minimal(stats: SchemaStats, ew: int) -> int:
@@ -157,7 +165,7 @@ class PredicateBounds:
     bound1: int | None
     bound2: int | None
     fpt_bound: int | None
-    coeff_naive: int
+    coeff_naive: int | None
     coeff_minimal: int | None
 
     def to_json_dict(self) -> dict:

@@ -8,7 +8,10 @@ import random
 
 import pytest
 
-from dlbound import Const, EDBInstance, Program, Rule, Var, parse_program
+from dlbound import (
+    AdornedProgram, Adornment, Atom, Const, EDBInstance, GOut, MembershipFn,
+    Program, Rule, Var, adorn_program, parse_program,
+)
 
 
 TC_SRC = "tc(X,Y) :- e(X,Y).\ntc(X,Y) :- tc(X,Z), e(Z,Y).\n"
@@ -32,6 +35,24 @@ def tc_program() -> Program:
 @pytest.fixture
 def triangle_program() -> Program:
     return parse_program(TRIANGLE_SRC)
+
+
+def corrupted_tc() -> AdornedProgram:
+    """GOut-adorned TC whose recursive rules carry a head adornment too
+    narrow to bound what they derive."""
+    p = parse_program(TC_SRC)
+    pi = adorn_program(p, GOut(), MembershipFn("heq"))
+    # replace the recursive rule's head adornment by the single-edge one,
+    # which cannot account for length-2 paths
+    bad = Adornment.of(parse_program("tc(X,Y) :- e(X,Y).").rules[0])
+    rules = []
+    for r in pi.rules:
+        if any(a.adornment is not None for a in r.body):
+            head = Atom("tc", r.head.terms, adornment=bad)
+            rules.append(Rule(head, r.body))
+        else:
+            rules.append(r)
+    return AdornedProgram(rules=tuple(rules), source=pi.source)
 
 
 # ---------------------------------------------------------------------------

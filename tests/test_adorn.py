@@ -4,6 +4,8 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
+from operator import attrgetter
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import pytest
@@ -13,10 +15,10 @@ from dlbound import (
     adorn_program, adornments_of, canonical_form, fixpoint_stable,
     make_relaxation, parse_program, relax, subsumes,
 )
-from dlbound.adorn import _Engine, dependency_cycle, h_cont, h_eq
+from dlbound.adorn import _Engine, _Graph, h_cont, h_eq
 from dlbound.core import classify_rule_atoms, format_rule
 
-from conftest import TC_SRC, random_programs
+from conftest import REACH_SRC, TC_SRC, random_programs
 
 
 def rule(text):
@@ -166,6 +168,31 @@ def test_hcont_suppresses_subsumed_nonrecursive():
     assert len(pi.rules) == 1
 
 
+def split_recursive(rules):
+    """(rules with an adorned body atom, rules without)."""
+    recursive = [r for r in rules if any(a.adornment for a in r.body)]
+    return recursive, [r for r in rules if r not in recursive]
+
+
+def test_h_cont_admits_a_subsumed_rule_off_every_cycle():
+    with pytest.raises(BudgetExceeded) as exc:
+        adorn_program(parse_program(REACH_SRC), Id(), "heq", max_rules=1)
+    (recursive,), (edb_only,) = split_recursive(exc.value.partial.rules)
+    # r(Y) :- e(V0,Y), e(_,V0) is subsumed by r(Y) :- e(_,Y)
+    assert h_cont(recursive, [edb_only])
+    assert not h_eq(recursive, [edb_only])
+
+
+def test_h_cont_rejects_a_rule_that_closes_a_cycle():
+    pi = adorn_program(parse_program(TC_SRC), GOut(), "heq")
+    (loop,) = [r for r in pi.rules
+               if any(a.adornment == r.head.adornment for a in r.body)]
+    others = [r for r in pi.rules if r is not loop]
+    # its head adornment is an admitted one, but it depends on itself
+    assert loop.head.adornment in {r.head.adornment for r in others}
+    assert not h_cont(loop, others)
+
+
 # ---------------------------------------------------------------------------
 # the fixpoint engine
 
@@ -184,6 +211,12 @@ def test_tc_fixpoint_stable():
     p = parse_program(TC_SRC)
     pi = adorn_program(p, GOut(), MembershipFn("heq"))
     assert fixpoint_stable(pi, GOut(), MembershipFn("heq"))
+
+
+def test_partial_program_is_not_fixpoint_stable():
+    with pytest.raises(BudgetExceeded) as exc:
+        adorn_program(parse_program(TC_SRC), Id(), "heq", max_rules=3)
+    assert not fixpoint_stable(exc.value.partial, Id(), MembershipFn("heq"))
 
 
 def test_adorned_pretty_golden():
@@ -259,14 +292,26 @@ def engine_runs(seed, count):
                     yield p, exc.partial, False
 
 
+def sorted_and_grouped(pi) -> dict:
+    """Base predicate -> distinct head adornments sorted by key, grouped
+    after one sort, as the pools were once built apart from the graph."""
+    out: dict = {}
+    for adn in sorted({r.head.adornment for r in pi.rules},
+                      key=attrgetter("key")):
+        out.setdefault(adn.base, []).append(adn)
+    return out
+
+
 def test_admitted_heads_have_their_representatives_pattern():
-    # what lets a candidate be its adornment alone
+    # what lets a candidate be its adornment alone; the graph's pools
+    # of each finished or partial program match a sort-and-group
     count = 0
     for _, pi, _ in engine_runs(43, 40):
         for r in pi.rules:
             assert head_pattern(r.head.terms) == \
                 head_pattern(r.head.adornment.rule.head.terms), r
             count += 1
+        assert pi.adornment_map() == sorted_and_grouped(pi)
     assert count > 1000
 
 
@@ -294,17 +339,22 @@ def test_engine_builds_each_combination_once(monkeypatch):
     assert finished > 300
 
 
+@dataclass(frozen=True)
+class StandIn:
+    """A stand-in adornment: hashable, and ordered by its key."""
+    key: int
+
+
 def graph_rules(edges, nodes):
     """Stand-in adorned rules whose dependency graph is `edges`: one rule
     per node, with one adorned body atom per successor."""
-    def apred(k):
-        return SimpleNamespace(key=k)
     succ: dict = {}
     for a, b in edges:
         succ.setdefault(a, []).append(b)
     return [SimpleNamespace(
-        head=SimpleNamespace(adornment=apred(u)),
-        body=tuple(Atom("p", (), adornment=apred(v)) for v in succ.get(u, ())))
+        head=Atom("p", (), adornment=StandIn(u)),
+        body=tuple(Atom("p", (), adornment=StandIn(v))
+                   for v in succ.get(u, ())))
         for u in nodes]
 
 
@@ -321,16 +371,16 @@ def test_dependency_cycle_matches_reachability():
                 break
             reach |= more
         rules = graph_rules(edges, nodes)
-        assert dependency_cycle(rules) == any((v, v) in reach for v in nodes)
+        assert _Graph(rules).cyclic() == any((v, v) in reach for v in nodes)
 
 
 def test_dependency_cycle_on_a_long_chain():
     n = 5000
     edges = {(i, i + 1) for i in range(n)}
-    assert not dependency_cycle(graph_rules(edges, range(n + 1)))
+    assert not _Graph(graph_rules(edges, range(n + 1))).cyclic()
     edges.add((n, 0))
     rules = graph_rules(edges, range(n + 1))
-    assert dependency_cycle(rules)
+    assert _Graph(rules).cyclic()
 
 
 def test_hcont_reused_across_runs_is_pure():

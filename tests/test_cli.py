@@ -5,9 +5,12 @@ import random
 
 import pytest
 
+from dlbound import cli
 from dlbound.cli import main
 
-from conftest import BUYS_SRC, TC_SRC, TRIANGLE_SRC, UNBOUNDED_SRC
+from conftest import (
+    BUYS_SRC, TC_SRC, TRIANGLE_SRC, UNBOUNDED_SRC, corrupted_tc,
+)
 
 
 @pytest.fixture
@@ -162,6 +165,92 @@ def test_verify_ok(capsys, tc_file, edb_file):
     code, out = run(capsys, "--json", "verify", tc_file, "--edb", edb_file)
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_verify_reports_each_failure(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "_adorned", lambda p: corrupted_tc())
+    prog, edb = tmp_path / "tc.dl", tmp_path / "d.facts"
+    prog.write_text(TC_SRC)
+    edb.write_text("e(1,2). e(2,3).")
+    assert run(capsys, "verify", str(prog), "--edb", str(edb)) == (
+        1, "rule 1 derived unbounded tuple (1, 3)\n"
+           "value cover failed for tc(1, 3) at k=1\n")
+
+
+def test_symbol_constants_in_program_text(capsys, tmp_path):
+    prog, edb = tmp_path / "sym.dl", tmp_path / "d.facts"
+    prog.write_text("p(X) :- e(X,a). q(X) :- p(X), f(X,1).")
+    edb.write_text("e(1,a). e(2,b). e(3,1). f(1,1). f(2,1).")
+    assert run(capsys, "adorn", str(prog), "--relax", "id") == (
+        0, "p[p(X) :- e(X,a)](X) :- e(X,a).\n"
+           "q[q(X) :- e(X,a), f(X,1)](X) :- p[p(X) :- e(X,a)](X), f(X,1).\n")
+    assert run(capsys, "eval", str(prog), "--edb", str(edb)) == (
+        0, "p(1).\nq(1).\n")
+    assert run(capsys, "verify", str(prog), "--edb", str(edb)) == (0, "ok\n")
+
+
+@pytest.mark.parametrize("src, lines", [
+    ("p(A,B,C,D,E,F,G,H,I) :- e(A,B,C,D,E), f(E,F,G,H,I).",
+     ["f=1 |P|=1 ew=2 fchw=2 (classification-upper-bound)"]),
+    ("p(X) :- e(X,A), e(A,B), e(B,C), e(C,D), e(D,E), e(E,F).",
+     ["f=1 |P|=1 ew=1 fchw=None (symbolic)",
+      "general: O(f^fchw * |P| * N^(ew*fchw))"]),
+])
+def test_complexity_fchw_fallbacks(capsys, tmp_path, src, lines):
+    # a rule too large for the exact fchw DP (9 variables; 6 atoms): a
+    # simple chain falls back to its bound of 2, else fchw is symbolic
+    f = tmp_path / "p.dl"
+    f.write_text(src)
+    code, out = run(capsys, "complexity", str(f))
+    assert code == 0
+    assert out.splitlines()[1:len(lines) + 1] == lines
+    if lines[0].endswith("(symbolic)"):
+        assert len(out.splitlines()) == 3
+
+
+def wide_rule_file(tmp_path, arity):
+    xs = ",".join(f"X{i}" for i in range(arity))
+    f = tmp_path / f"wide{arity}.dl"
+    f.write_text(f"p({xs}) :- e({xs}).\n")
+    return str(f)
+
+
+def test_bounds_json_prints_an_overlong_coeff_naive_as_null(capsys, tmp_path):
+    # 2 ** (7 ** 6 - 1) alone has about 35,400 digits
+    f = wide_rule_file(tmp_path, 6)
+    code, out = run(capsys, "--json", "bounds", f, "--n", "3")
+    assert code == 0
+    (pb,) = json.loads(out)["predicates"]
+    assert pb["coeff_naive"] is None
+    assert run(capsys, "bounds", f, "--n", "3") == (
+        0, f"p: ew={pb['ew_integral']} ewf={pb['ew_fractional']} "
+           f"f={pb['f_exact']} bound1={pb['bound1']} bound2={pb['bound2']} "
+           f"fpt={pb['fpt_bound']}\n")
+
+
+def test_bounds_on_a_500_ary_rule(capsys, tmp_path):
+    # stirling2(500, k) must not recurse per element, and coeff_naive's
+    # exponent of 501 ** 500 must not become a power
+    f = wide_rule_file(tmp_path, 500)
+    code, out = run(capsys, "bounds", f, "--n", "3")
+    assert code == 0 and out.startswith("p: ew=1 ewf=1 f=1 bound1=")
+    code, out = run(capsys, "--json", "bounds", f, "--n", "3")
+    assert code == 0
+    (pb,) = json.loads(out)["predicates"]
+    assert pb["coeff_naive"] is None
+    assert pb["bound1"] == 3 * 500 ** 500
+
+
+def test_verify_on_400_unary_atoms(capsys, tmp_path):
+    # 400 tuples cover the head: a search that recursed per tuple would
+    # pass Python's recursion limit
+    n = 400
+    prog, edb = tmp_path / "wide.dl", tmp_path / "d.facts"
+    prog.write_text("p(%s) :- %s." % (
+        ",".join(f"X{i}" for i in range(n)),
+        ", ".join(f"e{i}(X{i})" for i in range(n))))
+    edb.write_text(" ".join(f"e{i}({i})." for i in range(n)))
+    assert run(capsys, "verify", str(prog), "--edb", str(edb)) == (0, "ok\n")
 
 
 def test_verify_seed_does_not_change_result(capsys, tc_file, edb_file):

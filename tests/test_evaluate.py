@@ -9,15 +9,17 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from dlbound import (
-    ADORNMENT_GROUNDABLE, Adornment, AdornedProgram, Atom, Const,
-    EDBInstance, GOut, IDBResult, MembershipFn, Rule, ValidationError, Var,
+    ADORNMENT_GROUNDABLE, Const, EDBInstance, GOut, IDBResult, MembershipFn,
+    ValidationError, Var,
     adorn_program, check_rule_bounded, classify_program, eval_cq, evaluate,
     generate_tightness_instance, horn_ground_evaluate, parse_edb,
     parse_program, tightness_bound, union_adorned, value_cover_ok,
 )
 from dlbound.join import _Join, _Relation
 
-from conftest import TC_SRC, naive_oracle, random_edb, random_programs
+from conftest import (
+    TC_SRC, corrupted_tc, naive_oracle, random_edb, random_programs,
+)
 
 
 def test_parse_edb():
@@ -104,31 +106,15 @@ def test_check_rule_bounded_clean():
     assert check_rule_bounded(pi, d).ok
 
 
-def _corrupted_tc():
-    p = parse_program(TC_SRC)
-    pi = adorn_program(p, GOut(), MembershipFn("heq"))
-    # replace the recursive rule's head adornment by the single-edge one,
-    # which cannot account for length-2 paths
-    bad = Adornment.of(parse_program("tc(X,Y) :- e(X,Y).").rules[0])
-    rules = []
-    for r in pi.rules:
-        if any(a.adornment is not None for a in r.body):
-            head = Atom("tc", r.head.terms, adornment=bad)
-            rules.append(Rule(head, r.body))
-        else:
-            rules.append(r)
-    return AdornedProgram(rules=tuple(rules), source=pi.source)
-
-
 def test_check_rule_bounded_detects_corruption():
-    report = check_rule_bounded(_corrupted_tc(), parse_edb("e(1,2). e(2,3)."))
+    report = check_rule_bounded(corrupted_tc(), parse_edb("e(1,2). e(2,3)."))
     assert not report.ok
     assert any(v.tuple_value == (1, 3) for v in report.violations)
 
 
 def test_check_rule_bounded_reports_mixed_int_and_symbol_tuples():
     d = parse_edb("e(1,a). e(a,2). e(b,3). e(3,c).")
-    report = check_rule_bounded(_corrupted_tc(), d)
+    report = check_rule_bounded(corrupted_tc(), d)
     assert [v.tuple_value for v in report.violations] == [(1, 2), ("b", "c")]
 
 

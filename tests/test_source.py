@@ -74,6 +74,70 @@ def test_no_unused_private_definitions():
     assert not unused_private_definitions(texts)
 
 
+def calls_itself(fn) -> bool:
+    """Does fn's body call fn's own name, bare or on self or cls?"""
+    return any(
+        isinstance(n, ast.Call) and (
+            isinstance(n.func, ast.Name) and n.func.id == fn.name
+            or isinstance(n.func, ast.Attribute) and n.func.attr == fn.name
+            and isinstance(n.func.value, ast.Name)
+            and n.func.value.id in ("self", "cls"))
+        for n in ast.walk(fn))
+
+
+def self_calls(texts: dict) -> list:
+    """(module, dotted name) of each function, nested ones and methods
+    included, whose body calls itself.  Direct recursion only: a cycle
+    through other functions goes unseen."""
+    found = []
+    for module, text in texts.items():
+        stack = [(ast.parse(text), "")]
+        while stack:
+            node, prefix = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                name = prefix
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    name = prefix + child.name
+                    if isinstance(child, ast.FunctionDef) and \
+                            calls_itself(child):
+                        found.append((module, name))
+                    name += "."
+                stack.append((child, name))
+    return sorted(found)
+
+
+def test_self_calls_finds_direct_recursion():
+    texts = {"a.py": "def fact(n):\n"
+                     "    return 1 if n < 2 else n * fact(n - 1)\n\n"
+                     "def flat(xs):\n"
+                     "    def walk(x):\n"
+                     "        return [walk(y) for y in x]\n"
+                     "    return walk(xs)\n\n"
+                     "class Bag:\n"
+                     "    def add(self, x):\n"
+                     "        self.items.add(x)\n\n"
+                     "    def drain(self, n):\n"
+                     "        return self.drain(n - 1)\n",
+             "b.py": "from a import fact\n\n"
+                     "def fact2(n):\n"
+                     "    return fact(n)\n"}
+    assert self_calls(texts) == [
+        ("a.py", "Bag.drain"), ("a.py", "fact"), ("a.py", "flat.walk")]
+
+
+# Recursion kept on purpose, each with why its depth stays small.
+SELF_CALLS_ALLOWED = {
+    # as deep as the JSON payload nests, at most 3
+    ("cli.py", "_json_text"),
+}
+
+
+def test_no_self_calls():
+    # a call per element or tuple overflows Python's stack on wide inputs
+    src = Path(dlbound.__file__).parent
+    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert set(self_calls(texts)) == SELF_CALLS_ALLOWED
+
 
 def argument(call, index, param):
     """What `call` passes for a parameter at position `index` (None if

@@ -185,6 +185,13 @@ def test_canonical_distinguishes_structure():
     assert canonical_form(a) != canonical_form(b)
 
 
+def test_canonical_distinguishes_symbol_from_int():
+    a = rule("q(X) :- e(X,a).")
+    b = rule("q(X) :- e(X,1).")
+    assert canonical_form(a) != canonical_form(b)
+    assert canonical_form(a) == canonical_form(rule("q(Y) :- e(Y,a)."))
+
+
 def test_canonical_dedups_singleton_twins():
     a = rule("q(X,X,X) :- e(X,A), e(X,B).")
     b = rule("q(X,X,X) :- e(X,A).")
