@@ -5,7 +5,7 @@ from .core import (
     Atom, Const, DatalogError, ParseError, Program, Rule, ValidationError,
     Var, parse_program, print_program,
 )
-from .unify import Substitution, canonical_form, canonical_rule, mgu, subsumes
+from .unify import canonical_form, mgu, subsumes
 from .adorn import (
     Adornment, AdornedProgram, BudgetExceeded, GK, GMin, GOut, Id,
     MembershipFn, adorn_program, adornments_of, fixpoint_stable, h_cont,

@@ -15,9 +15,8 @@ from .core import (
     classify_rule_atoms, format_rule, min_cover,
 )
 from .unify import (
-    Substitution, _dedup_items, _pred_key, canonical_form, canonical_rule,
-    distance_profile, may_subsume, mgu, rename_apart, rule_of_key,
-    subsumes,
+    _dedup_items, _pred_key, canonical_form, distance_profile, may_subsume,
+    mgu, rule_of_key, substitute, subsumes, tagged,
 )
 
 
@@ -182,32 +181,26 @@ def _rebuild(head: Atom, pats) -> Rule:
 
 
 def _gout(rule: Rule) -> Rule:
+    # equal patterns rebuild into wildcard twins, which Adornment.of drops
     pats = _patterns(rule)
-    seen = set()
-    deduped = []
-    for p in pats:
-        if p in seen:
-            continue
-        seen.add(p)
-        deduped.append(p)
 
     def redundant(p) -> bool:
         pred, pat = p
         if all(x is None for x in pat):
             return True
-        for pred2, pat2 in deduped:
+        for pred2, pat2 in pats:
             if pred2 != pred or pat2 == pat:
                 continue
             if all(a is None or a == b for a, b in zip(pat, pat2)):
                 return True
         return False
 
-    kept = [p for p in deduped if not redundant(p)]
+    kept = [p for p in pats if not redundant(p)]
     return _rebuild(rule.head, kept)
 
 
 def _gmin(rule: Rule) -> Rule:
-    canon = canonical_rule(rule)
+    canon = rule_of_key(canonical_form(rule))
     pats = _patterns(canon)
     pats.sort(key=lambda p: (p[0], tuple((1,) if x is None else (0, x)
                                          for x in p[1])))
@@ -385,29 +378,28 @@ class _Engine:
 
     def build(self, rule: Rule, idb_atoms, edb_atoms, combo) -> Rule | None:
         """Resolve each IDB atom of `rule` against its candidate of
-        `combo`, renamed apart, then relax what results into the head's
-        adornment."""
-        used = set(rule.all_vars())
-        pairs = []
-        inst_bodies = []
-        for atom, adn in zip(idb_atoms, combo):
-            inst = rename_apart(adn.rule, used)
-            pairs.append((atom.terms, inst.head.terms))
-            inst_bodies.append(inst.body)
-        sigma = mgu(pairs) if pairs else Substitution()
+        `combo`, renamed apart by its position, then relax what results
+        into the head's adornment."""
+        insts = [tagged(adn.rule, j) for j, adn in enumerate(combo)]
+        sigma = mgu([(atom.terms, inst.head.terms)
+                     for atom, inst in zip(idb_atoms, insts)])
         if sigma is None:
             return None
-        head_terms = sigma.apply_terms(rule.head.terms)
-        rho0_body = [sigma.apply_atom(a)
-                     for body in inst_bodies for a in body]
-        rho0_body += [sigma.apply_atom(a) for a in edb_atoms]
-        rho0 = Rule(Atom(rule.head.pred, head_terms), tuple(rho0_body))
+        # a tag never reaches the result: each unifier class holding a
+        # tagged head variable also holds the atom term at its position,
+        # which comes first in the pairs and so names the class
+        head_terms = substitute(sigma, rule.head.terms)
+        edb = tuple(Atom(a.pred, substitute(sigma, a.terms))
+                    for a in edb_atoms)
+        rho0 = Rule(Atom(rule.head.pred, head_terms), tuple(
+            Atom(a.pred, substitute(sigma, a.terms))
+            for inst in insts for a in inst.body) + edb)
         self.g = self.g.then(rho0)
         head = Atom(rule.head.pred, head_terms, relax(self.g, rho0))
         body = tuple(
-            Atom(atom.pred, sigma.apply_terms(atom.terms), adn)
+            Atom(atom.pred, substitute(sigma, atom.terms), adn)
             for atom, adn in zip(idb_atoms, combo)
-        ) + tuple(sigma.apply_atom(a) for a in edb_atoms)
+        ) + edb
         kept = _dedup_items(head_terms,
                             [(_pred_key(a), a.terms, a) for a in body])
         return Rule(head, tuple(a for _, _, a in kept))

@@ -3,32 +3,35 @@ closed-form bounds on IDB relation size, and adornment-count coefficients.
 
 All arithmetic is arbitrary-precision integer or exact rational; fractional
 exponents are resolved to certified integer ceilings by k-th-root
-bracketing, never floating point.
+bracketing, never floating point.  Figures past 4,300 digits are None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import prod
 
 from .core import Program, ValidationError
 from .adorn import AdornedProgram, adornments_of
 from .width import width_of_predicate
 
 
-@lru_cache(maxsize=None)
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of n labeled elements into k unlabeled blocks,
-    one row of S(i, j) = j·S(i-1, j) + S(i-1, j-1) at a time."""
-    if n < 0 or k < 0:
-        raise ValueError("stirling2 requires non-negative arguments")
+def _stirling_row(n: int, k: int) -> list:
+    """S(n, 0..k), by rows of S(i, j) = j·S(i-1, j) + S(i-1, j-1)."""
     row = [1] + [0] * k  # S(0, j)
     for i in range(1, n + 1):
         for j in range(min(i, k), 0, -1):
             row[j] = j * row[j] + row[j - 1]
         row[0] = 0
-    return row[k]
+    return row
+
+
+def stirling2(n: int, k: int) -> int:
+    """Partitions of n labeled elements into k unlabeled blocks."""
+    if n < 0 or k < 0:
+        raise ValueError("stirling2 requires non-negative arguments")
+    return _stirling_row(n, k)[k]
 
 
 def permutations(n: int, k: int) -> int:
@@ -94,35 +97,64 @@ class SchemaStats:
         )
 
 
-def bound1(stats: SchemaStats, ew: int, n: int) -> int:
+_LIMIT = 10 ** 4300  # the least integer of more than 4,300 digits
+
+
+def _pow(n: int, exp) -> int | None:
+    """pow_ceil(n, exp), or None when n's bit length alone puts it past
+    the limit: n ** exp >= 2 ** ((n.bit_length() - 1) * exp)."""
+    exp = Fraction(exp)
+    if n > 1 and (n.bit_length() - 1) * exp >= _LIMIT.bit_length():
+        return None
+    return pow_ceil(n, exp)
+
+
+def _capped(*factors) -> int | None:
+    """The product of factors: 0 if one is 0, else None if one is None
+    or the product has more than 4,300 digits."""
+    if 0 in factors:
+        return 0
+    if None in factors:
+        return None
+    out = prod(factors)
+    return None if out >= _LIMIT else out
+
+
+def _stirling_sum(stats: SchemaStats, ew: int, step) -> int | None:
+    """ear ** arq · Σ_{k=1..ew} S(arq, k) · w_k, capped, where w_0 = 1
+    and w_k = w_(k-1) · step(k) >= 0.  One Stirling row serves every k,
+    and the sum stops once it passes the limit."""
+    if int(ew) != ew or ew < 1:
+        raise ValueError("the width must be an integer >= 1")
+    row = _stirling_row(stats.arq, min(int(ew), stats.arq))
+    total, w = 0, 1
+    for k in range(1, len(row)):
+        w *= step(k)
+        total = _capped(total + row[k] * w)
+        if not w or total is None:
+            break
+    return _capped(_pow(stats.ear, stats.arq), total)
+
+
+def bound1(stats: SchemaStats, ew: int, n: int) -> int | None:
     """Exact combinatorial bound: tuples drawn from at most ew EDB tuples."""
-    if int(ew) != ew:
-        raise ValueError("bound1 needs an integral cover width")
-    ew = int(ew)
-    if ew < 1:
-        raise ValueError("bound1 needs an integral cover width >= 1")
     if n < 0:
         raise ValueError("n must be non-negative")
-    total = 0
-    for k in range(1, ew + 1):
-        total += (stirling2(stats.arq, k)
-                  * permutations(stats.num_edbs * n, k)
-                  * stats.ear ** stats.arq)
-    return total
+    # w_k = permutations(num_edbs · n, k)
+    return _stirling_sum(stats, ew, lambda k: stats.num_edbs * n - k + 1)
 
 
-def bound2(stats: SchemaStats, ew, n: int) -> int:
+def bound2(stats: SchemaStats, ew, n: int) -> int | None:
     """Looser closed form; supports fractional widths via certified
     ceiling of n ** ew."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    coeff = (stats.num_edbs * stats.ear * stats.arq) ** stats.arq
-    return coeff * pow_ceil(n, Fraction(ew))
+    return _capped(_pow(stats.num_edbs * stats.ear * stats.arq, stats.arq),
+                   _pow(n, ew))
 
 
 def coeff_naive(stats: SchemaStats) -> int | None:
-    """Upper bound on the number of adornments any predicate can take, or
-    None when longer than the 4,300 digits Python prints by default.
+    """Upper bound on the number of adornments any predicate can take.
 
     The size-of-program factor counts term occurrences, not rules: the
     underlying argument bounds the pool of constants an adornment head can
@@ -130,29 +162,19 @@ def coeff_naive(stats: SchemaStats) -> int | None:
     """
     if stats.arq == 0:
         return 1
-    exp2 = stats.num_edbs * ((stats.arq + 1) ** stats.ear - 1)
-    # the bound is at least 2 ** (arq + exp2), and 2 ** 14300 > 10 ** 4300:
-    # decide that before forming any power
-    if stats.arq + exp2 >= 14300:
+    power = _pow(stats.arq + 1, stats.ear)
+    if power is None:  # then 2 ** (power - 1) alone is past the limit
         return None
-    coeff = (stats.arq + stats.term_count) ** stats.arq * 2 ** exp2
-    return coeff if coeff < 10 ** 4300 else None
+    return _capped(_pow(stats.arq + stats.term_count, stats.arq),
+                   _pow(2, stats.num_edbs * (power - 1)))
 
 
-def coeff_minimal(stats: SchemaStats, ew: int) -> int:
+def coeff_minimal(stats: SchemaStats, ew: int) -> int | None:
     """Adornment-count bound for minimized programs."""
-    if int(ew) != ew:
-        raise ValueError("coeff_minimal needs an integral width")
-    ew = int(ew)
-    if ew < 1:
-        raise ValueError("coeff_minimal needs an integral width >= 1")
-    total = 0
-    for k in range(1, ew + 1):
-        total += (stirling2(stats.arq, k)
-                  * stats.num_edbs ** k
-                  * stats.ear ** stats.arq)
-    if stats.arq > 0:
-        assert total <= (stats.num_edbs * stats.ear * stats.arq) ** stats.arq
+    total = _stirling_sum(stats, ew, lambda k: stats.num_edbs)
+    if stats.arq > 0 and total is not None:
+        most = _pow(stats.num_edbs * stats.ear * stats.arq, stats.arq)
+        assert most is None or total <= most
     return total
 
 
@@ -169,19 +191,11 @@ class PredicateBounds:
     coeff_minimal: int | None
 
     def to_json_dict(self) -> dict:
-        def rat(x):
-            return None if x is None else str(Fraction(x))
-        return {
-            "predicate": self.predicate,
-            "ew_integral": rat(self.ew_integral),
-            "ew_fractional": rat(self.ew_fractional),
-            "f_exact": self.f_exact,
-            "bound1": self.bound1,
-            "bound2": self.bound2,
-            "fpt_bound": self.fpt_bound,
-            "coeff_naive": self.coeff_naive,
-            "coeff_minimal": self.coeff_minimal,
-        }
+        out = dict(vars(self))
+        for k in ("ew_integral", "ew_fractional"):
+            if out[k] is not None:
+                out[k] = str(Fraction(out[k]))
+        return out
 
 
 @dataclass(frozen=True)
@@ -229,7 +243,7 @@ def size_report(pi: AdornedProgram, n: int) -> SizeBoundReport:
             f_exact=f_exact,
             bound1=b1,
             bound2=b2,
-            fpt_bound=f_exact * pow_ceil(n, Fraction(ewf)),
+            fpt_bound=_capped(f_exact, _pow(n, ewf)),
             coeff_naive=coeff_naive(stats),
             coeff_minimal=coeff_minimal(stats, int(ewi)) if ewi >= 1 else None,
         ))

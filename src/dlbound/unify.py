@@ -1,45 +1,23 @@
-"""Substitutions, simultaneous most general unifiers, fresh names,
-canonical forms for rules, and rule subsumption."""
+"""Simultaneous most general unifiers as dicts, renaming apart by
+position tag, canonical forms for rules, and rule subsumption."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import inf
 
 from .core import Atom, Const, INTERNAL_PREFIX, Rule, Term, Var
 from .join import _Join, _Relation
 
 
-@dataclass(frozen=True)
-class Substitution:
-    """An idempotent map from variable names to terms."""
-    bindings: tuple = ()
-    _map: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if isinstance(self.bindings, dict):
-            object.__setattr__(self, "bindings",
-                               tuple(sorted(self.bindings.items())))
-        object.__setattr__(self, "_map", dict(self.bindings))
-
-    def apply_term(self, t: Term) -> Term:
-        if isinstance(t, Var):
-            return self._map.get(t.name, t)
-        return t
-
-    def apply_terms(self, terms) -> tuple:
-        return tuple(self.apply_term(t) for t in terms)
-
-    def apply_atom(self, a: Atom) -> Atom:
-        return Atom(a.pred, self.apply_terms(a.terms), a.adornment)
-
-    def apply_rule(self, r: Rule) -> Rule:
-        return Rule(self.apply_atom(r.head),
-                    tuple(self.apply_atom(a) for a in r.body))
+def substitute(sub: dict, terms) -> tuple:
+    """terms with each variable that sub binds replaced by its term."""
+    return tuple(sub.get(t.name, t) if isinstance(t, Var) else t
+                 for t in terms)
 
 
-def mgu(pairs) -> Substitution | None:
-    """Simultaneous most general unifier of a list of term-tuple pairs.
+def mgu(pairs) -> dict | None:
+    """Simultaneous most general unifier of a list of term-tuple pairs,
+    as a map from variable names to terms; the mgu of no pairs is {}.
 
     Returns None on failure.  A union-find over the variables: each class
     is named by its constant, else by its variable whose first occurrence
@@ -74,43 +52,23 @@ def mgu(pairs) -> Substitution | None:
         if isinstance(t, Var) and order[t.name] > order[s.name]:
             s, t = t, s
         parent[s.name] = t
-    sub = Substitution({v: find(t) for v, t in parent.items()})
+    sub = {v: find(t) for v, t in parent.items()}
     # idempotence and soundness are cheap to assert here
     for s_tuple, t_tuple in pairs:
-        assert sub.apply_terms(s_tuple) == sub.apply_terms(t_tuple)
+        assert substitute(sub, s_tuple) == substitute(sub, t_tuple)
     return sub
 
 
-# ---------------------------------------------------------------------------
-# Fresh names
+def tagged(r: Rule, j: int) -> Rule:
+    """r with each variable V renamed _{j}V.  Parsed and canonical names
+    never start with `_` and a digit, so renamings by distinct tags share
+    no variable with each other or with such a rule."""
+    def tag(terms) -> tuple:
+        return tuple(Var(f"{INTERNAL_PREFIX}{j}{t.name}")
+                     if isinstance(t, Var) else t for t in terms)
 
-
-def fresh_name(base: str, used: set) -> str:
-    """A variant of base not in used; records it as used."""
-    if base not in used:
-        used.add(base)
-        return base
-    k = 2
-    while f"{base}_{k}" in used:
-        k += 1
-    used.add(f"{base}_{k}")
-    return f"{base}_{k}"
-
-
-def rename_apart(r: Rule, used: set) -> Rule:
-    """r with every variable given a fresh name, recorded in `used`."""
-    names: dict = {}
-
-    def term(t: Term) -> Term:
-        if isinstance(t, Const):
-            return t
-        v = names.get(t.name)
-        if v is None:
-            v = names[t.name] = Var(fresh_name(t.name, used))
-        return v
-
-    return Rule(Atom(r.head.pred, tuple(map(term, r.head.terms))), tuple(
-        Atom(a.pred, tuple(map(term, a.terms))) for a in r.body))
+    return Rule(Atom(r.head.pred, tag(r.head.terms)),
+                tuple(Atom(a.pred, tag(a.terms)) for a in r.body))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +254,6 @@ def rule_of_key(key: tuple) -> Rule:
         for pk, sigs in body
     )
     return Rule(head, atoms)
-
-
-def canonical_rule(r: Rule) -> Rule:
-    """A standard representative of the plain rule r's renaming class."""
-    return rule_of_key(canonical_form(r))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Hypergraphs of rules/adornments and exact edge-cover widths.
 
 The fractional cover is solved through the LP dual (a fractional matching
-over the output variables) with a Bland-rule simplex over exact rationals;
-the primal weights are read off the optimal tableau.  No floating point.
+over the output variables) with a Bland-rule simplex over exact rationals,
+one tableau per connected component of the edges; the primal weights are
+read off the optimal tableaux.  No floating point.
 """
 
 from __future__ import annotations
@@ -110,24 +111,45 @@ def integral_edge_cover(h: Hypergraph) -> EdgeCoverSolution:
 
 def fractional_edge_cover(h: Hypergraph) -> EdgeCoverSolution:
     """Exact rational optimum of the fractional edge-cover LP."""
-    reps = _distinct_edges(h)
-    objective, weights_by_rep = _fractional(h, reps)
     weights = [Fraction(0)] * len(h.edges)
-    for (i, _), w in zip(reps, weights_by_rep):
-        weights[i] = w
+    objective = Fraction(0)
+    # the LP separates over the components: their optima add up
+    for part in _components(_distinct_edges(h)):
+        objective += _fractional(part, weights)
     sol = EdgeCoverSolution(tuple(weights), objective, False)
     sol.verify(h)
     return sol
 
 
-def _fractional(h: Hypergraph, reps):
-    """Solve the covering LP exactly via its matching dual.
+def _components(reps) -> list:
+    """reps grouped by the connected components of their vertex sets."""
+    parent = list(range(len(reps)))
 
-    Dual: maximize sum(y_v) over v in v_out subject to, per edge,
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first: dict = {}  # vertex -> the first rep holding it
+    for i, (_, members) in enumerate(reps):
+        for v in members:
+            parent[find(i)] = find(first.setdefault(v, i))
+    groups: dict = {}
+    for i, rep in enumerate(reps):
+        groups.setdefault(find(i), []).append(rep)
+    return list(groups.values())
+
+
+def _fractional(reps, weights: list) -> Fraction:
+    """The optimum of the covering LP of the vertices of reps, solved
+    exactly via its matching dual; each rep's weight goes to `weights`.
+
+    Dual: maximize sum(y_v) over the vertices subject to, per edge,
     sum(y_v for v in edge) <= 1 and y >= 0.  Strong duality gives the
     cover optimum; the cover weights appear as reduced costs on slacks.
     """
-    verts = sorted(h.v_out)
+    verts = sorted(set().union(*(members for _, members in reps)))
     vidx = {v: j for j, v in enumerate(verts)}
     m = len(reps)  # constraints (edges)
     n = len(verts)  # dual variables
@@ -168,7 +190,9 @@ def _fractional(h: Hypergraph, reps):
             obj = [a - f * b for a, b in zip(obj, rows[leave])]
         basis[leave] = enter
 
-    return obj[-1], [obj[n + i] for i in range(m)]
+    for k, (i, _) in enumerate(reps):
+        weights[i] = obj[n + k]
+    return obj[-1]
 
 
 def width_of_adornment(adn: Adornment, mode: str = "integral") -> Fraction:

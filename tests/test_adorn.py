@@ -54,6 +54,15 @@ def test_gout_drops_redundant_patterns():
     assert relax(GOut(), r).key == adn_key("q(X) :- e(X,W).")
 
 
+def test_gout_equal_patterns_leave_one_atom():
+    # three e(X,_) patterns rebuild into wildcard twins; the canonical
+    # form keeps one
+    src = "q(X) :- e(X,A), e(X,B), e(X,C)."
+    assert str(relax(GOut(), rule(src))) == "q(V0) :- e(V0,_)"
+    assert adorn_program(parse_program(src), GOut()).pretty() == \
+        "q[q(X) :- e(X,_)](X) :- e(X,A).\n"
+
+
 def test_gk_identity_below_budget():
     g = GK(2)
     small = rule("q(X) :- e(X,Y), f(Y).")

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -241,16 +242,64 @@ def test_bounds_on_a_500_ary_rule(capsys, tmp_path):
     assert pb["bound1"] == 3 * 500 ** 500
 
 
+def test_bounds_on_a_1000_ary_rule(capsys, tmp_path):
+    # bound2 = (1 · 1000 · 1000) ** 1000 · 3 has 6,001 digits: null in
+    # JSON and None in human output, like coeff_naive; the rest prints
+    f = wide_rule_file(tmp_path, 1000)
+    code, out = run(capsys, "--json", "bounds", f, "--n", "3")
+    assert code == 0
+    (pb,) = json.loads(out)["predicates"]
+    assert pb["bound2"] is None and pb["coeff_naive"] is None
+    assert pb["bound1"] == 3 * 1000 ** 1000
+    assert pb["coeff_minimal"] == 1000 ** 1000
+    assert pb["fpt_bound"] == 3
+    assert run(capsys, "bounds", f, "--n", "3") == (
+        0, f"p: ew=1 ewf=1 f=1 bound1={3 * 1000 ** 1000} bound2=None "
+           f"fpt=3\n")
+
+
+def unary_atoms_file(tmp_path, n):
+    """p(X0,...) :- e0(X0), ...: n components of one vertex each."""
+    f = tmp_path / f"unary{n}.dl"
+    f.write_text("p(%s) :- %s." % (
+        ",".join(f"X{i}" for i in range(n)),
+        ", ".join(f"e{i}(X{i})" for i in range(n))))
+    return str(f)
+
+
+def test_bounds_on_400_unary_atoms_with_a_1000_digit_n(capsys, tmp_path):
+    # n ** 400 and permutations(400 n, 400) would each have about 400,000
+    # digits; the bit lengths decide before either is formed
+    f = unary_atoms_file(tmp_path, 400)
+    start = time.perf_counter()
+    assert run(capsys, "bounds", f, "--n", "9" * 1000) == (
+        0, "p: ew=400 ewf=400 f=1 bound1=None bound2=None fpt=None\n")
+    assert time.perf_counter() - start < 2
+
+
+def test_bounds_and_widths_on_1000_unary_atoms(capsys, tmp_path):
+    # one Stirling row for bound1, and one LP per component: 1,000 of
+    # one edge each
+    f = unary_atoms_file(tmp_path, 1000)
+    start = time.perf_counter()
+    assert run(capsys, "widths", "--fractional", f) == (
+        0, "p: 1000\nprogram: 1000\n")
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    code, out = run(capsys, "--json", "bounds", f, "--n", "3")
+    assert code == 0 and time.perf_counter() - start < 2
+    (pb,) = json.loads(out)["predicates"]
+    assert pb["ew_fractional"] == "1000" and pb["bound2"] is None
+
+
 def test_verify_on_400_unary_atoms(capsys, tmp_path):
     # 400 tuples cover the head: a search that recursed per tuple would
     # pass Python's recursion limit
     n = 400
-    prog, edb = tmp_path / "wide.dl", tmp_path / "d.facts"
-    prog.write_text("p(%s) :- %s." % (
-        ",".join(f"X{i}" for i in range(n)),
-        ", ".join(f"e{i}(X{i})" for i in range(n))))
+    edb = tmp_path / "d.facts"
     edb.write_text(" ".join(f"e{i}({i})." for i in range(n)))
-    assert run(capsys, "verify", str(prog), "--edb", str(edb)) == (0, "ok\n")
+    prog = unary_atoms_file(tmp_path, n)
+    assert run(capsys, "verify", prog, "--edb", str(edb)) == (0, "ok\n")
 
 
 def test_verify_seed_does_not_change_result(capsys, tc_file, edb_file):

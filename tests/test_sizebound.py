@@ -108,6 +108,39 @@ def test_bound1_le_bound2_random_grid():
         assert bound1(st, ew, n) <= bound2(st, ew, n), (st, ew, n)
 
 
+def per_k_sum(st, ew, w):
+    """The sum bound1 and coeff_minimal are defined by, one stirling2
+    call per k: ear ** arq · Σ_{k=1..ew} S(arq, k) · w(k)."""
+    return sum(stirling2(st.arq, k) * w(k) * st.ear ** st.arq
+               for k in range(1, ew + 1))
+
+
+def test_bound1_and_coeff_minimal_match_the_per_k_sum():
+    # the sums read one Stirling row and stop past 4,300 digits, where
+    # they are None; the large arities and EDB arities cross that limit
+    rng = random.Random(23)
+    capped = 0
+    for _ in range(400):
+        big = rng.random() < 0.1
+        st = SchemaStats(num_edbs=rng.randint(0, 4),
+                         ear=rng.randint(0, 1000 if big else 4),
+                         arq=rng.randint(0, 1600 if big else 12),
+                         rule_count=1, term_count=rng.randint(1, 20))
+        ew = rng.randint(1, 3 if big else 14)
+        n = rng.randint(0, 10 ** rng.randint(0, 900 if big else 2))
+        for got, want in (
+                (bound1(st, ew, n), per_k_sum(
+                    st, ew, lambda k: permutations(st.num_edbs * n, k))),
+                (coeff_minimal(st, ew), per_k_sum(
+                    st, ew, lambda k: st.num_edbs ** k))):
+            if want >= 10 ** 4300:
+                assert got is None
+                capped += 1
+            else:
+                assert got == want, (st, ew, n)
+    assert capped >= 5
+
+
 def test_coeff_goldens():
     # one binary EDB, one rule with two terms, binary IDB
     st = SchemaStats(num_edbs=1, ear=2, arq=2, rule_count=1, term_count=2)

@@ -213,6 +213,62 @@ def test_no_constant_private_parameters():
     assert not constant_private_parameters(texts)
 
 
+def unbounded_cache(decorator) -> bool:
+    """Is this `functools.cache`, or `lru_cache` with maxsize None?"""
+    def name(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    if not isinstance(decorator, ast.Call):
+        return name(decorator) == "cache"
+    maxsize = decorator.args[0] if decorator.args else next(
+        (k.value for k in decorator.keywords if k.arg == "maxsize"), None)
+    return name(decorator.func) == "lru_cache" and \
+        isinstance(maxsize, ast.Constant) and maxsize.value is None
+
+
+def unbounded_caches(texts: dict) -> list:
+    """(module, dotted name) of each module-level function, or method of
+    a module-level class, that memoises without bound: its memo outlives
+    the call that filled it.  A cache made inside a function and a
+    `cached_property` last only as long as their call or instance."""
+    found = []
+    for module, text in texts.items():
+        for node in ast.parse(text).body:
+            inner = node.body if isinstance(node, ast.ClassDef) else ()
+            for fn in (node, *inner):
+                if isinstance(fn, ast.FunctionDef) and \
+                        any(map(unbounded_cache, fn.decorator_list)):
+                    found.append((module, fn.name if fn is node
+                                  else f"{node.name}.{fn.name}"))
+    return sorted(found)
+
+
+def test_unbounded_caches_finds_module_and_class_level_memos():
+    texts = {"a.py": "import functools\n"
+                     "from functools import cache, lru_cache\n\n"
+                     "@cache\ndef f(n):\n    return n\n\n"
+                     "@functools.lru_cache(maxsize=None)\n"
+                     "def g(n):\n    return n\n\n"
+                     "@lru_cache(maxsize=64)\ndef small(n):\n    return n\n\n"
+                     "@lru_cache\ndef default(n):\n    return n\n\n"
+                     "def per_call(xs):\n"
+                     "    @cache\n    def at(i):\n        return xs[i]\n"
+                     "    return at(0)\n\n"
+                     "class C:\n"
+                     "    @lru_cache(None)\n    def m(self):\n        return 1\n\n"
+                     "    @functools.cached_property\n"
+                     "    def p(self):\n        return 2\n"}
+    assert unbounded_caches(texts) == [
+        ("a.py", "C.m"), ("a.py", "f"), ("a.py", "g")]
+
+
+def test_no_unbounded_caches():
+    # no state may carry over from one call of the package to the next
+    src = Path(dlbound.__file__).parent
+    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert not unbounded_caches(texts)
+
+
 def test_bench_layers_resolve():
     # the traced bench patches each layer by name; a renamed function or
     # method would otherwise break only the traced runs

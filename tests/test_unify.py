@@ -7,10 +7,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlbound import Const, Var, canonical_form, canonical_rule, mgu, subsumes
+from dlbound import Const, Var, canonical_form, mgu, subsumes
 from dlbound.core import Atom, Rule
 from dlbound.unify import (
-    Substitution, distance_profile, fresh_name, may_subsume,
+    distance_profile, may_subsume, rule_of_key, substitute, tagged,
 )
 
 from conftest import brute_homomorphism, random_programs
@@ -30,14 +30,13 @@ def pair(*eqs):
 
 
 def test_mgu_basic():
-    s = mgu(pair((Var("X"), Const(1))))
-    assert s.apply_term(Var("X")) == Const(1)
+    assert mgu(pair((Var("X"), Const(1)))) == {"X": Const(1)}
+    assert mgu([]) == {}
 
 
 def test_mgu_var_chain():
     s = mgu(pair((Var("X"), Var("Y")), (Var("Y"), Const(2))))
-    assert s.apply_term(Var("X")) == Const(2)
-    assert s.apply_term(Var("Y")) == Const(2)
+    assert s == {"X": Const(2), "Y": Const(2)}
 
 
 def test_mgu_clash():
@@ -47,18 +46,17 @@ def test_mgu_clash():
 def test_mgu_simultaneous():
     # both pairs must unify at once
     s = mgu(pair((Var("X"), Var("Y")), (Var("X"), Const(3))))
-    assert s.apply_term(Var("Y")) == Const(3)
+    assert s == {"X": Const(3), "Y": Const(3)}
 
 
 def test_mgu_tuple_pairs():
     s = mgu([((Var("X"), Var("Y")), (Const(1), Var("X")))])
-    assert s.apply_term(Var("Y")) == Const(1)
+    assert s == {"X": Const(1), "Y": Const(1)}
 
 
 def test_mgu_tie_break_deterministic():
     # later-first-occurrence variable maps to the earlier one
-    s = mgu(pair((Var("A"), Var("B"))))
-    assert s.apply_term(Var("B")) == Var("A")
+    assert mgu(pair((Var("A"), Var("B")))) == {"B": Var("A")}
 
 
 names = st.sampled_from(["X", "Y", "Z", "W"])
@@ -72,7 +70,7 @@ def test_mgu_soundness(eqs):
     if s is None:
         return
     for a, b in eqs:
-        assert s.apply_term(a) == s.apply_term(b)
+        assert substitute(s, (a,)) == substitute(s, (b,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -81,8 +79,8 @@ def test_mgu_idempotent(eqs):
     s = mgu(pair(*eqs))
     if s is None:
         return
-    for _, t in s.bindings:
-        assert s.apply_term(t) == t
+    for t in s.values():
+        assert substitute(s, (t,)) == (t,)
 
 
 def reference_mgu(pairs):
@@ -121,7 +119,7 @@ def reference_mgu(pairs):
                 bind(s, t)
             else:
                 bind(t, s)
-    return Substitution(bindings)
+    return bindings
 
 
 def test_mgu_matches_reference():
@@ -140,7 +138,7 @@ def test_mgu_matches_reference():
         terms = [t for s_t, t_t in pairs for t in (*s_t, *t_t)]
         kinds.add("clash" if want is None else
                   "constant" if any(isinstance(t, Const)
-                                    for _, t in want.bindings) else
+                                    for t in want.values()) else
                   "variables only")
         if len({t for t in terms if isinstance(t, Var)}) < sum(
                 isinstance(t, Var) for t in terms):
@@ -149,18 +147,23 @@ def test_mgu_matches_reference():
                      "repeated variable"}
 
 
-def test_substitution_apply_atom():
-    s = Substitution((("X", Const(1)),))
-    a = Atom("e", (Var("X"), Var("Y")))
-    assert s.apply_atom(a) == Atom("e", (Const(1), Var("Y")))
-    adorned = Atom("p", (Var("X"),), adornment="an adornment")
-    assert s.apply_atom(adorned) == Atom("p", (Const(1),), "an adornment")
-
-
-def test_fresh_name_avoids_collisions():
-    used = {"X", "X_2"}
-    n = fresh_name("X", used)
-    assert n not in {"X", "X_2"}
+def test_tagged_renamings_are_apart():
+    # parsed rules (wildcards included) and canonical representatives
+    # alike: tags 0, 1, 2, 10 share no variable with each other or with
+    # the rule, keep the canonical form, and parse back to the tag
+    rules = [r for p in random_programs(5, 30) for r in p.rules]
+    rules += [rule("q(X) :- e(X,_), e(_,X).")]
+    rules += [rule_of_key(canonical_form(r)) for r in rules]
+    assert any(v.startswith("_") for r in rules for v in r.all_vars())
+    for r in rules:
+        names = [set(r.all_vars())]
+        for j in (0, 1, 2, 10):
+            t = tagged(r, j)
+            assert canonical_form(t) == canonical_form(r)
+            assert sorted(v[len(f"_{j}"):] for v in t.all_vars()) == \
+                sorted(r.all_vars())
+            names.append(set(t.all_vars()))
+        assert sum(map(len, names)) == len(set().union(*names))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +210,7 @@ def test_canonical_dedups_twins_left_by_a_drop():
 
 
 def test_canonical_rule_representative_parses():
-    r = canonical_rule(rule("tc(P,Q) :- e(P,M), e(M,Q)."))
+    r = rule_of_key(canonical_form(rule("tc(P,Q) :- e(P,M), e(M,Q).")))
     assert r.head.pred == "tc"
     assert canonical_form(r) == canonical_form(rule("tc(X,Y) :- e(X,Z), e(Z,Y)."))
 
@@ -264,6 +267,13 @@ def test_subsumes_constants():
     assert not subsumes(rule("q(X) :- e(X,2)."), rule("q(X) :- e(X,1)."))
 
 
+def merge(r, x, y):
+    """r with variable x replaced by variable y."""
+    def atom(a):
+        return Atom(a.pred, substitute({x: Var(y)}, a.terms))
+    return Rule(atom(r.head), tuple(map(atom, r.body)))
+
+
 def test_subsumes_matches_brute_force():
     rng = random.Random(7)
     progs = list(random_programs(11, 40))
@@ -272,7 +282,7 @@ def test_subsumes_matches_brute_force():
         small = [r for r in p.rules if len(r.body) <= 3]
         # merging two variables gives an image the rule maps onto, with
         # shorter distances between its terms
-        merged = [Substitution({x: Var(y)}).apply_rule(r) for r in small
+        merged = [merge(r, x, y) for r in small
                   for x, y in combinations(sorted(r.all_vars()), 2)]
         for r1 in small:
             for r2 in small + merged:
@@ -323,14 +333,3 @@ def test_subsumes_remembers_failed_states():
     start = time.perf_counter()
     assert not subsumes(chain_rule(200), clique)
     assert time.perf_counter() - start < 1.0
-
-
-def test_substitution_lookup_keeps_equality():
-    sub = Substitution({"X": Const(1), "Y": Var("Z")})
-    assert sub.bindings == (("X", Const(1)), ("Y", Var("Z")))
-    assert sub.apply_terms((Var("Y"), Var("W"), Var("X"))) == (
-        Var("Z"), Var("W"), Const(1))
-    other = Substitution({"Y": Var("Z"), "X": Const(1)})
-    assert sub == other and hash(sub) == hash(other)
-    assert sub != Substitution({"X": Const(1)})
-    assert "_map" not in repr(sub)

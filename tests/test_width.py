@@ -1,16 +1,18 @@
 """Hypergraphs and integral/fractional edge-cover widths."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from dlbound import (
-    GOut, MembershipFn, UncoverableError, adorn_program,
+    GOut, Hypergraph, MembershipFn, UncoverableError, adorn_program,
     fractional_edge_cover, hypergraph_of, integral_edge_cover, parse_program,
     width_of_predicate, width_of_program,
 )
 from dlbound.adorn import Adornment
+from dlbound.width import _components, _distinct_edges, _fractional
 
 from conftest import TC_SRC, TRIANGLE_SRC, brute_min_cover, random_programs
 
@@ -124,3 +126,27 @@ def test_fractional_solution_is_feasible_and_optimal_vs_enumeration():
     sol = fractional_edge_cover(h)
     # any integral cover is feasible for the LP, so LP <= integral
     assert sol.objective <= integral_edge_cover(h).objective
+
+
+def test_fractional_per_component_matches_one_tableau():
+    # random edges over a few disjoint vertex sets, sometimes joined by
+    # one more edge: the summed component optima equal one simplex over
+    # all edges
+    rng = random.Random(31)
+    parts_seen = set()
+    for _ in range(150):
+        edges = []
+        for c in range(rng.randint(2, 4)):
+            verts = [f"{c}.{i}" for i in range(rng.randint(1, 4))]
+            edges += [frozenset(rng.sample(verts, rng.randint(1, len(verts))))
+                      for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            edges.append(frozenset({"0.0", "1.0"}))
+        h = Hypergraph(frozenset().union(*edges),
+                       tuple((f"e#{i}", e) for i, e in enumerate(edges)),
+                       frozenset(v for e in edges for v in e))
+        reps = _distinct_edges(h)
+        parts_seen.add(len(_components(reps)))
+        sol = fractional_edge_cover(h)  # verifies the weights
+        assert sol.objective == _fractional(reps, [None] * len(h.edges))
+    assert {1, 2, 3, 4} <= parts_seen
