@@ -4,10 +4,9 @@ engine that rewrites a program into an equivalent EDB-bounded one."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import product
 from operator import attrgetter
 
 from .core import (
@@ -327,18 +326,29 @@ class _Graph:
                 stack.extend(self.edges.get(node, ()))
         return False
 
+    def peel(self) -> list:
+        """Kahn's peeling (CACM 1962) toward dependencies: drop nodes
+        with no remaining edge out, each after every node it depends on.
+        What is left lies on a cycle or depends on one."""
+        pending: dict = {}  # node -> its edges out to undropped nodes
+        users: dict = {}
+        for node, succs in self.edges.items():
+            pending[node] = len(succs)
+            for succ in succs:
+                users.setdefault(succ, []).append(node)
+                pending.setdefault(succ, 0)
+        order = [node for node, n in pending.items() if not n]
+        for node in order:  # grows as nodes are dropped
+            for user in users.get(node, ()):
+                pending[user] -= 1
+                if not pending[user]:
+                    order.append(user)
+        return order
+
     def cyclic(self) -> bool:
-        """Does some adorned predicate reach itself?  Kahn's peeling (CACM
-        1962): drop nodes that no remaining edge enters; what is left lies
-        on a cycle or is reachable from one."""
-        entering = Counter(chain.from_iterable(self.edges.values()))
-        ready = [node for node in self.edges if not entering[node]]
-        for node in ready:  # grows as nodes are dropped
-            for succ in self.edges.get(node, ()):
-                entering[succ] -= 1
-                if not entering[succ]:
-                    ready.append(succ)
-        return any(entering.values())
+        """Does some adorned predicate reach itself?  Exactly when
+        peeling leaves a node (never one without edges out)."""
+        return not self.edges.keys() <= set(self.peel())
 
 
 class _Admitted:

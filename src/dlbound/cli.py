@@ -38,6 +38,25 @@ def _max_rules() -> int:
     return int(os.environ.get("DLSB_MAX_RULES", 10000))
 
 
+def _integer(text: str) -> int:
+    """int(text), also past the 4,300 digits one int() call converts: a
+    longer run of decimal digits, signed or not, is read in chunks."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        sign = -1 if digits[:1] == "-" else 1
+        digits = digits[1:] if digits[:1] in "+-" else digits
+        if not (digits.isascii() and digits.isdecimal()):
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}") from None
+    value = 0
+    for i in range(0, len(digits), 4300):
+        chunk = digits[i:i + 4300]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return sign * value
+
+
 def _adorned(p):
     """The adorned program every subcommand but `adorn` analyses."""
     return adorn_program(p, "gout", "heq", max_rules=_max_rules())
@@ -286,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--fractional", action="store_true")
 
     sp = add("bounds", cmd_bounds)
-    sp.add_argument("--n", type=int, required=True,
+    sp.add_argument("--n", type=_integer, required=True,
                     help="per-relation EDB size parameter")
 
     sp = add("boundedness", cmd_boundedness)

@@ -13,7 +13,7 @@ from .core import (
     min_cover,
 )
 from .adorn import AdornedProgram
-from .evaluate import EDBInstance, IDBResult, _relation_key, eval_cq
+from .evaluate import EDBInstance, IDBResult, eval_cq
 from .join import _Join, _Relation
 from .width import hypergraph_of, width_of_program
 
@@ -73,25 +73,41 @@ def horn_clauses(pi: AdornedProgram, d: EDBInstance):
     unit propagation on each clause as it is generated (Dowling &
     Gallier, J. Logic Programming 1984).
 
+    Grounding is bottom-up: adorned predicates go in the order of the
+    adorned dependency graph's peeling, each after every one its rules'
+    bodies name, and those on or above a cycle last.  Once a predicate's
+    rules are grounded, its derived tuples are final.
+
     Groundings of a rule come from joining its EDB body atoms over d with
     one more atom, the picks: the answers of the head adornment's body
     atoms that hold a head variable the EDB atoms leave open, projected
     onto every head variable those atoms hold.  Every tuple the rule
     derives is an answer of its head adornment, so no derivation is
-    lost.  Ground facts are ints.  A clause whose head is derived is
-    dropped; one whose body facts are all derived derives its head at
-    once.  Otherwise the clause waits on its missing facts: on one, as
-    its head in that fact's list; on several distinct ones, as a
-    [missing, head] entry shared by their lists.  The derived facts do not depend on the order of the clauses.
+    lost.  The rule's IDB atoms of finished predicates join these as
+    sources, their derived tuples, binding no new variable: a grounding
+    with a false fact of theirs is counted, but never built.  Facts of
+    the other IDB atoms are ints.  A clause whose head is derived is
+    dropped; one whose open body facts are all derived derives its head
+    at once.  Otherwise the clause waits on its missing facts: on one, in
+    that fact's list; on several distinct ones, as a [missing, head]
+    entry shared by their lists.  The derived facts do not depend on the
+    order of the rules.
     Returns the derived tuples of each adorned predicate, the adorned
-    predicates (their adornments), and the number of groundings
-    generated, each counted, also when it repeats an earlier clause.
+    predicates (their adornments), and the number of groundings the EDB
+    atoms and picks generate, each counted, also when it repeats an
+    earlier clause.
     """
+    order = pi.graph.peel()
+    # peeled predicate -> its derived tuples, final once its rules are
+    # grounded, as its rules read only predicates peeled before it
+    finished = {adn: _Relation(set()) for adn in order}
+    rules_of = defaultdict(list)
+    for rule in pi.rules:
+        rules_of[rule.head.adornment].append(rule)
     derived = bytearray()  # fact id -> 1 once derived
-    by_pred: dict = {}  # adorned predicate -> {tuple: fact id}
-
-    def ids_of(a) -> dict:
-        return by_pred.setdefault(_relation_key(a), {})
+    by_pred = {adn: {} for adn in pi.graph.edges if adn not in finished}
+    waiting = defaultdict(list)  # missing fact -> heads missing only it
+    shared = defaultdict(list)   # missing fact -> [missing, head] entries
 
     def fact_id(ids: dict, tup) -> int:
         f = ids.get(tup)
@@ -99,9 +115,6 @@ def horn_clauses(pi: AdornedProgram, d: EDBInstance):
             f = ids[tup] = len(derived)
             derived.append(0)
         return f
-
-    waiting = defaultdict(list)  # missing fact -> heads missing only it
-    shared = defaultdict(list)   # missing fact -> [missing, head] entries
 
     def derive(fact: int) -> None:
         derived[fact] = 1
@@ -119,74 +132,93 @@ def horn_clauses(pi: AdornedProgram, d: EDBInstance):
                     stack.append(entry[1])
 
     groundings = 0
-    for rule in pi.rules:
-        adn = rule.head.adornment
-        idb_atoms = [a for a in rule.body if a.pred in pi.source.idb]
-        edb_atoms = [a for a in rule.body if a.pred not in pi.source.idb]
-        atoms = [a.terms for a in edb_atoms]
-        sources = [d.source(a.pred, a.arity) for a in edb_atoms]
-        edb_vars = {v for a in edb_atoms for v in a.vars()}
-        # the adornment's variables for the rule head's: its head has the
-        # rule head's pattern
-        canon = {t.name: c for t, c in zip(rule.head.terms,
-                                           adn.rule.head.terms)
-                 if isinstance(t, Var)}
-        wanted = {canon[v].name for v in rule.head.vars()
-                  if v not in edb_vars}
-        if wanted:
-            held = [a for a in adn.rule.body if wanted.intersection(a.vars())]
-            held_vars = {v for a in held for v in a.vars()}
-            pick_vars = [v for v in rule.head.vars()
-                         if canon[v].name in held_vars]
-            picks = eval_cq(Rule(
-                Atom(adn.base, tuple(canon[v] for v in pick_vars)),
-                tuple(held)), d)
-            atoms.append(tuple(Var(v) for v in pick_vars))
-            sources.append((_Relation(picks),))
-        join = _Join(atoms)
-        assert {v for a in rule.body for v in a.vars()} <= join.bound
-        head_ids = ids_of(rule.head)
-        head = join.getter(rule.head.terms)
-        body = [(ids_of(a), join.getter(a.terms)) for a in idb_atoms]
-        single = len(body) == 1
-        if single:
-            [(one_ids, one)] = body
-        for slots in join.run(sources):
-            groundings += 1
-            # fact_id inlined for the head and a single body atom: this
-            # loop runs once per grounding
-            t = head(slots)
-            h = head_ids.get(t)
-            if h is None:
-                h = head_ids[t] = len(derived)
-                derived.append(0)
-            elif derived[h]:
+    for adn in [*order, *by_pred]:
+        for rule in rules_of[adn]:
+            join, count, sources, open_atoms = _grounding_join(
+                rule, pi, d, finished)
+            groundings += count
+            head = join.getter(rule.head.terms)
+            if adn in finished:
+                finished[adn].rows.update(map(head, join.run(sources)))
                 continue
+            head_ids = by_pred[adn]
+            body = [(by_pred[a.adornment], join.getter(a.terms))
+                    for a in open_atoms]
+            single = len(body) == 1
             if single:
-                t = one(slots)
-                b = one_ids.get(t)
-                if b is None:
-                    b = one_ids[t] = len(derived)
+                [(one_ids, one)] = body
+            for slots in join.run(sources):
+                # fact_id inlined for the head and a single body atom:
+                # this loop runs once per grounding
+                t = head(slots)
+                h = head_ids.get(t)
+                if h is None:
+                    h = head_ids[t] = len(derived)
                     derived.append(0)
-                elif derived[b]:
-                    derive(h)
+                elif derived[h]:
                     continue
-                waiting[b].append(h)
-                continue
-            missing = {b for b in [fact_id(ids, get(slots))
-                                   for ids, get in body]
-                       if not derived[b]}
-            if not missing:
-                derive(h)
-            elif len(missing) == 1:
-                waiting[missing.pop()].append(h)
-            else:
-                entry = [len(missing), h]
-                for f in missing:
-                    shared[f].append(entry)
-    facts = [frozenset(t for t, f in ids.items() if derived[f])
-             for ids in by_pred.values()]
-    return facts, list(by_pred), groundings
+                if single:
+                    t = one(slots)
+                    b = one_ids.get(t)
+                    if b is None:
+                        b = one_ids[t] = len(derived)
+                        derived.append(0)
+                    elif derived[b]:
+                        derive(h)
+                        continue
+                    waiting[b].append(h)
+                    continue
+                missing = {b for b in [fact_id(ids, get(slots))
+                                       for ids, get in body]
+                           if not derived[b]}
+                if not missing:
+                    derive(h)
+                elif len(missing) == 1:
+                    waiting[missing.pop()].append(h)
+                else:
+                    entry = [len(missing), h]
+                    for f in missing:
+                        shared[f].append(entry)
+    facts = [frozenset(rel.rows) for rel in finished.values()]
+    facts += [frozenset(t for t, f in ids.items() if derived[f])
+              for ids in by_pred.values()]
+    return facts, [*finished, *by_pred], groundings
+
+
+def _grounding_join(rule: Rule, pi: AdornedProgram, d: EDBInstance,
+                    finished: dict):
+    """The join that grounds rule: its EDB atoms, its picks and its IDB
+    atoms of finished predicates, with their sources; the number of
+    groundings the EDB atoms and picks alone generate; and the rule's
+    other IDB atoms."""
+    adn = rule.head.adornment
+    idb_atoms = [a for a in rule.body if a.pred in pi.source.idb]
+    edb_atoms = [a for a in rule.body if a.pred not in pi.source.idb]
+    atoms = [a.terms for a in edb_atoms]
+    sources = [d.source(a.pred, a.arity) for a in edb_atoms]
+    edb_vars = {v for a in edb_atoms for v in a.vars()}
+    # the adornment's variables for the rule head's: its head has the
+    # rule head's pattern
+    canon = {t.name: c for t, c in zip(rule.head.terms, adn.rule.head.terms)
+             if isinstance(t, Var)}
+    wanted = {canon[v].name for v in rule.head.vars() if v not in edb_vars}
+    if wanted:
+        held = [a for a in adn.rule.body if wanted.intersection(a.vars())]
+        held_vars = {v for a in held for v in a.vars()}
+        pick_vars = [v for v in rule.head.vars()
+                     if canon[v].name in held_vars]
+        picks = eval_cq(Rule(
+            Atom(adn.base, tuple(canon[v] for v in pick_vars)),
+            tuple(held)), d)
+        atoms.append(tuple(Var(v) for v in pick_vars))
+        sources.append((_Relation(picks),))
+    generating = _Join(atoms)
+    assert {v for a in rule.body for v in a.vars()} <= generating.bound
+    done = [a for a in idb_atoms if a.adornment in finished]
+    join = _Join(atoms + [a.terms for a in done]) if done else generating
+    return (join, generating.count(sources),
+            sources + [(finished[a.adornment],) for a in done],
+            [a for a in idb_atoms if a not in done])
 
 
 # ---------------------------------------------------------------------------

@@ -144,14 +144,37 @@ class _Join:
         """Yield once per binding that grounds every atom in its source
         (sources[j]: a tuple of disjoint _Relation parts for atom j).
         The same slot list is yielded each time, updated in place."""
+        return self._run(sources, list(self.init), len(self.steps))
+
+    def count(self, sources) -> int:
+        """How many bindings `run` yields.  The last step's matching rows
+        are summed, not walked, unless the step checks an equality."""
+        if not self.steps:
+            return 1
+        last = len(self.steps) - 1
+        j, positions, key, _, eqs = self.steps[last][:5]
         slots = list(self.init)
+        prefixes = self._run(sources, slots, last)
+        if eqs:
+            rows = self._rows(sources, slots)
+            return sum(1 for _ in prefixes for row in rows(last)
+                       if all(row[a] == row[b] for a, b in eqs))
+        if not positions:
+            return sum(1 for _ in prefixes) * sum(
+                len(p.rows) for p in sources[j])
+        indexes = [p.index(positions) for p in sources[j]]
+        return sum(len(idx.get(key(slots), ())) for _ in prefixes
+                   for idx in indexes)
+
+    def _run(self, sources, slots, n):
+        """Yield slots once per binding of the first n steps."""
         steps = self.steps
-        last = len(steps) - 1
+        last = n - 1
         if last < 0:
             yield slots
             return
         rows = self._rows(sources, slots)
-        stack = [None] * len(steps)
+        stack = [None] * n
         stack[0] = rows(0)
         depth = 0
         while depth >= 0:

@@ -211,7 +211,7 @@ class SizeBoundReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "n": self.n,
+            "n": _capped(self.n),
             "predicates": [pb.to_json_dict() for pb in self.predicates],
         }
 

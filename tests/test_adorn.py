@@ -381,6 +381,13 @@ def test_dependency_cycle_matches_reachability():
             reach |= more
         rules = graph_rules(edges, nodes)
         assert _Graph(rules).cyclic() == any((v, v) in reach for v in nodes)
+        # peeling drops exactly the nodes that reach no cycle, each after
+        # every node it depends on
+        order = [adn.key for adn in _Graph(rules).peel()]
+        assert sorted(order) == [u for u in nodes if not any(
+            (v, v) in reach for v in nodes if v == u or (u, v) in reach)]
+        assert all(order.index(b) < order.index(a)
+                   for a, b in edges if a in order)
 
 
 def test_dependency_cycle_on_a_long_chain():

@@ -351,6 +351,25 @@ def test_bounds_with_a_250_digit_n(capsys, tmp_path):
     assert (fpt - 1) ** 2 < n ** 3 <= fpt ** 2
 
 
+def test_bounds_with_a_5000_digit_n(capsys, tmp_path):
+    # past the 4,300 digits one int() call converts: accepted, and every
+    # figure that grows with n prints as None / null, n itself too
+    f = tmp_path / "tri.dl"
+    f.write_text(TRIANGLE_SRC)
+    n = "9" * 5000
+    code, out = run(capsys, "bounds", str(f), "--n", n)
+    assert code == 0
+    assert out.splitlines()[1] == (
+        "q: ew=1 ewf=1 f=1 bound1=None bound2=None fpt=None")
+    code, out = run(capsys, "--json", "bounds", str(f), "--n", n)
+    assert code == 0
+    report = json.loads(out)
+    assert report["n"] is None
+    assert {pb["predicate"]: pb["fpt_bound"]
+            for pb in report["predicates"]} == {"p": None, "q": None}
+    assert main(["bounds", str(f), "--n", n[:-1] + "x"]) == 2
+
+
 def test_threads_flag_is_gone(capsys, tc_file):
     assert main(["--threads", "2", "classify", tc_file]) == 2
 

@@ -293,6 +293,33 @@ def test_join_reads_disjoint_parts_as_one_relation():
     assert {(x, z) for x, _, z in got} == {(1, 3), (1, 5), (2, 4)}
 
 
+def test_join_count_equals_the_bindings_run_yields():
+    rng = random.Random(17)
+    shapes = {"last_repeats": 0, "constant": 0, "parts": 0, "empty": 0}
+    for _ in range(400):
+        pool = [Var(f"V{i}") for i in range(rng.randint(1, 4))]
+        body, sources = [], []
+        for _ in range(rng.randint(1, 4)):
+            arity = rng.randint(1, 3)
+            body.append(tuple(Const(rng.randint(0, 2)) if rng.random() < 0.2
+                              else rng.choice(pool) for _ in range(arity)))
+            rows = list({tuple(rng.randint(0, 2) for _ in range(arity))
+                         for _ in range(rng.randint(0, 9))})
+            cut = rng.randint(0, len(rows))
+            sources.append((_Relation(set(rows[:cut])),
+                            _Relation(set(rows[cut:]))) if rng.random() < 0.3
+                           else (_Relation(set(rows)),))
+        join = _Join(body)
+        assert join.count(sources) == sum(1 for _ in join.run(sources)), body
+        shapes["last_repeats"] += bool(join.steps[-1][4])
+        shapes["constant"] += any(isinstance(t, Const)
+                                  for terms in body for t in terms)
+        shapes["parts"] += any(len(parts) > 1 for parts in sources)
+        shapes["empty"] += any(not p.rows for parts in sources for p in parts)
+    assert all(count >= 20 for count in shapes.values()), shapes
+    assert _Join([]).count([]) == sum(1 for _ in _Join([]).run([])) == 1
+
+
 def test_relation_index_follows_added_rows():
     rel = _Relation(set())
     assert rel.index((0,)) == {}

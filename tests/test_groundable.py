@@ -213,8 +213,10 @@ def graph_edbs(seed):
               random_graph(rng, 15, 25)]
     for edges in graphs:
         nodes = sorted({v for e in edges for v in e})
+        loops = {(a, a) for a, _ in sorted(edges)[::4]}
         yield {
             "e2": {"e": edges},
+            "e2f": {"e": edges | loops, "f": {(a,) for a in nodes[::2]}},
             "samegen": {"up": edges, "down": {(b, a) for a, b in edges},
                         "flat": {(a, a) for a in nodes[::3]}},
             "e3": {"e": {(a, b, c) for a, b in edges for b2, c in edges
@@ -339,13 +341,21 @@ def test_horn_independent_of_rule_order(src, edb_kind):
 
 # Each EDB grounds a clause whose body repeats a fact: the self-loop
 # e(1,1) gives p(1,1) :- q(1,1), q(1,1), and q(1,1), q(1,2) give
-# p(1,1,2) :- q(1,1), q(1,2), q(1,2).  Rules in reverse order make these
-# clauses wait on their body facts.
+# p(1,1,2) :- q(1,1), q(1,2), q(1,2).  q is grounded before p, so its
+# atoms join as sources.  In "cycle" and "nonlinear", p's atoms lie on
+# p's own cycle, so its clauses wait: on one repeated fact, as
+# p(1,1) :- p(1,1), p(1,1) does, or on two distinct ones.  In
+# "nonlinear", some clause waiting on two facts fires once both are
+# derived.
 @pytest.mark.parametrize("src,edb", [
     ("q(X,Y) :- e(X,Y).\np(X,Y) :- q(X,Y), q(Y,X), e(X,Y).\n",
      "e(1,1). e(1,2). e(2,1). e(2,3). e(3,3)."),
     (TRIANGLE_SRC, "e(1,1,0). e(1,2,0). e(2,2,0). e(2,3,1)."),
-], ids=["symmetric", "triangle"])
+    ("p(X,Y) :- e(X,Y).\np(X,Y) :- p(Y,X), p(X,X), f(Y).\n",
+     "e(1,1). e(2,1). e(2,3). e(3,3). f(1). f(2). f(3)."),
+    ("p(X,Y) :- e(X,Y).\np(X,Y) :- a(X,Z), p(Z,Y), p(Z,Z).\n",
+     "a(0,3). a(0,1). a(2,1). a(1,0). e(3,1). e(0,0). e(3,0). e(0,1)."),
+], ids=["symmetric", "triangle", "cycle", "nonlinear"])
 def test_horn_repeated_body_fact(src, edb):
     p = parse_program(src)
     assert ADORNMENT_GROUNDABLE in classify_program(p)
@@ -357,6 +367,35 @@ def test_horn_repeated_body_fact(src, edb):
         horn = horn_ground_evaluate(prog, d)
         for q in sorted(p.idb):
             assert union_adorned(horn, q) == union_adorned(semi, q)
+
+
+# An IDB atom of a predicate grounded earlier joins the groundings as a
+# source: with a constant and with a repeated variable, and beside an IDB
+# atom of the head's own cycle, which waits.  Each rule order grounds the
+# counts pinned, one per EDB of graph_edbs(7).
+FINISHED_ATOM_SRC = ("q(X,Y) :- e(X,Y).\np(X) :- q(X,X), f(X).\n"
+                     "r(X) :- q(X,1), f(X).\n")
+FINISHED_AND_OPEN_SRC = ("q(X,Y) :- e(X,Y).\np(X,Y) :- e(X,Y).\n"
+                         "p(X,Y) :- q(X,Y), p(Y,X), f(X).\n")
+
+
+@pytest.mark.parametrize("src,counts", [
+    (FINISHED_ATOM_SRC, [29, 46, 35, 46]),
+    (FINISHED_AND_OPEN_SRC, [39, 72, 69, 74])],
+    ids=["finished_atom", "finished_and_open"])
+def test_horn_joins_finished_atoms(src, counts):
+    p = parse_program(src)
+    assert ADORNMENT_GROUNDABLE in classify_program(p)
+    pi = adorn_program(p, GOut(), MembershipFn("heq"))
+    for edbs, count in zip(graph_edbs(7), counts, strict=True):
+        d = EDBInstance.of(edbs["e2f"])
+        semi = evaluate(pi, d)
+        for prog in (pi, backwards(pi)):
+            horn = horn_ground_evaluate(prog, d)
+            for q in sorted(p.idb):
+                assert union_adorned(horn, q) == union_adorned(semi, q)
+            assert horn_clauses(prog, d)[2] == count
+        assert all(union_adorned(semi, q) for q in ("p", "q"))
 
 
 def test_horn_counts_groundings_not_distinct_clauses():

@@ -285,3 +285,44 @@ def test_bench_layers_resolve():
         if not callable(getattr(owner, "__dict__", {}).get(name)):
             missing.append(f"{module}.{attr}")
     assert not missing
+
+
+GC_SWITCHES = {"disable", "freeze", "set_threshold"}
+
+
+def gc_switches(texts: dict) -> list:
+    """(module, line) of each use of gc.disable, gc.freeze or
+    gc.set_threshold: read off the gc module, under any name, or
+    imported from it."""
+    found = []
+    for module, text in texts.items():
+        tree = ast.parse(text)
+        names = {a.asname or a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import)
+                 for a in node.names if a.name == "gc"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and \
+                    node.attr in GC_SWITCHES and \
+                    isinstance(node.value, ast.Name) and \
+                    node.value.id in names or \
+                    isinstance(node, ast.ImportFrom) and \
+                    node.module == "gc" and \
+                    any(a.name in GC_SWITCHES for a in node.names):
+                found.append((module, node.lineno))
+    return sorted(found)
+
+
+def test_gc_switches_finds_every_spelling():
+    texts = {"a.py": "import gc\nimport gc as collector\n"
+                     "gc.disable()\ncollector.freeze()\n"
+                     "gc.collect()\nother.disable()\n",
+             "b.py": "from gc import set_threshold\nset_threshold(0)\n"}
+    assert gc_switches(texts) == [("a.py", 3), ("a.py", 4), ("b.py", 1)]
+
+
+def test_no_gc_switches():
+    # each is process-wide: a call that flips one changes every thread's
+    # collector, which the README's thread-safety promise rules out
+    src = Path(dlbound.__file__).parent
+    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert not gc_switches(texts)
