@@ -18,18 +18,17 @@ from .width import (
 )
 from .sizebound import (
     PredicateBounds, SchemaStats, SizeBoundReport, bound1, bound2,
-    coeff_minimal, coeff_naive, permutations, pow_ceil, size_report,
-    stirling2,
+    coeff_minimal, coeff_naive, pow_ceil, size_report,
 )
 from .boundedness import (
     Degraded, Inconclusive, NonRecursive, check_boundedness, cq_contained,
     extract_ucq,
 )
-from .minimize import is_minimal, minimize_program
+from .minimize import minimize_program
 from .evaluate import (
     BoundednessViolation, EDBInstance, IDBResult, RuleBoundedReport,
-    check_rule_bounded, eval_cq, evaluate, generate_tightness_instance,
-    parse_edb, tightness_bound, union_adorned, value_cover_ok,
+    check_rule_bounded, eval_cq, evaluate, parse_edb, union_adorned,
+    value_cover_ok,
 )
 from .groundable import (
     ADORNMENT_GROUNDABLE, ComplexityBound, ComplexityReport, LINEAR,

@@ -30,7 +30,8 @@ from .groundable import classify_program, complexity_report, \
 
 
 def _read(path: str) -> str:
-    with open(path, encoding="utf-8") as fh:
+    """A UTF-8 file's text, without its byte-order mark if it has one."""
+    with open(path, encoding="utf-8-sig") as fh:
         return fh.read()
 
 

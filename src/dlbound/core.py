@@ -9,6 +9,7 @@ are constants, `_` is a wildcard (only in rule bodies), rules end with `.`,
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -251,6 +252,36 @@ def min_cover(need, sets) -> tuple | None:
 # ---------------------------------------------------------------------------
 # Parsing
 
+# Lexical pieces of both readers, for programs and EDB files.  Blanks are
+# space, tab, CR and LF, and `%` starts a comment that runs to the end of
+# its line.  The lookahead stops a comment from ending early, so blanks and
+# comments can be read in only one way and backtracking stays linear.
+_WS = r"[ \t\r\n]*"
+_BLANK = r"(?:[ \t\r\n]|%[^\n]*(?![^\n]))*"
+_NAME = r"[a-z][A-Za-z0-9_]*"  # a predicate or a symbol constant
+_CONST = rf"-?[0-9]+|{_NAME}"
+_VAR = r"[A-Z][A-Za-z0-9_]*"
+
+
+def _terms(term: str) -> str:
+    """One or more `term`s separated by `,`, with blanks around each."""
+    arg = rf"{_WS}(?:{term}){_WS}"
+    return rf"{arg}(?:,{arg})*"
+
+
+# One rule of a program and the blanks and comments before it: a head atom
+# without wildcards, `:-`, body atoms separated by `,`, and `.`, with only
+# blanks inside.  At the end of the text the blanks meet `\Z`; anything
+# else that starts no rule, a comment inside a rule included, is taken
+# whole as the rest, which sends the text to `_Parser`.
+_BODY_ATOM = rf"{_WS}{_NAME}{_WS}\({_terms(rf'{_CONST}|{_VAR}|_')}\)"
+_RULE = re.compile(
+    rf"{_BLANK}(?:({_NAME}){_WS}\(({_terms(rf'{_CONST}|{_VAR}')})\){_WS}:-"
+    rf"((?:{_BODY_ATOM}{_WS},)*{_BODY_ATOM}){_WS}\.|\Z|(.+))",
+    re.ASCII | re.DOTALL)
+# An atom of a rule body that `_RULE` read: its name and its terms.
+_ATOM = re.compile(rf"({_NAME}){_WS}\(([^)]*)\)")
+
 
 _PUNCT = {":-": "ARROW", "(": "LPAR", ")": "RPAR", ",": "COMMA", ".": "DOT",
           "_": "WILD"}
@@ -401,9 +432,54 @@ class _Parser:
         return Program.from_rules(rules)
 
 
+def _read_rules(text: str) -> list | None:
+    """The rules of a text that `_RULE` reads whole, else None.  Each
+    distinct term text becomes one term object; each wildcard is a fresh
+    variable, numbered in text order as `_Parser` numbers it."""
+    terms: dict = {}  # term text -> its one Var or Const
+    wildcards = 0
+    rules = []
+    for head, head_terms, body, rest in _RULE.findall(text):
+        if rest:
+            return None
+        if not head:
+            continue
+        atoms = []
+        for name, args in ((head, head_terms), *_ATOM.findall(body)):
+            ts = []
+            for a in args.split(","):
+                a = a.strip()
+                if a == "_":
+                    wildcards += 1
+                    ts.append(Var(f"{INTERNAL_PREFIX}w{wildcards}"))
+                    continue
+                t = terms.get(a)
+                if t is None:
+                    if a[0] in "-0123456789":
+                        try:
+                            t = Const(int(a))
+                        except ValueError:  # past Python's int digit limit
+                            return None
+                    else:
+                        t = Var(a) if a[0].isupper() else Const(a)
+                    terms[a] = t
+                ts.append(t)
+            atoms.append(Atom(name, tuple(ts)))
+        rules.append(Rule(atoms[0], tuple(atoms[1:])))
+    return rules
+
+
 def parse_program(text: str) -> Program:
-    """Parse and validate a program in the textual dialect."""
-    return _Parser(text).program()
+    """Parse and validate a program in the textual dialect.
+
+    One pattern reads the rules of a well-formed text whose tokens are
+    ASCII and whose comments stand between rules.  Any other text, an
+    empty or malformed one included, is read by `_Parser`, which raises
+    the positioned `ParseError`."""
+    rules = _read_rules(text)
+    if not rules:
+        return _Parser(text).program()
+    return Program.from_rules(rules)
 
 
 # ---------------------------------------------------------------------------

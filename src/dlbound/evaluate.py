@@ -1,20 +1,19 @@
 """Ground oracle: naive/semi-naive evaluation of plain and adorned
-programs, per-rule boundedness and value-cover checks, and the generator
-of instances on which the combinatorial size bound is exactly tight."""
+programs, per-rule boundedness and value-cover checks, and the EDB file
+reader."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 
 from .core import (
-    Atom, ParseError, Program, Rule, ValidationError, Var,
+    _BLANK, _CONST, _NAME, _WS, Atom, ParseError, Program, Rule,
+    ValidationError, Var, _terms, _tokenize,
 )
 from .adorn import AdornedProgram
 from .join import _Join, _Relation
-from .sizebound import SchemaStats, bound1
 
 
 @dataclass(frozen=True)
@@ -91,18 +90,14 @@ class EDBInstance:
 
 
 # One fact of an EDB file and the blanks and `%` comments before it: a
-# name, `(`, int or symbol arguments, `)`, `.`, with only blanks inside.
-# A comment runs to the end of its line; the lookahead stops it from
-# ending early, so the blanks can be read in only one way and
-# backtracking stays linear.  At the end of the text the blanks meet `\Z`;
-# anything else that starts no fact, a comment inside a fact included, is
-# taken whole as the rest, which sends the text to the token parser.
-_BLANK = r"(?:[ \t\r\n]|%[^\n]*(?![^\n]))*"
-_WS = r"[ \t\r\n]*"
-_ARG = rf"{_WS}(?:-?[0-9]+|[a-z][A-Za-z0-9_]*){_WS}"
+# name, `(`, int or symbol arguments, `)`, `.`, with only blanks inside,
+# built from the pieces `core._RULE` is built from.  At the end of the
+# text the blanks meet `\Z`; anything else that starts no fact, a comment
+# inside a fact included, is taken whole as the rest, which sends the
+# text to the token parser.
 _FACT = re.compile(
-    rf"{_BLANK}(?:([a-z][A-Za-z0-9_]*){_WS}\(({_ARG}(?:,{_ARG})*)\)"
-    rf"{_WS}\.|\Z|(.+))", re.ASCII | re.DOTALL)
+    rf"{_BLANK}(?:({_NAME}){_WS}\(({_terms(_CONST)})\){_WS}\.|\Z|(.+))",
+    re.ASCII | re.DOTALL)
 
 
 def parse_edb(text: str) -> EDBInstance:
@@ -135,8 +130,6 @@ def parse_edb(text: str) -> EDBInstance:
 
 
 def _parse_edb_tokens(text: str) -> EDBInstance:
-    from .core import _tokenize
-
     tokens = _tokenize(text)
     rels: dict = {}
     i = 0
@@ -396,55 +389,3 @@ def value_cover_ok(values, d: EDBInstance, k: int) -> bool:
             v = min(remaining, key=lambda u: len(index.get(u, ())))
             stack.append(map(remaining.difference, index.get(v, ())))
     return False
-
-
-# ---------------------------------------------------------------------------
-# Tightness generator
-
-
-def generate_tightness_instance(omega: int, mu: int, nu: int, m: int,
-                                n: int, rule_cap: int = 50000):
-    """A program and instance on which |q| equals bound1 exactly.
-
-    The instance holds m relations of n pairwise-value-disjoint nu-tuples;
-    the rules enumerate, for every k <= omega, every k-tuple of relation
-    symbols and every mu-tuple of variable picks.
-    """
-    if min(omega, mu, nu, m, n) < 1:
-        raise ValueError("all parameters must be >= 1")
-    expected = sum(m ** k * (k * nu) ** mu for k in range(1, omega + 1))
-    if expected > rule_cap:
-        raise ValueError(
-            f"parameter combination yields {expected} rules "
-            f"(cap {rule_cap})")
-
-    rels: dict = {}
-    for i in range(1, m + 1):
-        tuples = set()
-        for r in range(1, n + 1):
-            tuples.add(tuple(
-                n * nu * (i - 1) + (r - 1) * nu + c
-                for c in range(1, nu + 1)))
-        rels[f"e{i}"] = tuples
-    instance = EDBInstance.of(rels)
-
-    rules = []
-    for k in range(1, omega + 1):
-        all_vars = [Var(f"X{j}") for j in range(1, k * nu + 1)]
-        for rel_choice in product(range(1, m + 1), repeat=k):
-            body = tuple(
-                Atom(f"e{rel_choice[a]}",
-                     tuple(all_vars[a * nu + c] for c in range(nu)))
-                for a in range(k))
-            for var_choice in product(range(k * nu), repeat=mu):
-                head = Atom("q", tuple(all_vars[j] for j in var_choice))
-                rules.append(Rule(head, body))
-    program = Program.from_rules(rules)
-    return program, instance
-
-
-def tightness_bound(omega: int, mu: int, nu: int, m: int, n: int) -> int:
-    """bound1 for a generated tightness instance's parameters."""
-    stats = SchemaStats(num_edbs=m, ear=nu, arq=mu,
-                        rule_count=0, term_count=0)
-    return bound1(stats, omega, n)

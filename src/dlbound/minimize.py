@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .adorn import Adornment, AdornedProgram, GMin, relax
+from .adorn import AdornedProgram, GMin, relax
 from .core import Rule
 from .unify import canonical_form
 
@@ -31,29 +31,3 @@ def minimize_program(pi: AdornedProgram) -> AdornedProgram:
         new_rules.setdefault(canonical_form(nr), nr)
     return AdornedProgram(rules=tuple(new_rules[k] for k in sorted(new_rules)),
                           source=pi.source)
-
-
-def _adornment_minimal(adn: Adornment) -> bool:
-    rule = adn.rule
-    head_vars = set(rule.head_vars())
-    counts: dict = {}
-    for a in rule.body:
-        atom_vars = set()
-        for t in a.terms:
-            name = getattr(t, "name", None)
-            if name in head_vars:
-                counts[name] = counts.get(name, 0) + 1
-                atom_vars.add(name)
-        if not atom_vars:
-            return False  # an all-wildcard atom restricts nothing
-    return all(c == 1 for c in counts.values()) and \
-        set(counts) == head_vars if head_vars else True
-
-
-def is_minimal(pi: AdornedProgram) -> bool:
-    """True iff every head variable of every adornment occurs in exactly
-    one body position and no body atom is all wildcards."""
-    adns = {a.adornment.key: a.adornment
-            for r in pi.rules for a in (r.head, *r.body)
-            if a.adornment is not None}
-    return all(_adornment_minimal(a) for a in adns.values())

@@ -1,5 +1,5 @@
-"""Combinatorial size bounds: Stirling/permutation numbers, the two
-closed-form bounds on IDB relation size, and adornment-count coefficients.
+"""Combinatorial size bounds: Stirling numbers, the two closed-form
+bounds on IDB relation size, and adornment-count coefficients.
 
 All arithmetic is arbitrary-precision integer or exact rational; fractional
 exponents are resolved to certified integer ceilings by k-th-root
@@ -25,25 +25,6 @@ def _stirling_row(n: int, k: int) -> list:
             row[j] = j * row[j] + row[j - 1]
         row[0] = 0
     return row
-
-
-def stirling2(n: int, k: int) -> int:
-    """Partitions of n labeled elements into k unlabeled blocks."""
-    if n < 0 or k < 0:
-        raise ValueError("stirling2 requires non-negative arguments")
-    return _stirling_row(n, k)[k]
-
-
-def permutations(n: int, k: int) -> int:
-    """Falling factorial n(n-1)...(n-k+1); 0 when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("permutations requires non-negative arguments")
-    if k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 def iroot(x: int, k: int) -> int:
@@ -140,7 +121,7 @@ def bound1(stats: SchemaStats, ew: int, n: int) -> int | None:
     """Exact combinatorial bound: tuples drawn from at most ew EDB tuples."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    # w_k = permutations(num_edbs · n, k)
+    # w_k = (num_edbs · n)(num_edbs · n - 1)…(num_edbs · n - k + 1)
     return _stirling_sum(stats, ew, lambda k: stats.num_edbs * n - k + 1)
 
 

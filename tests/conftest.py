@@ -1,5 +1,7 @@
-"""Shared fixtures: random program/EDB generators and independent
-brute-force oracles used to cross-check the library."""
+"""Shared fixtures: random program/EDB generators, independent
+brute-force oracles used to cross-check the library, and the test-only
+counterparts of its formulas: Stirling numbers, falling factorials, the
+tightness-instance generator and the minimality check."""
 
 from __future__ import annotations
 
@@ -10,8 +12,9 @@ import pytest
 
 from dlbound import (
     AdornedProgram, Adornment, Atom, Const, EDBInstance, GOut, MembershipFn,
-    Program, Rule, Var, adorn_program, parse_program,
+    Program, Rule, SchemaStats, Var, adorn_program, bound1, parse_program,
 )
+from dlbound.sizebound import _stirling_row
 
 
 TC_SRC = "tc(X,Y) :- e(X,Y).\ntc(X,Y) :- tc(X,Z), e(Z,Y).\n"
@@ -224,3 +227,101 @@ def brute_min_cover(vertices, edges) -> int | None:
             if need <= set().union(*combo) if combo else not need:
                 return k
     return None
+
+
+# ---------------------------------------------------------------------------
+# Formulas and generators only the tests use
+
+
+def stirling2(n: int, k: int) -> int:
+    """Partitions of n labeled elements into k unlabeled blocks, read from
+    the Stirling row that `bound1` and `coeff_minimal` use."""
+    if n < 0 or k < 0:
+        raise ValueError("stirling2 requires non-negative arguments")
+    return _stirling_row(n, k)[k]
+
+
+def permutations(n: int, k: int) -> int:
+    """Falling factorial n(n-1)...(n-k+1); 0 when k > n."""
+    if n < 0 or k < 0:
+        raise ValueError("permutations requires non-negative arguments")
+    if k > n:
+        return 0
+    out = 1
+    for i in range(k):
+        out *= n - i
+    return out
+
+
+def generate_tightness_instance(omega: int, mu: int, nu: int, m: int,
+                                n: int, rule_cap: int = 50000):
+    """A program and instance on which |q| equals bound1 exactly.
+
+    The instance holds m relations of n pairwise-value-disjoint nu-tuples;
+    the rules enumerate, for every k <= omega, every k-tuple of relation
+    symbols and every mu-tuple of variable picks.
+    """
+    if min(omega, mu, nu, m, n) < 1:
+        raise ValueError("all parameters must be >= 1")
+    expected = sum(m ** k * (k * nu) ** mu for k in range(1, omega + 1))
+    if expected > rule_cap:
+        raise ValueError(
+            f"parameter combination yields {expected} rules "
+            f"(cap {rule_cap})")
+
+    rels: dict = {}
+    for i in range(1, m + 1):
+        tuples = set()
+        for r in range(1, n + 1):
+            tuples.add(tuple(
+                n * nu * (i - 1) + (r - 1) * nu + c
+                for c in range(1, nu + 1)))
+        rels[f"e{i}"] = tuples
+    instance = EDBInstance.of(rels)
+
+    rules = []
+    for k in range(1, omega + 1):
+        all_vars = [Var(f"X{j}") for j in range(1, k * nu + 1)]
+        for rel_choice in itertools.product(range(1, m + 1), repeat=k):
+            body = tuple(
+                Atom(f"e{rel_choice[a]}",
+                     tuple(all_vars[a * nu + c] for c in range(nu)))
+                for a in range(k))
+            for var_choice in itertools.product(range(k * nu), repeat=mu):
+                head = Atom("q", tuple(all_vars[j] for j in var_choice))
+                rules.append(Rule(head, body))
+    program = Program.from_rules(rules)
+    return program, instance
+
+
+def tightness_bound(omega: int, mu: int, nu: int, m: int, n: int) -> int:
+    """bound1 for a generated tightness instance's parameters."""
+    stats = SchemaStats(num_edbs=m, ear=nu, arq=mu,
+                        rule_count=0, term_count=0)
+    return bound1(stats, omega, n)
+
+
+def _adornment_minimal(adn: Adornment) -> bool:
+    rule = adn.rule
+    head_vars = set(rule.head_vars())
+    counts: dict = {}
+    for a in rule.body:
+        atom_vars = set()
+        for t in a.terms:
+            name = getattr(t, "name", None)
+            if name in head_vars:
+                counts[name] = counts.get(name, 0) + 1
+                atom_vars.add(name)
+        if not atom_vars:
+            return False  # an all-wildcard atom restricts nothing
+    return all(c == 1 for c in counts.values()) and \
+        set(counts) == head_vars if head_vars else True
+
+
+def is_minimal(pi: AdornedProgram) -> bool:
+    """True iff every head variable of every adornment occurs in exactly
+    one body position and no body atom is all wildcards."""
+    adns = {a.adornment.key: a.adornment
+            for r in pi.rules for a in (r.head, *r.body)
+            if a.adornment is not None}
+    return all(_adornment_minimal(a) for a in adns.values())

@@ -13,15 +13,15 @@ from dlbound import (
     ADORNMENT_GROUNDABLE, Adornment, Degraded, GOut, Inconclusive, LINEAR,
     MembershipFn, NonRecursive, SIMPLE_CHAIN, SchemaStats, adorn_program,
     bound1, bound2, check_boundedness, check_rule_bounded, classify_program,
-    coeff_minimal, evaluate, generate_tightness_instance, horn_ground_evaluate,
-    minimize_program, parse_program, permutations, stirling2,
-    tightness_bound, union_adorned, value_cover_ok, width_of_predicate,
+    coeff_minimal, evaluate, horn_ground_evaluate, minimize_program,
+    parse_program, union_adorned, value_cover_ok, width_of_predicate,
 )
 from dlbound.core import Const
 
 from conftest import (
     BUYS_SRC, REACH_SRC, TC_SRC, TRIANGLE_SRC, UNBOUNDED_SRC,
-    brute_permutations, brute_stirling, random_edb, random_programs,
+    brute_permutations, brute_stirling, generate_tightness_instance,
+    permutations, random_edb, random_programs, stirling2, tightness_bound,
 )
 
 

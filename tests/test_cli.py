@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +146,19 @@ def test_eval_horn_prints_an_underivable_idb_empty(capsys, tmp_path):
                           '    [\n      2\n    ]\n  ],\n  "r": []\n}\n')
     assert run(capsys, "eval", str(prog), "--edb", str(edb), "--horn") \
         == (0, "q(1).\nq(2).\n")
+
+
+def test_byte_order_mark_is_ignored(capsys, tmp_path, tc_file, edb_file):
+    marked = {}
+    for plain in (tc_file, edb_file):
+        f = tmp_path / f"bom_{Path(plain).name}"
+        f.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        marked[plain] = str(f)
+    for argv in (["classify", tc_file],
+                 ["--json", "eval", tc_file, "--edb", edb_file]):
+        want = run(capsys, *argv)
+        assert want[0] == 0
+        assert run(capsys, *(marked.get(a, a) for a in argv)) == want
 
 
 def test_classify(capsys, tc_file):

@@ -1,6 +1,7 @@
 """Parser, validation, printing, and the minimum-cover search."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,9 @@ from dlbound import (
     Atom, Const, ParseError, ValidationError, Var, parse_program,
     print_program,
 )
-from dlbound.core import classify_rule_atoms, format_rule, min_cover
+from dlbound.core import (
+    _Parser, _read_rules, classify_rule_atoms, format_rule, min_cover,
+)
 
 from conftest import TC_SRC
 
@@ -124,6 +127,107 @@ def test_format_rule_terminator():
 def test_atom_vars_order():
     a = Atom("e", (Var("X"), Const(1), Var("Y"), Var("X")))
     assert list(a.vars()) == ["X", "Y"]
+
+
+_ARITY = {"e": 2, "f": 1, "p": 2, "q": 1}
+_TERMS = ["X", "Y", "Zed_1", "X", "Y", "a", "b_2", "0", "-3", "007", "-0",
+          "_", "9" * 4301]
+_BLANKS = ["", "", " ", "\t", "\r\n", "\n  ", "% in (a, rule).\n"]
+_BETWEEN = ["", " ", "\n", "\r\n", "\n\n", "\n% between: p(_) :- é.\n"]
+_INSERTS = ["(", ")", ",", ".", ":", "-", "_", "_x", "q(_) :- f(X). ",
+            "P(X) :- f(X). ", "e(1,2). ", "é", "²", "\f", "\v"]
+
+
+def _random_program_text(rng) -> str:
+    """Rules over e/2, f/1, p/2 and q/1 with blanks between every two
+    tokens; now and then a comment inside a rule or a mutation."""
+    def pick(pool, valid):
+        return rng.choice(pool[:valid] if rng.random() < 0.97 else pool)
+
+    def blank():
+        return pick(_BLANKS, 6)
+
+    def atom(pred, terms):
+        args = ("," + blank()).join(t + blank() for t in terms)
+        return f"{pred}{blank()}({blank()}{args})"
+
+    rules = []
+    for _ in range(rng.randrange(1, 5)):
+        body = [(pred, [pick(_TERMS, 12) for _ in range(_ARITY[pred])])
+                for pred in rng.choices("efpq", k=rng.randrange(1, 4))]
+        names = [t for _, ts in body for t in ts if t[0].isupper()] or ["a"]
+        head = rng.choice("pq")
+        head_terms = [rng.choice(names) if rng.random() < 0.95 else "1"
+                      for _ in range(_ARITY[head])]
+        rules.append(
+            atom(head, head_terms) + blank() + ":-" + blank()
+            + ("," + blank()).join(atom(*a) + blank() for a in body) + ".")
+    text = "".join(rng.choice(_BETWEEN) + r for r in rules)
+    text += rng.choice(["", "\n", "% end", "\n% end, no newline"])
+    if rng.random() < 0.3:
+        spots = [i for i, c in enumerate(text) if c in "(),.:-_"]
+        if spots and rng.random() < 0.5:
+            i = rng.choice(spots)
+            return text[:i] + text[i + 1:]
+        i = rng.randrange(len(text) + 1)
+        return text[:i] + rng.choice(_INSERTS) + text[i:]
+    return text
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _token_parse(text):
+    return _Parser(text).program()
+
+
+def test_parse_program_matches_token_parser():
+    rng = random.Random(5)
+    texts = [_random_program_text(rng) for _ in range(1500)]
+    texts += ["", "% only a comment", "q(_) :- f(X).", "q(X) :- e(_x,X).",
+              "P(X) :- f(X).", "q(1).", "é", "q(X) :- e(X,²).",
+              "q(X) :- f(X).\f", "\vq(X) :- f(X).", "q(X) :- f(X)",
+              "q(X) :- f(X)..", "q(X):-f(X).p(X,Y):-e(X,Y).",
+              "q(X) :- % c\n f(X).", "q(X) :- f(X). % c", "q( X ) :- f( X ) .",
+              # past Python's int digit limit; then also a bad character
+              f"q(X) :- e(X,{'9' * 5000}).", f"q(X) :- e(X,{'9' * 5000}). #"]
+    results = [_outcome(parse_program, t) for t in texts]
+    assert results == [_outcome(_token_parse, t) for t in texts]
+    # both readers and both kinds of outcome are exercised
+    by_pattern = sum(bool(_read_rules(t)) for t in texts)
+    errors = sum(isinstance(r, tuple) for r in results)
+    assert by_pattern > 800 and 300 < errors < len(texts) - 800
+
+
+def test_parse_program_builds_each_term_once_per_call():
+    text = "q(X,Y) :- e(X,Z), e(Z,Y), f(X,7), f(_,7), f(_,7)."
+
+    def terms(p):
+        return [t for r in p.rules for a in (r.head, *r.body)
+                for t in a.terms]
+    first, second = parse_program(text), parse_program(text)
+    assert first == second
+    # one object per distinct term text within a call, none shared across
+    assert len({id(t) for t in terms(first)}) == len(set(terms(first))) == 6
+    assert not {id(t) for t in terms(first)} & {id(t) for t in terms(second)}
+
+
+def test_parse_program_time_is_linear_on_long_texts():
+    long_rule = "q(X) :- " + ", ".join(["f(X)"] * 10000)  # no final `.`
+    blank_line = "%" + " " * 10000
+    for text in (long_rule, blank_line + "\n" + TC_SRC, TC_SRC + blank_line,
+                 TC_SRC + blank_line + "\n" + long_rule,
+                 " " * 10000 + "\n" + TC_SRC):
+        start = time.perf_counter()
+        got = _outcome(parse_program, text)
+        assert time.perf_counter() - start < 1
+        assert got == _outcome(_token_parse, text)
+    assert _outcome(parse_program, long_rule) == (ParseError, (
+        f"1:{len(long_rule) + 1}: expected DOT, found 'end of input'"))
 
 
 def brute_first_cover(need, sets):

@@ -12,13 +12,14 @@ from dlbound import (
     ADORNMENT_GROUNDABLE, Const, EDBInstance, GOut, IDBResult, MembershipFn,
     ValidationError, Var,
     adorn_program, check_rule_bounded, classify_program, eval_cq, evaluate,
-    generate_tightness_instance, horn_ground_evaluate, parse_edb,
-    parse_program, tightness_bound, union_adorned, value_cover_ok,
+    horn_ground_evaluate, parse_edb, parse_program, union_adorned,
+    value_cover_ok,
 )
 from dlbound.join import _Join, _Relation
 
 from conftest import (
-    TC_SRC, corrupted_tc, naive_oracle, random_edb, random_programs,
+    TC_SRC, corrupted_tc, generate_tightness_instance, naive_oracle,
+    random_edb, random_programs, tightness_bound,
 )
 
 

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 from dlbound import (
     Adornment, GOut, MembershipFn, adorn_program, coeff_minimal, evaluate,
-    is_minimal, minimize_program, parse_program, union_adorned,
-    width_of_predicate,
+    minimize_program, parse_program, union_adorned, width_of_predicate,
 )
 from dlbound.core import Const
 from dlbound.sizebound import SchemaStats
 
-from conftest import TRIANGLE_SRC, naive_oracle, random_edb, random_programs
+from conftest import (
+    TRIANGLE_SRC, is_minimal, naive_oracle, random_edb, random_programs,
+)
 
 
 def adn_key(text):

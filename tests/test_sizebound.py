@@ -7,12 +7,13 @@ import pytest
 
 from dlbound import (
     GOut, MembershipFn, SchemaStats, adorn_program, bound1, bound2,
-    coeff_minimal, coeff_naive, parse_program, permutations, pow_ceil,
-    size_report, stirling2,
+    coeff_minimal, coeff_naive, parse_program, pow_ceil, size_report,
 )
 from dlbound.sizebound import iroot
 
-from conftest import TC_SRC, brute_permutations, brute_stirling
+from conftest import (
+    TC_SRC, brute_permutations, brute_stirling, permutations, stirling2,
+)
 
 
 def test_stirling_goldens():
