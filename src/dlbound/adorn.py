@@ -380,6 +380,7 @@ class _Engine:
         self.max_iterations = max_iterations
         self.max_rules = max_rules
         self.admitted = _Admitted(rules)
+        self.renamed: dict = {}  # (adornment, position) -> its tagged rule
 
     def partial(self) -> AdornedProgram:
         rules = self.admitted.rules
@@ -390,7 +391,12 @@ class _Engine:
         """Resolve each IDB atom of `rule` against its candidate of
         `combo`, renamed apart by its position, then relax what results
         into the head's adornment."""
-        insts = [tagged(adn.rule, j) for j, adn in enumerate(combo)]
+        insts = []
+        for j, adn in enumerate(combo):
+            inst = self.renamed.get((adn, j))
+            if inst is None:
+                inst = self.renamed[adn, j] = tagged(adn.rule, j)
+            insts.append(inst)
         sigma = mgu([(atom.terms, inst.head.terms)
                      for atom, inst in zip(idb_atoms, insts)])
         if sigma is None:

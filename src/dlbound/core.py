@@ -283,6 +283,7 @@ _RULE = re.compile(
 _ATOM = re.compile(rf"({_NAME}){_WS}\(([^)]*)\)")
 
 
+_DIGITS = frozenset("0123456789")
 _PUNCT = {":-": "ARROW", "(": "LPAR", ")": "RPAR", ",": "COMMA", ".": "DOT",
           "_": "WILD"}
 
@@ -331,9 +332,10 @@ def _tokenize(text: str):
             i += 1
             col += 1
             continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
+        # integers are -?[0-9]+; str.isdigit also takes other scripts' digits
+        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("INT", text[i:j], line, col))
             col += j - i

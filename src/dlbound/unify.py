@@ -99,7 +99,13 @@ def _dedup_items(head_terms, items):
 
 
 def _dedup_once(head_terms, items):
-    """One pass of `_dedup_items`."""
+    """One pass of `_dedup_items`.  Only atoms whose predicate key occurs
+    more than once can be twins, so only they get a pattern."""
+    keys: dict = {}
+    for item in items:
+        keys[item[0]] = keys.get(item[0], 0) + 1
+    if len(keys) == len(items):
+        return items
     counts: dict = {}
     for terms in (head_terms, *[item[1] for item in items]):
         for t in terms:
@@ -107,22 +113,20 @@ def _dedup_once(head_terms, items):
                 counts[t.name] = counts.get(t.name, 0) + 1
 
     def pattern(pred_key, terms):
-        sig = []
-        for t in terms:
-            if isinstance(t, Var) and counts.get(t.name, 0) == 1:
-                sig.append(("_",))
-            else:
-                sig.append(_term_sig(t, {}) if isinstance(t, Const)
-                           else ("v", t.name))
-        return (pred_key, tuple(sig))
+        # a variable by its name, None if it occurs once, a constant by
+        # its signature
+        return pred_key, tuple([
+            (t.name if counts[t.name] > 1 else None) if isinstance(t, Var)
+            else _term_sig(t, {}) for t in terms])
 
     seen = set()
     out = []
     for item in items:
-        p = pattern(item[0], item[1])
-        if p in seen:
-            continue
-        seen.add(p)
+        if keys[item[0]] > 1:
+            p = pattern(item[0], item[1])
+            if p in seen:
+                continue
+            seen.add(p)
         out.append(item)
     return out
 
@@ -136,6 +140,14 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
     occurrence in the head; remaining variables by a depth-first search
     for the lexicographically least rendering, which at each step tries
     every unlabeled variable whose occurrence signature is least.
+
+    Each body atom has a row of term signatures, and labeling a variable
+    writes its label into the rows in place; state is copied only where
+    several variables tie.  Two leaves with equal renderings give an
+    automorphism, and a tied variable in the orbit of one already tried,
+    under the automorphisms found that fix every variable labeled above
+    it, would only repeat that one's renderings, so it is skipped (the
+    pruning of nauty: McKay & Piperno, J. Symb. Comp. 2014).
     """
     body_items = _dedup_items(head_terms, list(body_items))
 
@@ -143,65 +155,86 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
     for t in head_terms:
         if isinstance(t, Var) and t.name not in labels:
             labels[t.name] = len(labels)
+    head_sig = (head_key, tuple(_term_sig(t, labels) for t in head_terms))
+    pred_keys = [pk for pk, _ in body_items]
+    rows = [[_term_sig(t, labels) for t in terms] for _, terms in body_items]
 
-    occurrences: dict = {}
-    for pk, terms in body_items:
+    def render(rows):
+        return (head_sig, tuple(sorted(zip(pred_keys, map(tuple, rows)))))
+
+    occurrences: dict = {}  # unlabeled variable -> [(pk, position, atom)]
+    for i, (pk, terms) in enumerate(body_items):
         for pos, t in enumerate(terms):
             if isinstance(t, Var) and t.name not in labels:
-                occurrences.setdefault(t.name, []).append((pk, pos, terms))
-
-    def render(lab):
-        head_sig = (head_key, tuple(_term_sig(t, lab) for t in head_terms))
-        body_sig = tuple(sorted(
-            (pk, tuple(_term_sig(t, lab) for t in terms))
-            for pk, terms in body_items
-        ))
-        return (head_sig, body_sig)
-
+                occurrences.setdefault(t.name, []).append((pk, pos, i))
     if not occurrences:
-        return render(labels)
+        return render(rows)
 
-    # labeling v changes only the signatures of variables sharing an atom
-    neighbours: dict = {v: set() for v in occurrences}
-    for v, occ in occurrences.items():
-        for _, _, terms in occ:
-            neighbours[v].update(t.name for t in terms
-                                 if isinstance(t, Var) and t.name != v
-                                 and t.name in occurrences)
+    def invariant(v, rows):
+        return tuple(sorted([(pk, pos, tuple(rows[i]))
+                             for pk, pos, i in occurrences[v]]))
 
-    def invariant(v, lab):
-        sig = []
-        for pk, pos, terms in occurrences[v]:
-            sig.append((pk, pos, tuple(_term_sig(t, lab) for t in terms)))
-        return tuple(sorted(sig))
+    def label(v, rows, sigs, order):
+        sig = ("v", len(labels) + len(order))
+        order.append(v)
+        del sigs[v]
+        for _, pos, i in occurrences[v]:
+            rows[i][pos] = sig
+        # only the signatures of variables sharing an atom with v change
+        for w in {t.name for _, _, i in occurrences[v]
+                  for t in body_items[i][1] if isinstance(t, Var)}:
+            if w in sigs:
+                sigs[w] = invariant(w, rows)
 
-    def frame(lab, sigs):
-        # sigs: unlabeled variable -> signature, in first-occurrence order
-        least = min(sigs.values())
-        return lab, sigs, iter([v for v, sig in sigs.items() if sig == least])
-
-    best = None
-    stack = [frame(labels, {v: invariant(v, labels) for v in occurrences})]
-    while stack:
-        lab, sigs, todo = stack[-1]
-        v = next(todo, None)
-        if v is None:
-            stack.pop()
-            continue
-        lab2 = dict(lab)
-        lab2[v] = len(lab)
-        sigs2 = dict(sigs)
-        del sigs2[v]
-        if not sigs2:
-            cand = render(lab2)
-            if best is None or cand < best:
-                best = cand
-            continue
-        for w in neighbours[v]:
-            if w in sigs2:
-                sigs2[w] = invariant(w, lab2)
-        stack.append(frame(lab2, sigs2))
-    return best
+    # sigs: unlabeled variable -> signature, in first-occurrence order;
+    # order: the variables labeled so far, by label
+    sigs = {v: invariant(v, rows) for v in occurrences}
+    order: list = []
+    first = best = None  # (rendering, order) of the first and least leaf
+    autos = []  # automorphisms found, as variable -> variable
+    stack = []  # tied frames: [rows, sigs, order, tied, next index]
+    while True:
+        while sigs:
+            least = min(sigs.values())
+            tied = [v for v, sig in sigs.items() if sig == least]
+            if len(tied) > 1:
+                stack.append([[list(r) for r in rows], dict(sigs),
+                              list(order), tied, 1])
+            label(tied[0], rows, sigs, order)
+        leaf = (render(rows), order)
+        if first is None:
+            first = best = leaf
+        elif leaf[0] == first[0]:
+            autos.append(dict(zip(first[1], order)))
+        elif leaf[0] == best[0]:
+            autos.append(dict(zip(best[1], order)))
+        elif leaf[0] < best[0]:
+            best = leaf
+        while stack:
+            frame = stack[-1]
+            rows, sigs, order, tied, i = frame
+            # skip the orbit of the variables tried here, under the
+            # automorphisms found that fix every variable labeled above
+            fixing = [g for g in autos if all(g[x] == x for x in order)]
+            orbit = new = set(tied[:i])
+            while fixing and new:
+                new = {g[x] for g in fixing for x in new} - orbit
+                orbit |= new
+            while i < len(tied) and tied[i] in orbit:
+                i += 1
+            if i == len(tied):
+                stack.pop()
+                continue
+            frame[4] = i + 1
+            if i + 1 < len(tied):
+                rows = [list(r) for r in rows]
+                sigs, order = dict(sigs), list(order)
+            else:  # the frame's last candidate takes its state
+                stack.pop()
+            label(tied[i], rows, sigs, order)
+            break
+        else:
+            return best[0]
 
 
 def _pred_key(a: Atom) -> tuple:

@@ -1,7 +1,8 @@
 """Shared fixtures: random program/EDB generators, independent
-brute-force oracles used to cross-check the library, and the test-only
+brute-force oracles used to cross-check the library, the test-only
 counterparts of its formulas: Stirling numbers, falling factorials, the
-tightness-instance generator and the minimality check."""
+tightness-instance generator and the minimality check, and the plain
+labelling search that canonical keys are checked against."""
 
 from __future__ import annotations
 
@@ -325,3 +326,168 @@ def is_minimal(pi: AdornedProgram) -> bool:
             for r in pi.rules for a in (r.head, *r.body)
             if a.adornment is not None}
     return all(_adornment_minimal(a) for a in adns.values())
+
+
+# ---------------------------------------------------------------------------
+# Canonical keys by plain search
+
+
+def _reference_term_sig(t, labels: dict):
+    if isinstance(t, Var):
+        if t.name in labels:
+            return ("v", labels[t.name])
+        return ("v?",)
+    if isinstance(t.value, int):
+        return ("ci", t.value)
+    return ("cs", str(t.value))
+
+
+def _reference_dedup_items(head_terms, items):
+    """Drop body atoms identical to an earlier one up to renaming of
+    variables that occur only once in the whole rule.  An item is
+    (pred key, terms, ...); the kept items are returned whole.
+
+    A drop can leave a variable occurring once, which makes two more
+    atoms twins, so the pass repeats while it drops anything."""
+    kept = _reference_dedup_once(head_terms, items)
+    while len(kept) < len(items):
+        items, kept = kept, _reference_dedup_once(head_terms, kept)
+    return kept
+
+
+def _reference_dedup_once(head_terms, items):
+    """One pass of `_reference_dedup_items`."""
+    counts: dict = {}
+    for terms in (head_terms, *[item[1] for item in items]):
+        for t in terms:
+            if isinstance(t, Var):
+                counts[t.name] = counts.get(t.name, 0) + 1
+
+    def pattern(pred_key, terms):
+        sig = []
+        for t in terms:
+            if isinstance(t, Var) and counts.get(t.name, 0) == 1:
+                sig.append(("_",))
+            else:
+                sig.append(_reference_term_sig(t, {})
+                           if isinstance(t, Const) else ("v", t.name))
+        return (pred_key, tuple(sig))
+
+    seen = set()
+    out = []
+    for item in items:
+        p = pattern(item[0], item[1])
+        if p in seen:
+            continue
+        seen.add(p)
+        out.append(item)
+    return out
+
+
+def reference_canonical_key(head_key, head_terms, body_items) -> tuple:
+    """Canonical key for a rule given as (head pred key, head terms,
+    [(body pred key, body terms)]).
+
+    The labelling search without pruning, kept as the reference that
+    `unify.canonical_key` must agree with byte for byte; exponential on
+    symmetric bodies.
+
+    Two rules get equal keys iff they are identical up to variable renaming
+    and body reordering/duplication.  Head variables are labeled by first
+    occurrence in the head; remaining variables by a depth-first search
+    for the lexicographically least rendering, which at each step tries
+    every unlabeled variable whose occurrence signature is least.
+    """
+    body_items = _reference_dedup_items(head_terms, list(body_items))
+
+    labels: dict = {}
+    for t in head_terms:
+        if isinstance(t, Var) and t.name not in labels:
+            labels[t.name] = len(labels)
+
+    occurrences: dict = {}
+    for pk, terms in body_items:
+        for pos, t in enumerate(terms):
+            if isinstance(t, Var) and t.name not in labels:
+                occurrences.setdefault(t.name, []).append((pk, pos, terms))
+
+    def render(lab):
+        head_sig = (head_key,
+                    tuple(_reference_term_sig(t, lab) for t in head_terms))
+        body_sig = tuple(sorted(
+            (pk, tuple(_reference_term_sig(t, lab) for t in terms))
+            for pk, terms in body_items
+        ))
+        return (head_sig, body_sig)
+
+    if not occurrences:
+        return render(labels)
+
+    # labeling v changes only the signatures of variables sharing an atom
+    neighbours: dict = {v: set() for v in occurrences}
+    for v, occ in occurrences.items():
+        for _, _, terms in occ:
+            neighbours[v].update(t.name for t in terms
+                                 if isinstance(t, Var) and t.name != v
+                                 and t.name in occurrences)
+
+    def invariant(v, lab):
+        sig = []
+        for pk, pos, terms in occurrences[v]:
+            sig.append((pk, pos, tuple(_reference_term_sig(t, lab)
+                                       for t in terms)))
+        return tuple(sorted(sig))
+
+    def frame(lab, sigs):
+        # sigs: unlabeled variable -> signature, in first-occurrence order
+        least = min(sigs.values())
+        return lab, sigs, iter([v for v, sig in sigs.items() if sig == least])
+
+    best = None
+    stack = [frame(labels, {v: invariant(v, labels) for v in occurrences})]
+    while stack:
+        lab, sigs, todo = stack[-1]
+        v = next(todo, None)
+        if v is None:
+            stack.pop()
+            continue
+        lab2 = dict(lab)
+        lab2[v] = len(lab)
+        sigs2 = dict(sigs)
+        del sigs2[v]
+        if not sigs2:
+            cand = render(lab2)
+            if best is None or cand < best:
+                best = cand
+            continue
+        for w in neighbours[v]:
+            if w in sigs2:
+                sigs2[w] = invariant(w, lab2)
+        stack.append(frame(lab2, sigs2))
+    return best
+
+
+def symmetric_body(rng: random.Random):
+    """(head key, head terms, body items) of a rule whose body is k = 2-6
+    renamed copies of one random tree-shaped component of e/2 and f/1
+    atoms, shuffled; in about half of them one atom of each copy holds
+    the head variable H.  Components shrink as k grows, which keeps the
+    reference search fast."""
+    k = rng.choice((2, 2, 2, 3, 3, 4, 5, 6))
+    n = rng.randint(1, {2: 7, 3: 4, 4: 3, 5: 2, 6: 2}[k])
+    tied = rng.random() < 0.5
+    atoms = [("f", (rng.randrange(n),))] if n == 1 or rng.random() < 0.3 \
+        else []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        atoms.append(("e", (u, v) if rng.random() < 0.5 else (v, u)))
+    if tied:
+        atoms.append(("e", (n, rng.randrange(n))))
+
+    def term(copy, i):
+        return Var("H") if i == n else Var(f"C{copy}X{i}")
+
+    body = [(("p", pred), tuple(term(c, i) for i in args))
+            for c in range(k) for pred, args in atoms]
+    rng.shuffle(body)
+    return ("p", "q"), (Var("H"),) if tied else (), body

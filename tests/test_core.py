@@ -70,6 +70,19 @@ def test_comments_and_integers():
     assert r.body[0].terms[1] == Const(7)
 
 
+def test_integers_take_ascii_digits_only():
+    # a superscript two or an Arabic-Indic three is no digit of an
+    # integer; a name may still hold one
+    for text, col in (("q(X) :- e(X,\u00b2).", 13),
+                      ("q(X) :- e(X,\u0663).", 13),
+                      ("q(X) :- e(X,1\u00b2).", 14)):
+        with pytest.raises(ParseError) as exc:
+            parse_program(text)
+        assert (exc.value.line, exc.value.col) == (1, col)
+    (r,) = parse_program("q(X) :- e(X,a\u0663).").rules
+    assert r.body[0].terms[1] == Const("a\u0663")
+
+
 def test_negative_integer_constant():
     p = parse_program("q(X) :- e(X, -3).")
     assert p.rules[0].body[0].terms[1] == Const(-3)

@@ -10,7 +10,7 @@ import pytest
 
 from dlbound import (
     ADORNMENT_GROUNDABLE, Const, EDBInstance, GOut, IDBResult, MembershipFn,
-    ValidationError, Var,
+    ParseError, ValidationError, Var,
     adorn_program, check_rule_bounded, classify_program, eval_cq, evaluate,
     horn_ground_evaluate, parse_edb, parse_program, union_adorned,
     value_cover_ok,
@@ -28,6 +28,17 @@ def test_parse_edb():
     assert d.get("e") == frozenset({(1, 2), (2, 3)})
     assert d.get("f") == frozenset({(7,)})
     assert d.n == 2
+
+
+def test_parse_edb_takes_ascii_digits_only():
+    # e(\u0663) is not e(3), and a superscript two no integer
+    for text, col in (("e(\u0663).", 3), ("e(1,\u00b2).", 5),
+                      ("e(1).\ne(-\u0663).", 3)):
+        with pytest.raises(ParseError) as exc:
+            parse_edb(text)
+        assert (exc.value.line, exc.value.col) == (text.count("\n") + 1, col)
+    assert parse_edb("e(\u00e9t\u00e9,-3).").get("e") == \
+        frozenset({("\u00e9t\u00e9", -3)})
 
 
 def test_parse_edb_rejects_rules():

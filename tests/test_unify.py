@@ -7,13 +7,21 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlbound import Const, Var, canonical_form, mgu, subsumes
+from dlbound import (
+    BudgetExceeded, Const, Var, adorn_program, canonical_form, mgu,
+    parse_program, subsumes, unify,
+)
 from dlbound.core import Atom, Rule
 from dlbound.unify import (
-    distance_profile, may_subsume, rule_of_key, substitute, tagged,
+    _pred_key, canonical_key, distance_profile, may_subsume, rule_of_key,
+    substitute, tagged,
 )
 
-from conftest import brute_homomorphism, random_programs
+from conftest import (
+    BUYS_SRC, REACH_SRC, TC_SRC, TRIANGLE_SRC, UNBOUNDED_SRC,
+    brute_homomorphism, random_programs, reference_canonical_key,
+    symmetric_body,
+)
 
 
 def rule(text):
@@ -233,6 +241,79 @@ def test_canonical_congruence_random(rnd):
     rnd.shuffle(shuffled_body)
     r2 = Rule(sub(r.head), tuple(shuffled_body))
     assert canonical_form(r) == canonical_form(r2)
+
+
+def key_args(r: Rule) -> tuple:
+    """r as the arguments of `canonical_key`."""
+    return (_pred_key(r.head), r.head.terms,
+            [(_pred_key(a), a.terms) for a in r.body])
+
+
+def engine_key_args(monkeypatch) -> list:
+    """The arguments of every `canonical_key` call that engine runs over
+    the goldens' corpus make under id, gout, gk=2 and gmin, with heq and
+    hcont, at the goldens' rule cap; and of every adorned rule and
+    adornment representative they return."""
+    calls = []
+    real = unify.canonical_key
+
+    def record(head_key, head_terms, body_items):
+        calls.append((head_key, head_terms, list(body_items)))
+        return real(head_key, head_terms, body_items)
+
+    monkeypatch.setattr(unify, "canonical_key", record)
+    programs = [parse_program(src) for src in (
+        TC_SRC, TRIANGLE_SRC, REACH_SRC, BUYS_SRC, UNBOUNDED_SRC)]
+    programs += random_programs(2024, 20)
+    for p in programs:
+        for g in ("id", "gout", "gk=2", "gmin"):
+            for h in ("heq", "hcont"):
+                try:
+                    pi = adorn_program(p, g, h, max_rules=7)
+                except BudgetExceeded as exc:
+                    pi = exc.partial
+                for r in pi.rules:
+                    calls.append(key_args(r))
+                    calls += [key_args(a.adornment.rule)
+                              for a in (r.head, *r.body) if a.adornment]
+    monkeypatch.undo()
+    return calls
+
+
+def test_canonical_key_matches_the_plain_search(monkeypatch):
+    # the pruned search in place must give the plain search's keys byte
+    # for byte: output order and hcont's trial order depend on them
+    cases = [key_args(r) for p in random_programs(7, 400) for r in p.rules]
+    engine = engine_key_args(monkeypatch)
+    assert len(engine) > 2000
+    rng = random.Random(0)
+    symmetric = [symmetric_body(rng) for _ in range(400)]
+    for args in cases + engine + symmetric:
+        assert canonical_key(*args) == reference_canonical_key(*args), args
+
+
+def random19_body_rule() -> Rule:
+    """The 19-atom candidate that `adorn --relax id` on random19 of the
+    CLI goldens keys at a rule cap of 9: eight copies of e0(_,W),
+    e0(W,W) hang off no head variable."""
+    copies = [f"e0(C{j},W{j})" for j in range(1, 8)]
+    loops = [f"e0(W{j},W{j})" for j in range(8)]
+    return rule(f"p0(V3,1) :- e0(1,A), e0(V1,W0), {', '.join(copies)}, "
+                f"{', '.join(loops)}, e0(V2,V2), e0(V3,V2).")
+
+
+def test_canonical_key_on_a_symmetric_body_is_fast():
+    # the plain search walks the 8! orderings of the copies, over a
+    # second; its key is written out below
+    e = ("p", "e0")
+    want = ((("p", "p0"), (("v", 0), ("ci", 1))), (
+        (e, (("ci", 1), ("v", 18))), (e, (("v", 0), ("v", 9))),
+        *((e, (("v", i), ("v", 9 + i))) for i in range(1, 9)),
+        *((e, (("v", i), ("v", i))) for i in range(9, 18))))
+    start = time.perf_counter()
+    key = canonical_form(random19_body_rule())
+    assert time.perf_counter() - start < 0.1
+    assert key == want
 
 
 # ---------------------------------------------------------------------------
