@@ -40,17 +40,14 @@ def _max_rules() -> int:
 
 
 def _integer(text: str) -> int:
-    """int(text), also past the 4,300 digits one int() call converts: a
-    longer run of decimal digits, signed or not, is read in chunks."""
-    try:
-        return int(text)
-    except ValueError:
-        digits = text.strip()
-        sign = -1 if digits[:1] == "-" else 1
-        digits = digits[1:] if digits[:1] in "+-" else digits
-        if not (digits.isascii() and digits.isdecimal()):
-            raise argparse.ArgumentTypeError(
-                f"invalid int value: {text!r}") from None
+    """An optional sign and ASCII digits, with blanks around them, at any
+    length: past the 4,300 digits one int() call converts, the digits are
+    read in chunks."""
+    digits = text.strip()
+    sign = -1 if digits[:1] == "-" else 1
+    digits = digits[1:] if digits[:1] in "+-" else digits
+    if not (digits.isascii() and digits.isdecimal()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     value = 0
     for i in range(0, len(digits), 4300):
         chunk = digits[i:i + 4300]

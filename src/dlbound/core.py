@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from operator import or_
 
 
@@ -252,235 +252,120 @@ def min_cover(need, sets) -> tuple | None:
 # ---------------------------------------------------------------------------
 # Parsing
 
-# Lexical pieces of both readers, for programs and EDB files.  Blanks are
-# space, tab, CR and LF, and `%` starts a comment that runs to the end of
-# its line.  The lookahead stops a comment from ending early, so blanks and
-# comments can be read in only one way and backtracking stays linear.
-_WS = r"[ \t\r\n]*"
-_BLANK = r"(?:[ \t\r\n]|%[^\n]*(?![^\n]))*"
-_NAME = r"[a-z][A-Za-z0-9_]*"  # a predicate or a symbol constant
-_CONST = rf"-?[0-9]+|{_NAME}"
-_VAR = r"[A-Z][A-Za-z0-9_]*"
+# One token of program or EDB text and the blanks and `%` comments before
+# it.  Blanks are space, tab, CR and LF; a comment runs to the end of its
+# line.  A token is `:-`, one of `(),.`, an integer `-?[0-9]+`, a run of
+# word characters (`\w` is `str.isalnum()` or `_`), or any other single
+# character.  At the end of the text the token is empty, and `findall`
+# returns one or two empty strings there.
+_TOKEN = re.compile(r"(?:[ \t\r\n]|%[^\n]*)*(:-|[(),.]|-?[0-9]+|\w+|.|\Z)",
+                    re.DOTALL)
+_PUNCTUATION = frozenset((":-", "(", ")", ",", ".", "_"))
 
 
-def _terms(term: str) -> str:
-    """One or more `term`s separated by `,`, with blanks around each."""
-    arg = rf"{_WS}(?:{term}){_WS}"
-    return rf"{arg}(?:,{arg})*"
+def _is_int(tok: str) -> bool:
+    """True for an integer token; `tok` may be the empty end token."""
+    return "0" <= tok[:1] <= "9" or tok[:1] == "-" and len(tok) > 1
 
 
-# One rule of a program and the blanks and comments before it: a head atom
-# without wildcards, `:-`, body atoms separated by `,`, and `.`, with only
-# blanks inside.  At the end of the text the blanks meet `\Z`; anything
-# else that starts no rule, a comment inside a rule included, is taken
-# whole as the rest, which sends the text to `_Parser`.
-_BODY_ATOM = rf"{_WS}{_NAME}{_WS}\({_terms(rf'{_CONST}|{_VAR}|_')}\)"
-_RULE = re.compile(
-    rf"{_BLANK}(?:({_NAME}){_WS}\(({_terms(rf'{_CONST}|{_VAR}')})\){_WS}:-"
-    rf"((?:{_BODY_ATOM}{_WS},)*{_BODY_ATOM}){_WS}\.|\Z|(.+))",
-    re.ASCII | re.DOTALL)
-# An atom of a rule body that `_RULE` read: its name and its terms.
-_ATOM = re.compile(rf"({_NAME}){_WS}\(([^)]*)\)")
+def _is_bad(tok: str) -> bool:
+    """True for a non-empty token of no reader: a word that neither
+    starts with a letter nor is the wildcard `_`, or a stray character."""
+    return not (tok[0].isalpha() or _is_int(tok) or tok in _PUNCTUATION)
 
 
-_DIGITS = frozenset("0123456789")
-_PUNCT = {":-": "ARROW", "(": "LPAR", ")": "RPAR", ",": "COMMA", ".": "DOT",
-          "_": "WILD"}
+def _syntax_error(text: str, toks: list, i: int, error) -> Exception:
+    """The error to raise when token `i` of `text` breaks the grammar.
 
-
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-
-def _tokenize(text: str):
-    tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith(":-", i):
-            tokens.append(_Token("ARROW", ":-", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "(),.":
-            tokens.append(_Token(_PUNCT[c], c, line, col))
-            i += 1
-            col += 1
-            continue
-        if c == "_" and (i + 1 >= n or not (text[i + 1].isalnum() or text[i + 1] == "_")):
-            tokens.append(_Token("WILD", "_", line, col))
-            i += 1
-            col += 1
-            continue
-        # integers are -?[0-9]+; str.isdigit also takes other scripts' digits
-        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("INT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            kind = "VAR" if c.isupper() else "IDENT"
-            tokens.append(_Token(kind, text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.fresh = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}",
-                tok.line, tok.col,
-            )
-        self.pos += 1
-        return tok
-
-    def fresh_wildcard(self) -> Var:
-        self.fresh += 1
-        return Var(f"{INTERNAL_PREFIX}w{self.fresh}")
-
-    def term(self, allow_wildcard: bool) -> Term:
-        tok = self.peek()
-        if tok.kind == "VAR":
-            self.pos += 1
-            return Var(tok.text)
-        if tok.kind == "IDENT":
-            self.pos += 1
-            return Const(tok.text)
-        if tok.kind == "INT":
-            self.pos += 1
-            return Const(int(tok.text))
-        if tok.kind == "WILD":
-            if not allow_wildcard:
-                raise ParseError("wildcard not allowed in rule head",
-                                 tok.line, tok.col)
-            self.pos += 1
-            return self.fresh_wildcard()
-        raise ParseError(f"expected a term, found {tok.text!r}",
-                         tok.line, tok.col)
-
-    def atom(self, allow_wildcard: bool) -> Atom:
-        name = self.expect("IDENT")
-        self.expect("LPAR")
-        terms = [self.term(allow_wildcard)]
-        while self.peek().kind == "COMMA":
-            self.pos += 1
-            terms.append(self.term(allow_wildcard))
-        self.expect("RPAR")
-        return Atom(name.text, tuple(terms))
-
-    def rule(self) -> Rule:
-        head = self.atom(allow_wildcard=False)
-        tok = self.peek()
-        if tok.kind == "DOT":
-            raise ParseError(
-                "facts are not allowed in program text; use an EDB file",
-                tok.line, tok.col,
-            )
-        self.expect("ARROW")
-        body = [self.atom(allow_wildcard=True)]
-        while self.peek().kind == "COMMA":
-            self.pos += 1
-            body.append(self.atom(allow_wildcard=True))
-        self.expect("DOT")
-        return Rule(head, tuple(body))
-
-    def program(self) -> Program:
-        rules = []
-        while self.peek().kind != "EOF":
-            rules.append(self.rule())
-        if not rules:
-            tok = self.peek()
-            raise ParseError("empty program", tok.line, tok.col)
-        return Program.from_rules(rules)
-
-
-def _read_rules(text: str) -> list | None:
-    """The rules of a text that `_RULE` reads whole, else None.  Each
-    distinct term text becomes one term object; each wildcard is a fresh
-    variable, numbered in text order as `_Parser` numbers it."""
-    terms: dict = {}  # term text -> its one Var or Const
-    wildcards = 0
-    rules = []
-    for head, head_terms, body, rest in _RULE.findall(text):
-        if rest:
-            return None
-        if not head:
-            continue
-        atoms = []
-        for name, args in ((head, head_terms), *_ATOM.findall(body)):
-            ts = []
-            for a in args.split(","):
-                a = a.strip()
-                if a == "_":
-                    wildcards += 1
-                    ts.append(Var(f"{INTERNAL_PREFIX}w{wildcards}"))
-                    continue
-                t = terms.get(a)
-                if t is None:
-                    if a[0] in "-0123456789":
-                        try:
-                            t = Const(int(a))
-                        except ValueError:  # past Python's int digit limit
-                            return None
-                    else:
-                        t = Var(a) if a[0].isupper() else Const(a)
-                    terms[a] = t
-                ts.append(t)
-            atoms.append(Atom(name, tuple(ts)))
-        rules.append(Rule(atoms[0], tuple(atoms[1:])))
-    return rules
+    Every token before `i` was read, so the first bad character at or
+    after it comes first.  Else `error` is a message placed at token `i`,
+    or an exception returned as it is.  Columns count characters from 1,
+    and a comment that ends the text does not move the end of input.
+    """
+    for j in range(i, len(toks)):
+        if toks[j] and _is_bad(toks[j]):
+            i, error = j, f"unexpected character {toks[j][0]!r}"
+            break
+    if not isinstance(error, str):
+        return error
+    at = next(islice(_TOKEN.finditer(text), i, None)).start(1)
+    line_start = text.rfind("\n", 0, at) + 1
+    if at == len(text) and "%" in text[line_start:]:
+        at = text.index("%", line_start)
+    return ParseError(error, text.count("\n", 0, at) + 1, at - line_start + 1)
 
 
 def parse_program(text: str) -> Program:
     """Parse and validate a program in the textual dialect.
 
-    One pattern reads the rules of a well-formed text whose tokens are
-    ASCII and whose comments stand between rules.  Any other text, an
-    empty or malformed one included, is read by `_Parser`, which raises
-    the positioned `ParseError`."""
-    rules = _read_rules(text)
+    One pattern splits the text into tokens and one walk reads the rules
+    from them.  Each distinct term text becomes one term object, and each
+    wildcard a fresh variable, `_w1`, `_w2`, ... in text order."""
+    toks = _TOKEN.findall(text)
+
+    def fail(i: int, error) -> Exception:
+        return _syntax_error(text, toks, i, error)
+
+    def expected(i: int, kind: str) -> Exception:
+        return fail(i, f"expected {kind}, found {toks[i] or 'end of input'!r}")
+
+    terms: dict = {}  # term text -> its one Var or Const
+    wildcards = 0
+    rules = []
+    i = 0
+    while toks[i]:
+        atoms = []
+        while True:  # the head atom, then each body atom
+            name = toks[i]
+            if not name[:1].isalpha() or name[0].isupper():
+                raise expected(i, "IDENT")
+            i += 1
+            if toks[i] != "(":
+                raise expected(i, "LPAR")
+            args = []
+            while True:
+                i += 1
+                t = toks[i]
+                term = terms.get(t)
+                if term is None:
+                    if t == "_":
+                        if not atoms:
+                            raise fail(i, "wildcard not allowed in rule head")
+                        wildcards += 1
+                        term = Var(f"{INTERNAL_PREFIX}w{wildcards}")
+                    elif t[:1].isalpha():
+                        term = terms[t] = \
+                            Var(t) if t[0].isupper() else Const(t)
+                    elif _is_int(t):
+                        try:
+                            term = terms[t] = Const(int(t))
+                        except ValueError as exc:  # past the digit limit
+                            raise fail(i, exc) from None
+                    else:
+                        raise fail(i, f"expected a term, found {t!r}")
+                args.append(term)
+                i += 1
+                if toks[i] != ",":
+                    break
+            if toks[i] != ")":
+                raise expected(i, "RPAR")
+            atoms.append(Atom(name, tuple(args)))
+            i += 1
+            if len(atoms) > 1:
+                if toks[i] != ",":
+                    break
+            elif toks[i] == ".":
+                raise fail(i, "facts are not allowed in program text; "
+                              "use an EDB file")
+            elif toks[i] != ":-":
+                raise expected(i, "ARROW")
+            i += 1
+        if toks[i] != ".":
+            raise expected(i, "DOT")
+        i += 1
+        rules.append(Rule(atoms[0], tuple(atoms[1:])))
     if not rules:
-        return _Parser(text).program()
+        raise fail(i, "empty program")
     return Program.from_rules(rules)
 
 

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .core import (
-    _BLANK, _CONST, _NAME, _WS, Atom, ParseError, Program, Rule,
-    ValidationError, Var, _terms, _tokenize,
+    _TOKEN, Atom, Program, Rule, ValidationError, Var, _is_int,
+    _syntax_error,
 )
 from .adorn import AdornedProgram
 from .join import _Join, _Relation
@@ -89,12 +89,27 @@ class EDBInstance:
                         f"program expects {arities[name]}")
 
 
+# Lexical pieces of the EDB pattern.  Blanks are space, tab, CR and LF,
+# and `%` starts a comment that runs to the end of its line.  The
+# lookahead stops a comment from ending early, so blanks and comments can
+# be read in only one way and backtracking stays linear.
+_WS = r"[ \t\r\n]*"
+_BLANK = r"(?:[ \t\r\n]|%[^\n]*(?![^\n]))*"
+_NAME = r"[a-z][A-Za-z0-9_]*"  # a relation name or a symbol constant
+_CONST = rf"-?[0-9]+|{_NAME}"
+
+
+def _terms(term: str) -> str:
+    """One or more `term`s separated by `,`, with blanks around each."""
+    arg = rf"{_WS}(?:{term}){_WS}"
+    return rf"{arg}(?:,{arg})*"
+
+
 # One fact of an EDB file and the blanks and `%` comments before it: a
-# name, `(`, int or symbol arguments, `)`, `.`, with only blanks inside,
-# built from the pieces `core._RULE` is built from.  At the end of the
-# text the blanks meet `\Z`; anything else that starts no fact, a comment
-# inside a fact included, is taken whole as the rest, which sends the
-# text to the token parser.
+# name, `(`, int or symbol arguments, `)`, `.`, with only blanks inside.
+# At the end of the text the blanks meet `\Z`; anything else that starts
+# no fact, a comment inside a fact included, is taken whole as the rest,
+# which sends the text to the token walk.
 _FACT = re.compile(
     rf"{_BLANK}(?:({_NAME}){_WS}\(({_terms(_CONST)})\){_WS}\.|\Z|(.+))",
     re.ASCII | re.DOTALL)
@@ -106,11 +121,12 @@ def parse_edb(text: str) -> EDBInstance:
 
     One pattern reads the facts of a well-formed ASCII file with no
     comment inside a fact.  Any other text, malformed or not, is read by
-    the program tokenizer, which raises the positioned `ParseError`."""
+    a walk over the program reader's tokens, which raises the positioned
+    `ParseError`."""
     rels: dict = {}
     for name, args, rest in _FACT.findall(text):
         if rest:
-            return _parse_edb_tokens(text)
+            return _read_facts(text)
         if not name:
             continue
         vals = []
@@ -120,7 +136,7 @@ def parse_edb(text: str) -> EDBInstance:
                 try:
                     a = int(a)
                 except ValueError:  # past Python's int digit limit
-                    return _parse_edb_tokens(text)
+                    return _read_facts(text)
             vals.append(a)
         rel = rels.get(name)
         if rel is None:
@@ -129,40 +145,38 @@ def parse_edb(text: str) -> EDBInstance:
     return EDBInstance.of(rels)
 
 
-def _parse_edb_tokens(text: str) -> EDBInstance:
-    tokens = _tokenize(text)
+def _read_facts(text: str) -> EDBInstance:
+    """The facts of an EDB file, read token by token."""
+    toks = _TOKEN.findall(text)
     rels: dict = {}
     i = 0
-    while tokens[i].kind != "EOF":
-        tok = tokens[i]
-        if tok.kind != "IDENT":
-            raise ParseError("expected a fact", tok.line, tok.col)
-        name = tok.text
-        i += 1
-        if tokens[i].kind != "LPAR":
-            raise ParseError("expected '('", tokens[i].line, tokens[i].col)
-        i += 1
+    while toks[i]:
+        name = toks[i]
+        if not name[0].isalpha() or name[0].isupper():
+            raise _syntax_error(text, toks, i, "expected a fact")
+        if toks[i + 1] != "(":
+            raise _syntax_error(text, toks, i + 1, "expected '('")
         vals = []
         while True:
-            t = tokens[i]
-            if t.kind == "INT":
-                vals.append(int(t.text))
-            elif t.kind == "IDENT":
-                vals.append(t.text)
+            i += 2  # past the name and `(`, then past a term and `,`
+            t = toks[i]
+            if t[:1].isalpha() and not t[0].isupper():
+                vals.append(t)
+            elif _is_int(t):
+                try:
+                    vals.append(int(t))
+                except ValueError as exc:  # past the digit limit
+                    raise _syntax_error(text, toks, i, exc) from None
             else:
-                raise ParseError("facts may contain only constants",
-                                 t.line, t.col)
-            i += 1
-            if tokens[i].kind == "COMMA":
-                i += 1
-                continue
-            break
-        if tokens[i].kind != "RPAR":
-            raise ParseError("expected ')'", tokens[i].line, tokens[i].col)
-        i += 1
-        if tokens[i].kind != "DOT":
-            raise ParseError("expected '.'", tokens[i].line, tokens[i].col)
-        i += 1
+                raise _syntax_error(text, toks, i,
+                                    "facts may contain only constants")
+            if toks[i + 1] != ",":
+                break
+        if toks[i + 1] != ")":
+            raise _syntax_error(text, toks, i + 1, "expected ')'")
+        if toks[i + 2] != ".":
+            raise _syntax_error(text, toks, i + 2, "expected '.'")
+        i += 3
         rels.setdefault(name, set()).add(tuple(vals))
     return EDBInstance.of(rels)
 

@@ -2,7 +2,9 @@
 brute-force oracles used to cross-check the library, the test-only
 counterparts of its formulas: Stirling numbers, falling factorials, the
 tightness-instance generator and the minimality check, and the plain
-labelling search that canonical keys are checked against."""
+labelling search that canonical keys are checked against, and the token
+readers of programs and EDB files that the library's reader is checked
+against."""
 
 from __future__ import annotations
 
@@ -13,8 +15,10 @@ import pytest
 
 from dlbound import (
     AdornedProgram, Adornment, Atom, Const, EDBInstance, GOut, MembershipFn,
-    Program, Rule, SchemaStats, Var, adorn_program, bound1, parse_program,
+    ParseError, Program, Rule, SchemaStats, Var, adorn_program, bound1,
+    parse_program,
 )
+from dlbound.core import INTERNAL_PREFIX
 from dlbound.sizebound import _stirling_row
 
 
@@ -141,6 +145,83 @@ def random_edb(p: Program, rng: random.Random) -> EDBInstance:
                  for _ in range(n_facts)}
         rels.append((name, frozenset(facts)))
     return EDBInstance.of(rels)
+
+
+_ARITY = {"e": 2, "f": 1, "p": 2, "q": 1}
+_TERMS = ["X", "Y", "Zed_1", "X", "Y", "a", "b_2", "0", "-3", "007", "-0",
+          "_", "9" * 4301]
+_BLANKS = ["", "", " ", "\t", "\r\n", "\n  ", "% in (a, rule).\n"]
+_BETWEEN = ["", " ", "\n", "\r\n", "\n\n", "\n% between: p(_) :- é.\n"]
+_INSERTS = ["(", ")", ",", ".", ":", "-", "_", "_x", "q(_) :- f(X). ",
+            "P(X) :- f(X). ", "e(1,2). ", "é", "²", "\f", "\v"]
+
+
+def random_program_text(rng) -> str:
+    """Rules over e/2, f/1, p/2 and q/1 with blanks between every two
+    tokens; now and then a comment inside a rule or a mutation."""
+    def pick(pool, valid):
+        return rng.choice(pool[:valid] if rng.random() < 0.97 else pool)
+
+    def blank():
+        return pick(_BLANKS, 6)
+
+    def atom(pred, terms):
+        args = ("," + blank()).join(t + blank() for t in terms)
+        return f"{pred}{blank()}({blank()}{args})"
+
+    rules = []
+    for _ in range(rng.randrange(1, 5)):
+        body = [(pred, [pick(_TERMS, 12) for _ in range(_ARITY[pred])])
+                for pred in rng.choices("efpq", k=rng.randrange(1, 4))]
+        names = [t for _, ts in body for t in ts if t[0].isupper()] or ["a"]
+        head = rng.choice("pq")
+        head_terms = [rng.choice(names) if rng.random() < 0.95 else "1"
+                      for _ in range(_ARITY[head])]
+        rules.append(
+            atom(head, head_terms) + blank() + ":-" + blank()
+            + ("," + blank()).join(atom(*a) + blank() for a in body) + ".")
+    text = "".join(rng.choice(_BETWEEN) + r for r in rules)
+    text += rng.choice(["", "\n", "% end", "\n% end, no newline"])
+    if rng.random() < 0.3:
+        spots = [i for i, c in enumerate(text) if c in "(),.:-_"]
+        if spots and rng.random() < 0.5:
+            i = rng.choice(spots)
+            return text[:i] + text[i + 1:]
+        i = rng.randrange(len(text) + 1)
+        return text[:i] + rng.choice(_INSERTS) + text[i:]
+    return text
+
+
+_EDB_NAMES = ["e", "e1", "rel_A9", "é", "E", "_"]
+_EDB_ARGS = ["1", "-2", "007", "-0", "x", "a_b", "bC3", "9" * 300, "é",
+             "12ab", "-", "²", "X", "_"]
+_EDB_BLANKS = ["", "", " ", "\t", "\r\n", "\n", "% c, (x).\n"]
+
+
+def random_edb_text(rng) -> str:
+    """Facts over mostly valid names and constants, now and then broken."""
+    def pick(pool, valid):
+        return rng.choice(pool[:valid] if rng.random() < 0.95 else pool)
+
+    def blank():  # inside a fact, now and then a comment
+        return pick(_EDB_BLANKS, 6)
+
+    arity = {}
+    facts = []
+    for _ in range(rng.randrange(5)):
+        name = pick(_EDB_NAMES, 4)
+        k = arity.setdefault(name, rng.randrange(1, 4))
+        if rng.random() < 0.03:
+            k = rng.randrange(4)  # mixed arity, or `e().`
+        args = ("," + blank()).join(pick(_EDB_ARGS, 9) + blank()
+                                    for _ in range(k))
+        fact = f"{name}{blank()}({blank()}{args}){blank()}."
+        if rng.random() < 0.05:
+            i = rng.randrange(len(fact))
+            fact = fact[:i] + fact[i + 1:]
+        facts.append(rng.choice(_EDB_BLANKS) + fact)
+    tail = rng.choice(["", "\n", "% end", "\n% end, no newline"])
+    return "".join(facts) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -491,3 +572,201 @@ def symmetric_body(rng: random.Random):
             for c in range(k) for pred, args in atoms]
     rng.shuffle(body)
     return ("p", "q"), (Var("H"),) if tied else (), body
+
+
+# ---------------------------------------------------------------------------
+# Token readers
+
+
+# A character tokenizer and a recursive-descent walk over its tokens: the
+# reference that `parse_program` and `parse_edb` must agree with byte for
+# byte, results and positioned errors alike.  A program reads as
+# `_Parser(text).program()`.
+
+_DIGITS = frozenset("0123456789")
+_PUNCT = {":-": "ARROW", "(": "LPAR", ")": "RPAR", ",": "COMMA", ".": "DOT",
+          "_": "WILD"}
+
+
+class _Token:
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind, text, line, col):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
+
+
+def _tokenize(text: str):
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "%":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if text.startswith(":-", i):
+            tokens.append(_Token("ARROW", ":-", line, col))
+            i += 2
+            col += 2
+            continue
+        if c in "(),.":
+            tokens.append(_Token(_PUNCT[c], c, line, col))
+            i += 1
+            col += 1
+            continue
+        if c == "_" and (i + 1 >= n or not (text[i + 1].isalnum() or text[i + 1] == "_")):
+            tokens.append(_Token("WILD", "_", line, col))
+            i += 1
+            col += 1
+            continue
+        # integers are -?[0-9]+; str.isdigit also takes other scripts' digits
+        if c in _DIGITS or (c == "-" and i + 1 < n and text[i + 1] in _DIGITS):
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            tokens.append(_Token("INT", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            kind = "VAR" if c.isupper() else "IDENT"
+            tokens.append(_Token(kind, text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {c!r}", line, col)
+    tokens.append(_Token("EOF", "", line, col))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.fresh = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def expect(self, kind: str) -> _Token:
+        tok = self.tokens[self.pos]
+        if tok.kind != kind:
+            raise ParseError(
+                f"expected {kind}, found {tok.text or 'end of input'!r}",
+                tok.line, tok.col,
+            )
+        self.pos += 1
+        return tok
+
+    def fresh_wildcard(self) -> Var:
+        self.fresh += 1
+        return Var(f"{INTERNAL_PREFIX}w{self.fresh}")
+
+    def term(self, allow_wildcard: bool) -> Term:
+        tok = self.peek()
+        if tok.kind == "VAR":
+            self.pos += 1
+            return Var(tok.text)
+        if tok.kind == "IDENT":
+            self.pos += 1
+            return Const(tok.text)
+        if tok.kind == "INT":
+            self.pos += 1
+            return Const(int(tok.text))
+        if tok.kind == "WILD":
+            if not allow_wildcard:
+                raise ParseError("wildcard not allowed in rule head",
+                                 tok.line, tok.col)
+            self.pos += 1
+            return self.fresh_wildcard()
+        raise ParseError(f"expected a term, found {tok.text!r}",
+                         tok.line, tok.col)
+
+    def atom(self, allow_wildcard: bool) -> Atom:
+        name = self.expect("IDENT")
+        self.expect("LPAR")
+        terms = [self.term(allow_wildcard)]
+        while self.peek().kind == "COMMA":
+            self.pos += 1
+            terms.append(self.term(allow_wildcard))
+        self.expect("RPAR")
+        return Atom(name.text, tuple(terms))
+
+    def rule(self) -> Rule:
+        head = self.atom(allow_wildcard=False)
+        tok = self.peek()
+        if tok.kind == "DOT":
+            raise ParseError(
+                "facts are not allowed in program text; use an EDB file",
+                tok.line, tok.col,
+            )
+        self.expect("ARROW")
+        body = [self.atom(allow_wildcard=True)]
+        while self.peek().kind == "COMMA":
+            self.pos += 1
+            body.append(self.atom(allow_wildcard=True))
+        self.expect("DOT")
+        return Rule(head, tuple(body))
+
+    def program(self) -> Program:
+        rules = []
+        while self.peek().kind != "EOF":
+            rules.append(self.rule())
+        if not rules:
+            tok = self.peek()
+            raise ParseError("empty program", tok.line, tok.col)
+        return Program.from_rules(rules)
+
+
+def _parse_edb_tokens(text: str) -> EDBInstance:
+    tokens = _tokenize(text)
+    rels: dict = {}
+    i = 0
+    while tokens[i].kind != "EOF":
+        tok = tokens[i]
+        if tok.kind != "IDENT":
+            raise ParseError("expected a fact", tok.line, tok.col)
+        name = tok.text
+        i += 1
+        if tokens[i].kind != "LPAR":
+            raise ParseError("expected '('", tokens[i].line, tokens[i].col)
+        i += 1
+        vals = []
+        while True:
+            t = tokens[i]
+            if t.kind == "INT":
+                vals.append(int(t.text))
+            elif t.kind == "IDENT":
+                vals.append(t.text)
+            else:
+                raise ParseError("facts may contain only constants",
+                                 t.line, t.col)
+            i += 1
+            if tokens[i].kind == "COMMA":
+                i += 1
+                continue
+            break
+        if tokens[i].kind != "RPAR":
+            raise ParseError("expected ')'", tokens[i].line, tokens[i].col)
+        i += 1
+        if tokens[i].kind != "DOT":
+            raise ParseError("expected '.'", tokens[i].line, tokens[i].col)
+        i += 1
+        rels.setdefault(name, set()).add(tuple(vals))
+    return EDBInstance.of(rels)

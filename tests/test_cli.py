@@ -12,6 +12,7 @@ from dlbound.cli import main
 
 from conftest import (
     BUYS_SRC, TC_SRC, TRIANGLE_SRC, UNBOUNDED_SRC, corrupted_tc,
+    random_edb_text, random_program_text,
 )
 
 
@@ -382,6 +383,38 @@ def test_bounds_with_a_5000_digit_n(capsys, tmp_path):
     assert {pb["predicate"]: pb["fpt_bound"]
             for pb in report["predicates"]} == {"p": None, "q": None}
     assert main(["bounds", str(f), "--n", n[:-1] + "x"]) == 2
+
+
+def test_bounds_n_takes_a_sign_and_ascii_digits_at_any_length(capsys,
+                                                               tmp_path):
+    # the dialect's integer syntax, with blanks around it and a `+` sign;
+    # other scripts' digits and `_` separators exit 2 at every length
+    f = tmp_path / "tri.dl"
+    f.write_text(TRIANGLE_SRC)
+    for n in ("7", " 7 ", "+5", "9" * 5000):
+        code, out = run(capsys, "--json", "bounds", str(f), "--n", n)
+        assert code == 0
+        assert json.loads(out)["n"] == (int(n) if len(n) < 10 else None)
+    for n in ("\u0663", "1_000", "\u0663" * 5000, "1_" + "0" * 5000):
+        assert main(["bounds", str(f), "--n", n]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+
+def test_read_path_never_crashes(capsys, tmp_path):
+    # program texts of the reader's differential test and mutated EDB
+    # files: every run exits 0 or 2 and raises nothing.  Each text gets new
+    # files, as on some file systems rewriting one in place waits for the
+    # disk
+    rng = random.Random(5)
+    codes = []
+    for i in range(300):
+        prog, edb = tmp_path / f"p{i}.dl", tmp_path / f"d{i}.facts"
+        prog.write_text(random_program_text(rng), "utf-8", newline="")
+        edb.write_text(random_edb_text(rng), "utf-8", newline="")
+        codes.append(main(["classify", str(prog)]))
+        codes.append(main(["eval", str(prog), "--edb", str(edb)]))
+        capsys.readouterr()
+    assert set(codes) == {0, 2}
 
 
 def test_threads_flag_is_gone(capsys, tc_file):

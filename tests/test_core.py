@@ -7,14 +7,14 @@ from itertools import combinations
 import pytest
 
 from dlbound import (
-    Atom, Const, ParseError, ValidationError, Var, parse_program,
+    Atom, Const, ParseError, ValidationError, Var, parse_edb, parse_program,
     print_program,
 )
-from dlbound.core import (
-    _Parser, _read_rules, classify_rule_atoms, format_rule, min_cover,
-)
+from dlbound.core import classify_rule_atoms, format_rule, min_cover
 
-from conftest import TC_SRC
+from conftest import (
+    TC_SRC, _Parser, _parse_edb_tokens, random_program_text,
+)
 
 
 def test_parse_tc():
@@ -142,51 +142,6 @@ def test_atom_vars_order():
     assert list(a.vars()) == ["X", "Y"]
 
 
-_ARITY = {"e": 2, "f": 1, "p": 2, "q": 1}
-_TERMS = ["X", "Y", "Zed_1", "X", "Y", "a", "b_2", "0", "-3", "007", "-0",
-          "_", "9" * 4301]
-_BLANKS = ["", "", " ", "\t", "\r\n", "\n  ", "% in (a, rule).\n"]
-_BETWEEN = ["", " ", "\n", "\r\n", "\n\n", "\n% between: p(_) :- é.\n"]
-_INSERTS = ["(", ")", ",", ".", ":", "-", "_", "_x", "q(_) :- f(X). ",
-            "P(X) :- f(X). ", "e(1,2). ", "é", "²", "\f", "\v"]
-
-
-def _random_program_text(rng) -> str:
-    """Rules over e/2, f/1, p/2 and q/1 with blanks between every two
-    tokens; now and then a comment inside a rule or a mutation."""
-    def pick(pool, valid):
-        return rng.choice(pool[:valid] if rng.random() < 0.97 else pool)
-
-    def blank():
-        return pick(_BLANKS, 6)
-
-    def atom(pred, terms):
-        args = ("," + blank()).join(t + blank() for t in terms)
-        return f"{pred}{blank()}({blank()}{args})"
-
-    rules = []
-    for _ in range(rng.randrange(1, 5)):
-        body = [(pred, [pick(_TERMS, 12) for _ in range(_ARITY[pred])])
-                for pred in rng.choices("efpq", k=rng.randrange(1, 4))]
-        names = [t for _, ts in body for t in ts if t[0].isupper()] or ["a"]
-        head = rng.choice("pq")
-        head_terms = [rng.choice(names) if rng.random() < 0.95 else "1"
-                      for _ in range(_ARITY[head])]
-        rules.append(
-            atom(head, head_terms) + blank() + ":-" + blank()
-            + ("," + blank()).join(atom(*a) + blank() for a in body) + ".")
-    text = "".join(rng.choice(_BETWEEN) + r for r in rules)
-    text += rng.choice(["", "\n", "% end", "\n% end, no newline"])
-    if rng.random() < 0.3:
-        spots = [i for i, c in enumerate(text) if c in "(),.:-_"]
-        if spots and rng.random() < 0.5:
-            i = rng.choice(spots)
-            return text[:i] + text[i + 1:]
-        i = rng.randrange(len(text) + 1)
-        return text[:i] + rng.choice(_INSERTS) + text[i:]
-    return text
-
-
 def _outcome(read, text):
     try:
         return read(text)
@@ -200,7 +155,7 @@ def _token_parse(text):
 
 def test_parse_program_matches_token_parser():
     rng = random.Random(5)
-    texts = [_random_program_text(rng) for _ in range(1500)]
+    texts = [random_program_text(rng) for _ in range(1500)]
     texts += ["", "% only a comment", "q(_) :- f(X).", "q(X) :- e(_x,X).",
               "P(X) :- f(X).", "q(1).", "é", "q(X) :- e(X,²).",
               "q(X) :- f(X).\f", "\vq(X) :- f(X).", "q(X) :- f(X)",
@@ -210,10 +165,9 @@ def test_parse_program_matches_token_parser():
               f"q(X) :- e(X,{'9' * 5000}).", f"q(X) :- e(X,{'9' * 5000}). #"]
     results = [_outcome(parse_program, t) for t in texts]
     assert results == [_outcome(_token_parse, t) for t in texts]
-    # both readers and both kinds of outcome are exercised
-    by_pattern = sum(bool(_read_rules(t)) for t in texts)
+    # both kinds of outcome are exercised
     errors = sum(isinstance(r, tuple) for r in results)
-    assert by_pattern > 800 and 300 < errors < len(texts) - 800
+    assert 300 < errors < len(texts) - 800
 
 
 def test_parse_program_builds_each_term_once_per_call():
@@ -241,6 +195,100 @@ def test_parse_program_time_is_linear_on_long_texts():
         assert got == _outcome(_token_parse, text)
     assert _outcome(parse_program, long_rule) == (ParseError, (
         f"1:{len(long_rule) + 1}: expected DOT, found 'end of input'"))
+
+
+# Word and blank pieces the generators rarely draw: a letter with no case
+# (中), a titlecase letter (ǅ, not upper), accented letters, letter-like
+# and other scripts' digits (Ⅳ, ½, ², ٣), form feed, vertical tab, a bare
+# `%` and CRLF.  The words are 6 names, 2 integers, 3 variables and the
+# wildcard, then bad words; the first 6 blanks are blanks or comments,
+# and the rest break the text or comment out the rest of its line.
+_RARE_WORDS = ["a", "中", "ǅ", "é", "中ǅ", "a²", "7", "-7", "X", "É", "X٣",
+               "_", "Ⅳ", "½", "²", "٣", "_a"]
+_RARE_BLANKS = ["", "", " ", "\r\n", "%\r\n", "% 中 ².\n", "\f", "\v", "%"]
+
+
+def _rare_text(rng) -> str:
+    """Facts, or rules with constant heads, whose words and blanks are
+    drawn from the pieces above."""
+    def pick(pool, valid):
+        return rng.choice(pool[:valid] if rng.random() < 0.97 else pool)
+
+    def atom(words):
+        args = ",".join(pick(_RARE_BLANKS, 6) + pick(_RARE_WORDS, words)
+                        + pick(_RARE_BLANKS, 6)
+                        for _ in range(rng.randrange(1, 3)))
+        return f"{pick(_RARE_WORDS, 6)}{pick(_RARE_BLANKS, 6)}({args})"
+
+    clauses = []
+    for _ in range(rng.randrange(1, 3)):
+        clause = atom(8)
+        if rng.random() < 0.7:
+            clause += " :- " + ", ".join(
+                atom(12) for _ in range(rng.randrange(1, 3)))
+        clauses.append(pick(_RARE_BLANKS, 6) + clause + "."
+                       + pick(_RARE_BLANKS, 6))
+    return "".join(clauses)
+
+
+def test_readers_match_the_token_readers_on_rare_characters():
+    rng = random.Random(23)
+    texts = [_rare_text(rng) for _ in range(3000)]
+    for read, reference in ((parse_program, _token_parse),
+                            (parse_edb, _parse_edb_tokens)):
+        results = [_outcome(read, t) for t in texts]
+        assert results == [_outcome(reference, t) for t in texts]
+        read_whole = sum(not isinstance(r, tuple) for r in results)
+        assert 300 < read_whole < len(texts) - 1000
+
+
+@pytest.mark.parametrize("text, error", [
+    # a comment that ends the text leaves the end of input where it starts
+    ("q(X) :- f(X) % no dot", "1:14: expected DOT, found 'end of input'"),
+    ("q(X) :- f(X).\n% c\np(X) :- % c",
+     "3:9: expected IDENT, found 'end of input'"),
+    # a bad character anywhere comes before an earlier grammar error
+    ("q(X) :- f(X)\nq(Y) :- f(Y). ²", "2:15: unexpected character '²'"),
+    # and before an integer past Python's digit limit
+    (f"q(X) :- e(X,{'9' * 5000}), f(X). \f",
+     "1:5022: unexpected character '\\x0c'"),
+])
+def test_parse_program_error_positions(text, error):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("text, error", [
+    ("e(1) % c", "1:6: expected '.'"),
+    ("e(1)\ne(2). ²", "2:7: unexpected character '²'"),
+    (f"e({'9' * 5000}). \v", "1:5006: unexpected character '\\x0b'"),
+])
+def test_parse_edb_error_positions(text, error):
+    with pytest.raises(ParseError) as exc:
+        parse_edb(text)
+    assert str(exc.value) == error
+
+
+def test_an_integer_past_the_digit_limit_raises_pythons_own_error():
+    for read, text in ((parse_program, f"q(X) :- e(X,{'9' * 5000})."),
+                       (parse_edb, f"e({'9' * 5000}).")):
+        with pytest.raises(ValueError, match="^Exceeds the limit") as exc:
+            read(text)
+        assert type(exc.value) is ValueError
+
+
+def test_parse_edb_time_is_linear_on_long_texts():
+    blank_line = "%" + " " * 10000
+    # ASCII well-formed facts go to the pattern; these go to the token walk
+    for text in ("e(1).\n" * 9999 + "e(1",
+                 blank_line + "\ne(é).", "e(é). " + blank_line):
+        start = time.perf_counter()
+        got = _outcome(parse_edb, text)
+        assert time.perf_counter() - start < 1
+        assert got == _outcome(_parse_edb_tokens, text)
+    assert _outcome(parse_edb, "e(1).\n" * 9999 + "e(1") == (
+        ParseError, "10000:4: expected ')'")
 
 
 def brute_first_cover(need, sets):

@@ -18,8 +18,9 @@ from dlbound import (
 from dlbound.join import _Join, _Relation
 
 from conftest import (
-    TC_SRC, corrupted_tc, generate_tightness_instance, naive_oracle,
-    random_edb, random_programs, tightness_bound,
+    TC_SRC, _parse_edb_tokens, corrupted_tc, generate_tightness_instance,
+    naive_oracle, random_edb, random_edb_text, random_programs,
+    tightness_bound,
 )
 
 
@@ -362,38 +363,6 @@ def test_get_is_a_lookup_and_keeps_equality():
     assert r == IDBResult(r.relations)
 
 
-_EDB_NAMES = ["e", "e1", "rel_A9", "é", "E", "_"]
-_EDB_ARGS = ["1", "-2", "007", "-0", "x", "a_b", "bC3", "9" * 300, "é",
-             "12ab", "-", "²", "X", "_"]
-_EDB_BLANKS = ["", "", " ", "\t", "\r\n", "\n", "% c, (x).\n"]
-
-
-def _random_edb_text(rng) -> str:
-    """Facts over mostly valid names and constants, now and then broken."""
-    def pick(pool, valid):
-        return rng.choice(pool[:valid] if rng.random() < 0.95 else pool)
-
-    def blank():  # inside a fact, now and then a comment
-        return pick(_EDB_BLANKS, 6)
-
-    arity = {}
-    facts = []
-    for _ in range(rng.randrange(5)):
-        name = pick(_EDB_NAMES, 4)
-        k = arity.setdefault(name, rng.randrange(1, 4))
-        if rng.random() < 0.03:
-            k = rng.randrange(4)  # mixed arity, or `e().`
-        args = ("," + blank()).join(pick(_EDB_ARGS, 9) + blank()
-                                    for _ in range(k))
-        fact = f"{name}{blank()}({blank()}{args}){blank()}."
-        if rng.random() < 0.05:
-            i = rng.randrange(len(fact))
-            fact = fact[:i] + fact[i + 1:]
-        facts.append(rng.choice(_EDB_BLANKS) + fact)
-    tail = rng.choice(["", "\n", "% end", "\n% end, no newline"])
-    return "".join(facts) + tail
-
-
 def test_parse_edb_matches_token_parser(monkeypatch):
     # the package's `evaluate` attribute is the function, not the module
     ev = importlib.import_module("dlbound.evaluate")
@@ -405,11 +374,11 @@ def test_parse_edb_matches_token_parser(monkeypatch):
             return type(exc), str(exc)
 
     token_parsed = []
-    token_parser = ev._parse_edb_tokens
-    monkeypatch.setattr(ev, "_parse_edb_tokens", lambda text: (
-        token_parsed.append(text) or token_parser(text)))
+    token_walk = ev._read_facts
+    monkeypatch.setattr(ev, "_read_facts", lambda text: (
+        token_parsed.append(text) or token_walk(text)))
     rng = random.Random(11)
-    texts = [_random_edb_text(rng) for _ in range(3000)]
+    texts = [random_edb_text(rng) for _ in range(3000)]
     texts += ["", "% only a comment", "e(1).\r\ne(2).\r\n", "e(1)\t.",
               "e(1).%", "e().", "e(12ab).", "e(-).", "e(²).", "e(é).",
               "_(1).", "E(1).", "e(1). e(1,2).", "e(1,\n% a, b\n2).",
@@ -417,7 +386,7 @@ def test_parse_edb_matches_token_parser(monkeypatch):
               f"e({'9' * 5000}).", f"e({'9' * 5000}). #"]
     results = [outcome(t) for t in texts]
     by_pattern = [t for t in texts if t not in token_parsed]
-    monkeypatch.setattr(ev, "parse_edb", token_parser)
+    monkeypatch.setattr(ev, "parse_edb", _parse_edb_tokens)
     assert results == [outcome(t) for t in texts]
     # both paths and both kinds of outcome are exercised
     assert len(by_pattern) > 1000
