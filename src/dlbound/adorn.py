@@ -28,22 +28,23 @@ class BudgetExceeded(Exception):
         self.partial = partial
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Adornment:
     """A safe rule with EDB-only body, bounding an IDB predicate.
 
-    Stored canonically: identity and hashing go through the canonical key,
-    so adornments equal up to renaming compare equal.  The key's hash is
-    kept, as dict and set operations on adornments are frequent.
+    Held as its canonical key: identity and hashing go through the key,
+    so adornments equal up to renaming compare equal, and the key's hash
+    is kept, as dict and set operations on adornments are frequent.  The
+    representative rule and the distance profile are built on first use;
+    an engine run keeps one object per key, so each is built once a run.
     """
-    rule: Rule
-    key: tuple = field(compare=False, default=None)
-    key_hash: int = field(compare=False, default=None, repr=False)
+    key: tuple
+    key_hash: int = field(repr=False)
 
     @classmethod
     def of(cls, rule: Rule) -> "Adornment":
         key = canonical_form(rule)
-        return cls(rule=rule_of_key(key), key=key, key_hash=hash(key))
+        return cls(key, hash(key))
 
     def __eq__(self, other):
         return isinstance(other, Adornment) and self.key == other.key
@@ -52,13 +53,21 @@ class Adornment:
         return self.key_hash
 
     @cached_property
+    def rule(self) -> Rule:
+        """The standard representative of the key, `rule_of_key`'s."""
+        return rule_of_key(self.key)
+
+    @cached_property
     def profile(self) -> tuple:
-        """The representative's distance profile, for `may_subsume`."""
-        return distance_profile(self.rule)
+        """The distance profile for `may_subsume`, read off the key: its
+        term signatures stand for the representative's terms one to
+        one."""
+        (_, head), body = self.key
+        return distance_profile(head, [(pk[1], sigs) for pk, sigs in body])
 
     @property
     def base(self) -> str:
-        return self.rule.head.pred
+        return self.key[0][0][1]
 
     def __str__(self) -> str:
         return format_rule(self.rule, terminator="")
@@ -253,7 +262,7 @@ def h_eq(r: Rule, rules) -> bool:
 
 
 def h_cont(r: Rule, rules) -> bool:
-    return MembershipFn("hcont").check(r, _Admitted(rules), canonical_form(r))
+    return MembershipFn("hcont").check(r, _Admitted(rules))
 
 
 class MembershipFn:
@@ -265,15 +274,18 @@ class MembershipFn:
             raise ValueError(f"unknown membership function {name!r}")
         self.name = name
 
-    def check(self, r: Rule, admitted: "_Admitted", key: tuple) -> bool:
-        """Is r, of canonical form `key`, among the admitted rules?  Under
-        hcont, also if its head adornment, off every cycle, is subsumed
-        by an earlier one; distance profiles settle most pairs."""
-        if key in admitted.rules:
-            return True
+    def check(self, r: Rule, admitted: "_Admitted") -> bool:
+        """True exactly when the engine rejects r: r is among the
+        admitted rules or, under hcont, its head adornment, off every
+        cycle, is subsumed by a pooled one.  A pooled adornment subsumes
+        itself, so that case needs no canonical form of r, and an
+        admitted rule's head is pooled; distance profiles settle most
+        other pairs."""
         if self.name == "heq" or admitted.graph.closes_cycle(r):
-            return False
+            return admitted.key_of(r) in admitted.rules
         rho = r.head.adornment
+        if rho in admitted.graph.edges:  # it heads an admitted rule
+            return True
         for other in admitted.graph.pools.get(r.head.pred, ()):
             verdict = admitted.verdicts.get((other, rho))
             if verdict is None:
@@ -363,11 +375,19 @@ class _Admitted:
         self.rules: dict = {}  # canonical form -> rule
         self.graph = _Graph()
         self.verdicts: dict = {}
+        self.last = self.last_key = None
         for r in rules:
-            self.add(r, canonical_form(r))
+            self.add(r)
 
-    def add(self, r: Rule, key: tuple) -> None:
-        self.rules[key] = r
+    def key_of(self, r: Rule) -> tuple:
+        """r's canonical form, kept for the last rule asked about, so a
+        candidate checked and then admitted is canonicalised once."""
+        if r is not self.last:
+            self.last, self.last_key = r, canonical_form(r)
+        return self.last_key
+
+    def add(self, r: Rule) -> None:
+        self.rules[self.key_of(r)] = r
         self.graph.add(r)
 
 
@@ -381,6 +401,11 @@ class _Engine:
         self.max_rules = max_rules
         self.admitted = _Admitted(rules)
         self.renamed: dict = {}  # (adornment, position) -> its tagged rule
+        # canonical key -> the run's one Adornment of it, whose
+        # representative, profile and renamings are then built once
+        self.adornments = {a.adornment.key: a.adornment for r in rules
+                           for a in (r.head, *r.body)
+                           if a.adornment is not None}
 
     def partial(self) -> AdornedProgram:
         rules = self.admitted.rules
@@ -411,7 +436,9 @@ class _Engine:
             Atom(a.pred, substitute(sigma, a.terms))
             for inst in insts for a in inst.body) + edb)
         self.g = self.g.then(rho0)
-        head = Atom(rule.head.pred, head_terms, relax(self.g, rho0))
+        rho = relax(self.g, rho0)
+        rho = self.adornments.setdefault(rho.key, rho)
+        head = Atom(rule.head.pred, head_terms, rho)
         body = tuple(
             Atom(atom.pred, substitute(sigma, atom.terms), adn)
             for atom, adn in zip(idb_atoms, combo)
@@ -440,10 +467,9 @@ class _Engine:
                     new_rule = self.build(rule, idb_atoms, edb_atoms, combo)
                     if new_rule is None:
                         continue
-                    key = canonical_form(new_rule)
-                    if self.h.check(new_rule, admitted, key):
+                    if self.h.check(new_rule, admitted):
                         continue
-                    admitted.add(new_rule, key)
+                    admitted.add(new_rule)
                     added = True
                     if len(admitted.rules) > self.max_rules:
                         raise BudgetExceeded("max-rules", self.partial())

@@ -47,7 +47,9 @@ def _integer(text: str) -> int:
     sign = -1 if digits[:1] == "-" else 1
     digits = digits[1:] if digits[:1] in "+-" else digits
     if not (digits.isascii() and digits.isdecimal()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        shown = repr(text) if len(text) <= 40 else (
+            f"{text[:40]!r}... ({len(text)} characters)")
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown}")
     value = 0
     for i in range(0, len(digits), 4300):
         chunk = digits[i:i + 4300]

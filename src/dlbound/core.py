@@ -64,6 +64,13 @@ def is_internal_var(t: Term) -> bool:
     return isinstance(t, Var) and t.name.startswith(INTERNAL_PREFIX)
 
 
+def _names(atoms) -> list:
+    """The names of the variables in atoms, in order of first occurrence;
+    linear time, as long bodies have many variables."""
+    return list(dict.fromkeys([t.name for a in atoms for t in a.terms
+                               if isinstance(t, Var)]))
+
+
 @dataclass(frozen=True)
 class Atom:
     """A predicate applied to a tuple of terms.
@@ -81,11 +88,7 @@ class Atom:
 
     def vars(self) -> list:
         """Variable names in order of first occurrence."""
-        seen = []
-        for t in self.terms:
-            if isinstance(t, Var) and t.name not in seen:
-                seen.append(t.name)
-        return seen
+        return _names((self,))
 
     def __str__(self) -> str:
         return format_atom(self)
@@ -101,19 +104,10 @@ class Rule:
         return self.head.vars()
 
     def body_vars(self) -> list:
-        seen = []
-        for a in self.body:
-            for v in a.vars():
-                if v not in seen:
-                    seen.append(v)
-        return seen
+        return _names(self.body)
 
     def all_vars(self) -> list:
-        seen = self.head.vars()
-        for v in self.body_vars():
-            if v not in seen:
-                seen.append(v)
-        return seen
+        return _names((self.head, *self.body))
 
     def var_occurrences(self) -> dict:
         """Total occurrence count per variable name across head and body."""
@@ -181,8 +175,8 @@ class Program:
                     "ground facts belong in EDB files"
                 )
             for a in (r.head, *r.body):
-                known = arities.setdefault(a.pred, a.arity)
-                if known != a.arity:
+                known = arities.setdefault(a.pred, len(a.terms))
+                if known != len(a.terms):
                     raise ValidationError(
                         f"predicate {a.pred} used with arities {known} and {a.arity}"
                     )
@@ -191,11 +185,12 @@ class Program:
                     raise ValidationError(
                         f"wildcard in head of rule for {r.head.pred}"
                     )
-            bv = set(r.body_vars())
-            for v in r.head_vars():
-                if v not in bv:
+            bv = {t.name for a in r.body for t in a.terms
+                  if isinstance(t, Var)}
+            for t in r.head.terms:
+                if isinstance(t, Var) and t.name not in bv:
                     raise ValidationError(
-                        f"unsafe rule for {r.head.pred}: head variable {v} "
+                        f"unsafe rule for {r.head.pred}: head variable {t} "
                         "does not appear in the body"
                     )
 

@@ -293,17 +293,18 @@ def rule_of_key(key: tuple) -> Rule:
 # Subsumption
 
 
-def distance_profile(r: Rule) -> tuple:
-    """Distances from r's head terms in the Gaifman graph of its body
-    (terms as vertices, adjacent when they share an atom): (body
-    predicates, per head position i: (distance to each head term j,
-    (pred, arity) -> distance to its nearest atom, 0 if term i occurs in
-    one)).  Unreachable entries are `inf` or absent."""
+def distance_profile(head, body) -> tuple:
+    """Distances from a rule's head terms in the Gaifman graph of its
+    body (terms as vertices, adjacent when they share an atom), given
+    the head's terms and the body as (pred, terms) atoms over any
+    hashable values, one value per term: (body predicates, per head
+    position i: (distance to each head term j, (pred, arity) -> distance
+    to its nearest atom, 0 if term i occurs in one)).  Unreachable
+    entries are `inf` or absent."""
     occurs: dict = {}
-    for i, a in enumerate(r.body):
-        for t in a.terms:
+    for i, (_, terms) in enumerate(body):
+        for t in terms:
             occurs.setdefault(t, []).append(i)
-    head = r.head.terms
     rows = []
     for s in head:
         dist, near, expanded = {s: 0}, {}, set()
@@ -315,15 +316,15 @@ def distance_profile(r: Rule) -> tuple:
                     if i in expanded:
                         continue
                     expanded.add(i)
-                    a = r.body[i]
-                    near.setdefault((a.pred, a.arity), d)
-                    for u in a.terms:
+                    pred, terms = body[i]
+                    near.setdefault((pred, len(terms)), d)
+                    for u in terms:
                         if u not in dist:
                             dist[u] = d + 1
                             nxt.append(u)
             frontier, d = nxt, d + 1
         rows.append((tuple(dist.get(t, inf) for t in head), near))
-    return frozenset((a.pred, a.arity) for a in r.body), tuple(rows)
+    return frozenset((pred, len(terms)) for pred, terms in body), tuple(rows)
 
 
 def may_subsume(p1: tuple, p2: tuple) -> bool:

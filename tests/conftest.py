@@ -2,7 +2,8 @@
 brute-force oracles used to cross-check the library, the test-only
 counterparts of its formulas: Stirling numbers, falling factorials, the
 tightness-instance generator and the minimality check, and the plain
-labelling search that canonical keys are checked against, and the token
+labelling search that canonical keys are checked against, the key-first
+membership check that the engine's is checked against, and the token
 readers of programs and EDB files that the library's reader is checked
 against."""
 
@@ -19,6 +20,9 @@ from dlbound import (
     parse_program,
 )
 from dlbound.core import INTERNAL_PREFIX
+from dlbound.unify import (
+    canonical_form, distance_profile, may_subsume, subsumes,
+)
 from dlbound.sizebound import _stirling_row
 
 
@@ -572,6 +576,37 @@ def symmetric_body(rng: random.Random):
             for c in range(k) for pred, args in atoms]
     rng.shuffle(body)
     return ("p", "q"), (Var("H"),) if tied else (), body
+
+
+# ---------------------------------------------------------------------------
+# Plain profiles and key-first membership
+
+
+def rule_profile(r: Rule) -> tuple:
+    """A plain rule's distance profile, over its own terms."""
+    return distance_profile(r.head.terms,
+                            [(a.pred, a.terms) for a in r.body])
+
+
+def reference_check(h: MembershipFn, r: Rule, admitted) -> bool:
+    """`MembershipFn.check` with r's canonical form first: a hit on it,
+    then the cycle test, then every pooled adornment as a subsumer of
+    r's head's, with verdicts memoised on the engine run's
+    `_Admitted`."""
+    if canonical_form(r) in admitted.rules:
+        return True
+    if h.name == "heq" or admitted.graph.closes_cycle(r):
+        return False
+    rho = r.head.adornment
+    for other in admitted.graph.pools.get(r.head.pred, ()):
+        verdict = admitted.verdicts.get((other, rho))
+        if verdict is None:
+            verdict = admitted.verdicts[other, rho] = (
+                may_subsume(other.profile, rho.profile)
+                and subsumes(other.rule, rho.rule))
+        if verdict:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

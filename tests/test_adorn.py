@@ -15,10 +15,13 @@ from dlbound import (
     adorn_program, adornments_of, canonical_form, fixpoint_stable,
     make_relaxation, parse_program, relax, subsumes,
 )
-from dlbound.adorn import _Engine, _Graph, h_cont, h_eq
+from dlbound import adorn
+from dlbound.adorn import _Admitted, _Engine, _Graph, h_cont, h_eq
 from dlbound.core import classify_rule_atoms, format_rule
 
-from conftest import REACH_SRC, TC_SRC, random_programs
+from conftest import (
+    REACH_SRC, TC_SRC, random_programs, reference_check, rule_profile,
+)
 
 
 def rule(text):
@@ -200,6 +203,88 @@ def test_h_cont_rejects_a_rule_that_closes_a_cycle():
     # its head adornment is an admitted one, but it depends on itself
     assert loop.head.adornment in {r.head.adornment for r in others}
     assert not h_cont(loop, others)
+
+
+def test_membership_check_returns_a_bool():
+    # on every path: the traced bench sums the verdicts of `check` into
+    # its reject ratio, so another true value would skew the ratio
+    with pytest.raises(BudgetExceeded) as exc:
+        adorn_program(parse_program(REACH_SRC), Id(), "heq", max_rules=1)
+    (recursive,), (edb_only,) = split_recursive(exc.value.partial.rules)
+    pi = adorn_program(parse_program(TC_SRC), GOut(), "heq")
+    (loop,) = [r for r in pi.rules
+               if any(a.adornment == r.head.adornment for a in r.body)]
+    cases = [("heq", edb_only, [edb_only], True),
+             ("heq", recursive, [edb_only], False),
+             ("hcont", edb_only, [edb_only], True),  # pooled
+             ("hcont", recursive, [edb_only], True),  # subsumed
+             ("hcont", edb_only, [recursive], False),
+             ("hcont", loop, [r for r in pi.rules if r is not loop], False)]
+    for name, r, rules, rejected in cases:
+        verdict = MembershipFn(name).check(r, _Admitted(rules))
+        assert type(verdict) is bool and verdict == rejected, (name, r)
+
+
+def test_membership_matches_the_key_first_check(monkeypatch):
+    # an hcont candidate whose head adornment is pooled and which closes
+    # no cycle is rejected without its canonical form; every verdict of
+    # the hcont runs equals the key-first check's, and every adornment's
+    # profile, read off its key, equals its representative's
+    check = MembershipFn.check
+    counts = {"pooled": 0, True: 0, False: 0}
+    heads: dict = {}
+
+    def both(self, r, admitted):
+        expected = reference_check(self, r, admitted)
+        if r.head.adornment in admitted.graph.edges and \
+                not admitted.graph.closes_cycle(r):
+            counts["pooled"] += 1
+        verdict = check(self, r, admitted)
+        assert type(verdict) is bool and verdict == expected, format_rule(r)
+        counts[verdict] += 1
+        heads.setdefault(r.head.adornment.key, r.head.adornment)
+        return verdict
+
+    monkeypatch.setattr(MembershipFn, "check", both)
+    for i, p in enumerate(random_programs(7, 400)):
+        for g in ("id", "gout", "gk=2", "gmin"):
+            if i == 363 and g == "id":
+                continue  # the hang program: its subsumption joins stall
+            try:
+                adorn_program(p, g, "hcont", max_rules=7)
+            except BudgetExceeded:
+                pass
+    assert counts["pooled"] > 250 and counts[True] > 800, counts
+    assert counts[False] > 3000, counts
+    for adn in heads.values():
+        assert adn.profile == rule_profile(adn.rule), adn
+    assert len(heads) > 1000, len(heads)
+
+
+def test_an_engine_run_holds_one_adornment_per_key(monkeypatch):
+    # nonlinear TC under Id repeats adornments: each is one object, its
+    # representative built once however often it is read
+    built = []
+    rule_of_key = adorn.rule_of_key
+
+    def counted(key):
+        built.append(key)
+        return rule_of_key(key)
+
+    monkeypatch.setattr(adorn, "rule_of_key", counted)
+    src = "tc(X,Y) :- e(X,Y).\ntc(X,Y) :- tc(X,Z), tc(Z,Y).\n"
+    with pytest.raises(BudgetExceeded) as exc:
+        adorn_program(parse_program(src), Id(), "heq", max_rules=12)
+    pi = exc.value.partial
+    pools = pi.adornment_map()
+    for r in pi.rules:
+        for a in (r.head, *r.body):
+            if a.adornment is not None:
+                pool = pools[a.pred]
+                assert a.adornment is pool[pool.index(a.adornment)]
+                assert a.adornment.profile == rule_profile(a.adornment.rule)
+    pi.pretty()
+    assert len(built) == len(set(built)) == len(pools["tc"]) > 3
 
 
 # ---------------------------------------------------------------------------
