@@ -11,12 +11,14 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
-from .core import Const, DatalogError, format_rule, parse_program
+from .core import (
+    Const, DatalogError, ValidationError, format_rule, parse_program,
+)
 from .adorn import (
     BudgetExceeded, MembershipFn, adorn_program, adornments_of,
     make_relaxation,
 )
-from .width import width_of_predicate, width_of_program
+from .width import width_of_predicate
 from .sizebound import size_report
 from .boundedness import (
     Degraded, Inconclusive, NonRecursive, check_boundedness, extract_ucq,
@@ -131,7 +133,9 @@ def cmd_widths(p, args) -> int:
     mode = "fractional" if args.fractional else "integral"
     per = {q: width_of_predicate(pi, q, mode)
            for q in sorted(p.idb) if adornments_of(pi, q)}
-    total = width_of_program(pi, mode)
+    if not per:
+        raise ValidationError("program has no adorned rules")
+    total = max(per.values())
     payload = {
         "mode": mode,
         "predicates": {q: str(Fraction(w)) for q, w in per.items()},

@@ -235,8 +235,7 @@ class _ERule:
         self.head = self.join.getter(head_terms)
 
     def apply(self, sources) -> set:
-        head = self.head
-        return {head(slots) for slots in self.join.run(sources)}
+        return set(map(self.head, self.join.run(sources)))
 
     def sources(self, idb, d) -> list:
         """Each body atom's source: its IDB relation in `idb` (indexed by
@@ -330,17 +329,22 @@ def _seminaive(rules, n_idb, d):
     return full
 
 
-def eval_cq(rule: Rule, d: EDBInstance) -> frozenset:
-    """Evaluate a single EDB-only rule as a conjunctive query over d."""
+def eval_cq(rule: Rule, d: EDBInstance, within=None) -> frozenset:
+    """Evaluate a single EDB-only rule as a conjunctive query over d; with
+    `within`, only its answers among those tuples, joined first as one
+    more atom, the head."""
     if not rule.body:
         for t in rule.head.terms:
             if isinstance(t, Var):
                 raise ValidationError(
                     "empty-body query with head variables")
-    join = _Join([a.terms for a in rule.body])
-    head = join.getter(rule.head.terms)
+    atoms = [a.terms for a in rule.body]
     sources = [d.source(a.pred, a.arity) for a in rule.body]
-    return frozenset(head(slots) for slots in join.run(sources))
+    if within is not None:
+        atoms.insert(0, rule.head.terms)
+        sources.insert(0, (_Relation(within),))
+    join = _Join(atoms)
+    return frozenset(map(join.getter(rule.head.terms), join.run(sources)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,35 +368,46 @@ class RuleBoundedReport:
 
 def check_rule_bounded(pi: AdornedProgram, d: EDBInstance,
                        result: IDBResult | None = None) -> RuleBoundedReport:
-    """Every tuple a rule derives must also be derived by the rule's head
-    adornment evaluated as a standalone query over d.  A rule's tuples
-    are derived from `result` by the rule as `evaluate` compiles it;
-    `result`, if given, is `evaluate(pi, d)`."""
+    """Every tuple a rule derives must also be an answer of the rule's
+    head adornment evaluated as a query over d.  A rule's tuples are
+    derived from `result` by the rule as `evaluate` compiles it; `result`,
+    if given, is `evaluate(pi, d)`.
+
+    Only derived tuples are checked (a semijoin, as in Yannakakis, VLDB
+    1981): each adornment is evaluated within the union of the tuples its
+    rules derive."""
     if result is None:
         result = evaluate(pi, d)
     erules, idb_keys, _ = _normalize(pi)
     idb = [_Relation(result.get(key)) for key in idb_keys]
-    violations = []
+    derived = [erule.apply(erule.sources(idb, d)) for erule in erules]
+    # each head adornment's derived tuples, then those it allows
     allowed_by: dict = {}
-    for idx, (rule, erule) in enumerate(zip(pi.rules, erules)):
-        derived = erule.apply(erule.sources(idb, d))
-        adn = rule.head.adornment
-        if adn not in allowed_by:
-            allowed_by[adn] = eval_cq(adn.rule, d)
-        allowed = allowed_by[adn]
+    for rule, rows in zip(pi.rules, derived):
+        allowed_by.setdefault(rule.head.adornment, set()).update(rows)
+    for adn, rows in allowed_by.items():
+        allowed_by[adn] = eval_cq(adn.rule, d, rows)
+    violations = []
+    for idx, (rule, rows) in enumerate(zip(pi.rules, derived)):
+        allowed = allowed_by[rule.head.adornment]
         # ints before symbols, so mixed tuples sort too
-        for t in sorted(derived - allowed, key=lambda row: tuple(
+        for t in sorted(rows - allowed, key=lambda row: tuple(
                 (isinstance(v, str), v) for v in row)):
             violations.append(BoundednessViolation(idx, t))
     return RuleBoundedReport(tuple(violations))
 
 
 def value_cover_ok(values, d: EDBInstance, k: int) -> bool:
-    """Can every value be found within at most k EDB tuples?  A depth-first
-    search on d's value-cover index, one iterator of what each try leaves
-    uncovered per level, branching on the value held by the fewest tuples."""
+    """Can every value be found within at most k EDB tuples?  At most k
+    values are covered when each is in some tuple.  Otherwise a
+    depth-first search on d's value-cover index, one iterator of what each
+    try leaves uncovered per level, branching on the value held by the
+    fewest tuples."""
     index = d.value_cover_index
-    stack = [iter((frozenset(values),))]
+    values = frozenset(values)
+    if len(values) <= k:  # one tuple per value will do
+        return all(v in index for v in values)
+    stack = [iter((values,))]
     while stack:
         remaining = next(stack[-1], None)
         if remaining is None:

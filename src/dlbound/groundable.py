@@ -213,7 +213,8 @@ def _grounding_join(rule: Rule, pi: AdornedProgram, d: EDBInstance,
         atoms.append(tuple(Var(v) for v in pick_vars))
         sources.append((_Relation(picks),))
     generating = _Join(atoms)
-    assert {v for a in rule.body for v in a.vars()} <= generating.bound
+    assert {v for a in rule.body for v in a.vars()} <= \
+        generating.slot_of.keys()
     done = [a for a in idb_atoms if a.adornment in finished]
     join = _Join(atoms + [a.terms for a in done]) if done else generating
     return (join, generating.count(sources),

@@ -10,6 +10,11 @@ from operator import itemgetter
 from .core import Const
 
 
+# `_Join.run` makes every _DEEP-th level of bindings a list, so that at
+# most _DEEP generators nest, far below the recursion limit
+_DEEP = 64
+
+
 def _tuple_getter(positions):
     """Tuple of the values at `positions`, also for zero or one position."""
     if len(positions) == 1:
@@ -54,19 +59,23 @@ class _Relation:
 class _Join:
     """One compiled conjunctive join over a rule body.
 
-    Every variable and constant gets a slot in a flat list.  Atoms run in
-    a greedy bound-first order: next is the atom with the most positions
-    already fixed (constants or bound variables), ties going to the
-    earlier body position.  Each atom is then a hash lookup on those
-    positions; its other positions bind new variables or, for a variable
-    repeated within the atom, check equality.  `run` and `exists` walk the
-    atoms with an explicit stack, so body length is not limited by
-    recursion depth.
+    Atoms run in a greedy bound-first order: next is the atom with the
+    most positions already fixed (constants or bound variables), ties
+    going to the earlier body position.  Each atom is then a hash lookup
+    on those positions; its other positions bind new variables or, for a
+    variable repeated within the atom, check equality.
+
+    A binding is a tuple of slots in bind order: the body's constants,
+    then the variables in the order the plan binds them.  `run` works set
+    at a time: each step is one comprehension that extends every binding
+    of the step before with the rows its index returns.  The steps are
+    chained lazily, so bindings stream and the last step is never held in
+    memory; every `_DEEP` steps a level is made a list, which keeps the
+    nesting of generators shallow on long bodies.  `exists` walks the
+    atoms depth first with an explicit stack.
     """
 
     def __init__(self, atoms):
-        self.slot_of: dict = {}
-        self.init: list = []
         # score[j]: positions of atom j fixed so far, raised as variables bind
         score = [0] * len(atoms)
         occurs: dict = {}
@@ -76,50 +85,100 @@ class _Join:
                     score[j] += 1
                 else:
                     occurs.setdefault(t.name, []).append(j)
+        # a variable's slot follows the constants' slots, in bind order
+        self.slot_of = slot_of = {}
+        consts: list = []
+        top = sum(score)  # the next variable's slot
         remaining = list(range(len(atoms)))
         steps = []
         while remaining:
             best = max(remaining, key=score.__getitem__)
             remaining.remove(best)
-            positions, key_slots, binds, eqs = [], [], [], []
-            first: dict = {}
+            lo = top  # this step's first new slot
+            positions, key_slots, new, eqs = [], [], [], []
             for pos, t in enumerate(atoms[best]):
                 if isinstance(t, Const):
                     positions.append(pos)
-                    key_slots.append(self._const(t.value))
-                elif t.name in self.slot_of:
+                    key_slots.append(len(consts))
+                    consts.append(t.value)
+                    continue
+                s = slot_of.get(t.name)
+                if s is None:
+                    slot_of[t.name] = top
+                    top += 1
+                    new.append(pos)
+                    for j in occurs[t.name]:
+                        score[j] += 1
+                elif s < lo:
                     positions.append(pos)
-                    key_slots.append(self.slot_of[t.name])
-                elif t.name in first:
-                    eqs.append((first[t.name], pos))
-                else:
-                    first[t.name] = pos
-            for name, pos in first.items():
-                binds.append((pos, self.slot(name)))
-                for j in occurs[name]:
-                    score[j] += 1
+                    key_slots.append(s)
+                else:  # repeated within the atom
+                    eqs.append((new[s - lo], pos))
+            # grow(row): the values the row gives the new slots lo..top-1
+            if not new or new[-1] - new[0] == len(new) - 1:
+                grow = itemgetter(slice(new[0], new[-1] + 1) if new
+                                  else slice(0, 0))
+            else:
+                grow = itemgetter(*new)
+            # (atom, key positions, key getter, new slots, equalities,
+            # key slots, grow)
             steps.append((best, tuple(positions),
                           itemgetter(*key_slots) if key_slots else None,
-                          tuple(binds), tuple(eqs), tuple(key_slots)))
+                          slice(lo, top), eqs, key_slots, grow))
         self.steps = steps
-        self.bound = frozenset(self.slot_of)
-
-    def slot(self, name: str) -> int:
-        s = self.slot_of.get(name)
-        if s is None:
-            s = self.slot_of[name] = len(self.init)
-            self.init.append(None)
-        return s
-
-    def _const(self, value) -> int:
-        self.init.append(value)
-        return len(self.init) - 1
+        self.init = tuple(consts)
 
     def getter(self, terms):
-        """A function from a binding's slots to the ground tuple of terms."""
-        return _tuple_getter([
-            self._const(t.value) if isinstance(t, Const)
-            else self.slot(t.name) for t in terms])
+        """A function from a binding to the ground tuple of terms."""
+        extra, positions = [], []
+        width = len(self.init) + len(self.slot_of)
+        for t in terms:
+            if isinstance(t, Const):
+                positions.append(width + len(extra))
+                extra.append(t.value)
+            else:
+                positions.append(self.slot_of[t.name])
+        get = _tuple_getter(positions)
+        if not extra:
+            return get
+        extra = tuple(extra)
+        return lambda binding: get(binding + extra)
+
+    def run(self, sources):
+        """The bindings that ground every atom in its source (sources[j]:
+        a tuple of disjoint _Relation parts for atom j), streamed."""
+        return self._run(sources, len(self.steps))
+
+    def count(self, sources) -> int:
+        """How many bindings `run` yields.  The last step's matching rows
+        are summed, not walked, unless the step checks an equality."""
+        if not self.steps:
+            return 1
+        step = self.steps[-1]
+        j, positions, key, _, eqs = step[:5]
+        prefixes = self._run(sources, len(self.steps) - 1)
+        if eqs:
+            return sum(1 for _ in _extend(prefixes, step, sources[j]))
+        if not positions:
+            return sum(1 for _ in prefixes) * sum(
+                len(p.rows) for p in sources[j])
+        indexes = [p.index(positions) for p in sources[j]]
+        return sum(len(idx.get(key(b), ())) for b in prefixes
+                   for idx in indexes)
+
+    def _run(self, sources, n):
+        """The bindings of the first n steps, chained lazily; none at once
+        when a step's source is one empty part."""
+        out = (self.init,)
+        for depth in range(n):
+            step = self.steps[depth]
+            parts = sources[step[0]]
+            if len(parts) == 1 and not parts[0].rows:
+                return []
+            if depth and not depth % _DEEP:
+                out = list(out)
+            out = _extend(out, step, parts)
+        return out
 
     def _rows(self, sources, slots):
         """rows(depth): an iterator over the rows of step `depth`'s source
@@ -140,59 +199,6 @@ class _Join:
             return chain.from_iterable(p.rows for p in parts)
         return rows
 
-    def run(self, sources):
-        """Yield once per binding that grounds every atom in its source
-        (sources[j]: a tuple of disjoint _Relation parts for atom j).
-        The same slot list is yielded each time, updated in place."""
-        return self._run(sources, list(self.init), len(self.steps))
-
-    def count(self, sources) -> int:
-        """How many bindings `run` yields.  The last step's matching rows
-        are summed, not walked, unless the step checks an equality."""
-        if not self.steps:
-            return 1
-        last = len(self.steps) - 1
-        j, positions, key, _, eqs = self.steps[last][:5]
-        slots = list(self.init)
-        prefixes = self._run(sources, slots, last)
-        if eqs:
-            rows = self._rows(sources, slots)
-            return sum(1 for _ in prefixes for row in rows(last)
-                       if all(row[a] == row[b] for a, b in eqs))
-        if not positions:
-            return sum(1 for _ in prefixes) * sum(
-                len(p.rows) for p in sources[j])
-        indexes = [p.index(positions) for p in sources[j]]
-        return sum(len(idx.get(key(slots), ())) for _ in prefixes
-                   for idx in indexes)
-
-    def _run(self, sources, slots, n):
-        """Yield slots once per binding of the first n steps."""
-        steps = self.steps
-        last = n - 1
-        if last < 0:
-            yield slots
-            return
-        rows = self._rows(sources, slots)
-        stack = [None] * n
-        stack[0] = rows(0)
-        depth = 0
-        while depth >= 0:
-            binds, eqs = steps[depth][3], steps[depth][4]
-            for row in stack[depth]:
-                if eqs and any(row[a] != row[b] for a, b in eqs):
-                    continue
-                for pos, s in binds:
-                    slots[s] = row[pos]
-                if depth == last:
-                    yield slots
-                else:
-                    depth += 1
-                    stack[depth] = rows(depth)
-                    break
-            else:
-                depth -= 1
-
     def exists(self, sources) -> bool:
         """Whether some binding grounds every atom in its source; stops at
         the first.  A state that fails -- the depth and the values of the
@@ -203,25 +209,25 @@ class _Join:
         if last < 0:
             return True
         # state[depth]: the slots bound before `depth` and read from it on
-        bound = {s for step in steps for _, s in step[3]}
         state, live = [None] * len(steps), set()
+        n_const = len(self.init)
         for d in range(last, -1, -1):
-            live.update(s for s in steps[d][5] if s in bound)
-            live.difference_update(s for _, s in steps[d][3])
+            new = steps[d][3]
+            live.update(s for s in steps[d][5] if s >= n_const)
+            live.difference_update(range(new.start, new.stop))
             state[d] = _tuple_getter(sorted(live))
         failed = [set() for _ in steps]
-        slots = list(self.init)
+        slots = [*self.init, *[None] * len(self.slot_of)]
         rows = self._rows(sources, slots)
         stack = [None] * len(steps)
         stack[0] = rows(0)
         depth = 0
         while depth >= 0:
-            binds, eqs = steps[depth][3], steps[depth][4]
+            _, _, _, new, eqs, _, grow = steps[depth]
             for row in stack[depth]:
                 if eqs and any(row[a] != row[b] for a, b in eqs):
                     continue
-                for pos, s in binds:
-                    slots[s] = row[pos]
+                slots[new] = grow(row)
                 if depth == last:
                     return True
                 if state[depth + 1](slots) not in failed[depth + 1]:
@@ -232,3 +238,34 @@ class _Join:
                 failed[depth].add(state[depth](slots))
                 depth -= 1
         return False
+
+
+def _extend(bindings, step, parts):
+    """Every binding extended with each row of the step's source (a tuple
+    of disjoint _Relation parts) that agrees with it on the key positions
+    and passes the step's equality checks."""
+    _, positions, key, new, eqs, _, grow = step
+    if positions and new.start == new.stop:
+        # every position is a key, so at most one row agrees: a semijoin
+        indexes = [p.index(positions) for p in parts]
+        return (b for b in bindings for idx in indexes if key(b) in idx)
+    if eqs:
+        left = itemgetter(*[a for a, _ in eqs])
+        right = itemgetter(*[b for _, b in eqs])
+    if not positions:
+        # no key: every binding meets the same rows
+        rows = parts[0].rows if len(parts) == 1 else \
+            chain.from_iterable(p.rows for p in parts)
+        if eqs:
+            rows = (r for r in rows if left(r) == right(r))
+        if isinstance(bindings, tuple):  # the first step's one binding
+            (b,) = bindings  # the constants, if the body has any
+            return (b + g for g in map(grow, rows)) if b else map(grow, rows)
+        rows = list(map(grow, rows))
+        return (b + g for b in bindings for g in rows)
+    if len(parts) == 1 and not eqs:
+        get = parts[0].index(positions).get
+        return (b + grow(r) for b in bindings for r in get(key(b), ()))
+    gets = [p.index(positions).get for p in parts]
+    return (b + grow(r) for b in bindings for get in gets
+            for r in get(key(b), ()) if not eqs or left(r) == right(r))

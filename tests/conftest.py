@@ -5,7 +5,8 @@ tightness-instance generator and the minimality check, and the plain
 labelling search that canonical keys are checked against, the key-first
 membership check that the engine's is checked against, and the token
 readers of programs and EDB files that the library's reader is checked
-against."""
+against, and the standalone rule-bound check and plain value-cover search
+that `verify`'s checks are checked against."""
 
 from __future__ import annotations
 
@@ -20,6 +21,10 @@ from dlbound import (
     parse_program,
 )
 from dlbound.core import INTERNAL_PREFIX
+from dlbound.evaluate import (
+    BoundednessViolation, RuleBoundedReport, _normalize, eval_cq, evaluate,
+)
+from dlbound.join import _Relation
 from dlbound.unify import (
     canonical_form, distance_profile, may_subsume, subsumes,
 )
@@ -606,6 +611,49 @@ def reference_check(h: MembershipFn, r: Rule, admitted) -> bool:
                 and subsumes(other.rule, rho.rule))
         if verdict:
             return True
+    return False
+
+
+# ---------------------------------------------------------------------------
+# Standalone rule bounds and the plain value-cover search
+
+
+def reference_check_rule_bounded(pi: AdornedProgram, d: EDBInstance,
+                                 result=None) -> RuleBoundedReport:
+    """`check_rule_bounded` with each head adornment evaluated as a
+    standalone query over the whole of d."""
+    if result is None:
+        result = evaluate(pi, d)
+    erules, idb_keys, _ = _normalize(pi)
+    idb = [_Relation(result.get(key)) for key in idb_keys]
+    violations = []
+    allowed_by: dict = {}
+    for idx, (rule, erule) in enumerate(zip(pi.rules, erules)):
+        derived = erule.apply(erule.sources(idb, d))
+        adn = rule.head.adornment
+        if adn not in allowed_by:
+            allowed_by[adn] = eval_cq(adn.rule, d)
+        for t in sorted(derived - allowed_by[adn], key=lambda row: tuple(
+                (isinstance(v, str), v) for v in row)):
+            violations.append(BoundednessViolation(idx, t))
+    return RuleBoundedReport(tuple(violations))
+
+
+def plain_value_cover_ok(values, d: EDBInstance, k: int) -> bool:
+    """`value_cover_ok` without its shortcut for at most k values: a
+    depth-first search on d's value-cover index, branching on the value
+    held by the fewest tuples."""
+    index = d.value_cover_index
+    stack = [iter((frozenset(values),))]
+    while stack:
+        remaining = next(stack[-1], None)
+        if remaining is None:
+            stack.pop()
+        elif not remaining:
+            return True
+        elif len(stack) <= k:
+            v = min(remaining, key=lambda u: len(index.get(u, ())))
+            stack.append(map(remaining.difference, index.get(v, ())))
     return False
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from dlbound import cli
+from dlbound import cli, width
 from dlbound.cli import main
 
 from conftest import (
@@ -71,6 +71,24 @@ def test_widths(capsys, tc_file):
     assert data["predicates"]["tc"] == "2"
     code, out = run(capsys, "--json", "widths", tc_file, "--fractional")
     assert json.loads(out)["predicates"]["tc"] == "2"
+
+
+def test_widths_computes_each_adornment_once(capsys, tmp_path,
+                                             monkeypatch):
+    seen = []
+    plain = width.width_of_adornment
+    monkeypatch.setattr(width, "width_of_adornment", lambda adn, mode: (
+        seen.append(adn) or plain(adn, mode)))
+    f = tmp_path / "two.dl"
+    f.write_text(TC_SRC + "r(X) :- e(X,Y), f(Y).\n")
+    assert run(capsys, "widths", str(f)) == (
+        0, "r: 1\ntc: 2\nprogram: 2\n")
+    assert len(seen) == len(set(seen)) == 3
+    # a program none of whose rules is ever adorned has no width
+    f.write_text("p(X) :- p(X), e(X).\n")
+    assert main(["widths", str(f)]) == 2
+    assert capsys.readouterr() == (
+        "", "error: program has no adorned rules\n")
 
 
 def test_bounds(capsys, tc_file):

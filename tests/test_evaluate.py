@@ -4,13 +4,16 @@ rule boundedness, value covers, and the tightness-instance generator."""
 import importlib
 import random
 import sys
+import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from dlbound import (
-    ADORNMENT_GROUNDABLE, Const, EDBInstance, GOut, IDBResult, MembershipFn,
-    ParseError, ValidationError, Var,
+    ADORNMENT_GROUNDABLE, AdornedProgram, Adornment, Atom, BudgetExceeded,
+    Const, EDBInstance, GMin, GOut, IDBResult, MembershipFn, ParseError, Rule,
+    ValidationError, Var,
     adorn_program, check_rule_bounded, classify_program, eval_cq, evaluate,
     horn_ground_evaluate, parse_edb, parse_program, union_adorned,
     value_cover_ok,
@@ -19,8 +22,8 @@ from dlbound.join import _Join, _Relation
 
 from conftest import (
     TC_SRC, _parse_edb_tokens, corrupted_tc, generate_tightness_instance,
-    naive_oracle, random_edb, random_edb_text, random_programs,
-    tightness_bound,
+    naive_oracle, plain_value_cover_ok, random_edb, random_edb_text,
+    random_programs, reference_check_rule_bounded, tightness_bound,
 )
 
 
@@ -129,6 +132,90 @@ def test_check_rule_bounded_reports_mixed_int_and_symbol_tuples():
     d = parse_edb("e(1,a). e(a,2). e(b,3). e(3,c).")
     report = check_rule_bounded(corrupted_tc(), d)
     assert [v.tuple_value for v in report.violations] == [(1, 2), ("b", "c")]
+
+
+# adornments with wildcards, constants and repeated head variables
+_SHAPED_SRCS = [
+    "p(X,X) :- e(X,Y), e(Y,Z).",
+    "p(X,1) :- e(X,Y), e(Y,1).",
+    "p(X,X) :- e(X,X).\np(X,Y) :- p(X,Z), e(Z,Y).",
+    "p(X,2) :- e(X,2).\np(Y,2) :- p(X,2), e(X,Y).",
+    "p(X,Y,X) :- e(X,Z), e(Z,Y).\np(X,Y,Z) :- p(X,Y,W), e(W,Z), e(Z,0).",
+]
+
+
+def _corrupt(pi: AdornedProgram, rng, narrow) -> AdornedProgram:
+    """pi with some rules' head adornments swapped for another of their
+    predicate's: one of pi's own or one of `narrow`."""
+    pools = {q: [*adns] for q, adns in pi.adornment_map().items()}
+    for adn in narrow:
+        pools.setdefault(adn.base, []).append(adn)
+    rules = []
+    for r in pi.rules:
+        if rng.random() < 0.5:
+            adn = rng.choice(pools[r.head.pred])
+            r = Rule(Atom(r.head.pred, r.head.terms, adornment=adn), r.body)
+        rules.append(r)
+    return AdornedProgram(rules=tuple(rules), source=pi.source)
+
+
+def test_check_rule_bounded_matches_the_standalone_check():
+    rng = random.Random(29)
+    cases = [(corrupted_tc(), parse_edb(text)) for text in (
+        "e(1,2). e(2,3).", "e(1,a). e(a,2). e(b,3). e(3,c).",
+        "e(1,2). e(2,3). e(3,1).", "")]
+    programs = [*random_programs(31, 120),
+                *map(parse_program, _SHAPED_SRCS)]
+    for p in programs:
+        # an EDB-only rule is an adornment narrower than its relaxation
+        narrow = [Adornment.of(r) for r in p.rules
+                  if not any(a.pred in p.idb for a in r.body)]
+        for g in (GOut(), GMin()):
+            try:
+                pi = adorn_program(p, g, MembershipFn("heq"), max_rules=200)
+            except BudgetExceeded:
+                continue
+            for _ in range(2):
+                d = random_edb(p, rng)
+                cases += [(pi, d), (_corrupt(pi, rng, narrow), d)]
+    shapes = Counter()
+    for pi, d in cases:
+        got = check_rule_bounded(pi, d)
+        assert got == reference_check_rule_bounded(pi, d), (pi.pretty(), d)
+        shapes["violations"] += bool(got.violations)
+        for adn in {r.head.adornment for r in pi.rules}:
+            head, body = adn.rule.head.terms, adn.rule.body
+            names = [t.name for a in body for t in a.terms
+                     if isinstance(t, Var)]
+            shapes["wildcard"] += any(
+                names.count(n) == 1 and Var(n) not in head for n in names)
+            shapes["constant"] += any(isinstance(t, Const) for t in head)
+            shapes["repeated"] += len(set(head)) < len(head)
+    assert all(shapes[s] >= 20 for s in (
+        "violations", "wildcard", "constant", "repeated")), shapes
+
+
+def test_value_cover_ok_matches_the_plain_search():
+    rng = random.Random(73)
+    shapes = Counter()
+    for _ in range(150):
+        vals = [*range(rng.randint(1, 5)), "a", "b"][:rng.randint(1, 7)]
+        d = EDBInstance.of({
+            f"e{ar}": {tuple(rng.choice(vals) for _ in range(ar))
+                       for _ in range(rng.randint(0, 5))}
+            for ar in (1, 2, 3)})
+        for _ in range(8):
+            # 9 is in no tuple
+            values = [rng.choice([*vals, 9]) for _ in range(rng.randint(0, 5))]
+            for k in range(5):
+                want = plain_value_cover_ok(values, d, k)
+                assert value_cover_ok(values, d, k) == want, (values, d, k)
+                shapes[len(set(values)) <= k, want] += 1
+                shapes["k=0"] += k == 0
+                shapes["empty"] += not values
+                shapes["absent"] += 9 in values
+    assert all(count >= 20 for count in shapes.values()), shapes
+    assert len(shapes) == 7, shapes
 
 
 def test_value_cover():
@@ -349,6 +436,40 @@ def test_eval_cq_long_chain_is_iterative():
     path = EDBInstance.of({"e": {(i, i + 1) for i in range(n + 3)}})
     assert eval_cq(rule, path) == {(i, i + n) for i in range(4)}
     assert eval_cq(rule, EDBInstance.of({"e": {(0, 1)}})) == frozenset()
+
+
+def test_evaluators_on_a_1200_atom_chain_at_the_default_recursion_limit():
+    n = 1200
+    body = ", ".join(f"e(X{i},X{i + 1})" for i in range(n))
+    head = ",".join(f"X{i}" for i in range(n + 1))
+    p = parse_program(f"q({head}) :- {body}.")
+    cycle = EDBInstance.of({"e": {(0, 1), (1, 2), (2, 0)}})
+    want = {tuple((s + i) % 3 for i in range(n + 1)) for s in range(3)}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert evaluate(p, cycle).get("q") == want
+        pi = adorn_program(p, GOut(), MembershipFn("heq"))
+        assert union_adorned(horn_ground_evaluate(pi, cycle), "q") == want
+        assert check_rule_bounded(pi, cycle).ok
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_join_streams_its_last_step():
+    # two unrelated atoms of 1,000 rows: 10^6 bindings, never held at once
+    body = [(Var("X"),), (Var("Y"),)]
+    sources = [(_Relation({(i,) for i in range(1000)}),),
+               (_Relation({(-i,) for i in range(1000)}),)]
+    join = _Join(body)
+    tracemalloc.start()
+    try:
+        seen = sum(1 for _ in join.run(sources))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen == 10 ** 6
+    assert peak < 2 * 2 ** 20, peak
 
 
 def test_get_is_a_lookup_and_keeps_equality():
