@@ -6,16 +6,18 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from operator import attrgetter
 
 from .core import (
     Atom, INTERNAL_PREFIX, Program, Rule, ValidationError, Var,
     classify_rule_atoms, format_rule, min_cover,
 )
+from . import unify
 from .unify import (
-    _dedup_items, _pred_key, canonical_form, distance_profile, may_subsume,
-    mgu, rule_of_key, substitute, subsumes, tagged,
+    _dedup_items, _pred_key, canonical_form, distance_profile, items_of,
+    key_terms, may_subsume, mgu, rule_of_items, rule_of_key, substitute,
+    subsumes,
 )
 
 
@@ -39,12 +41,14 @@ class Adornment:
     an engine run keeps one object per key, so each is built once a run.
     """
     key: tuple
-    key_hash: int = field(repr=False)
+    key_hash: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "key_hash", hash(self.key))
 
     @classmethod
     def of(cls, rule: Rule) -> "Adornment":
-        key = canonical_form(rule)
-        return cls(key, hash(key))
+        return cls(canonical_form(rule))
 
     def __eq__(self, other):
         return isinstance(other, Adornment) and self.key == other.key
@@ -112,14 +116,27 @@ def adornments_of(pi: AdornedProgram, q: str) -> list:
 
 class RelaxationFn:
     """Base class; subclasses turn a candidate bounding rule into an
-    adornment, never making it more restrictive."""
+    adornment, never making it more restrictive.
+
+    A candidate is given as its head pred key, head terms and body items
+    `(pred key, terms)`, as `canonical_key` takes a rule."""
+
+    def outline(self, head_key, head_terms, items):
+        """The relaxed rule as (head terms, body atom patterns), each
+        pattern a (pred key, tuple of head variable names or None for a
+        wildcard); None when the candidate stays as it is."""
+        return None
 
     def apply(self, rule: Rule) -> Rule:
-        return rule
+        """The relaxed rule of a plain rule."""
+        head_key, head_terms, items = items_of(rule)
+        outline = self.outline(head_key, head_terms, items)
+        return rule if outline is None else rule_of_items(
+            head_key, outline[0], _rebuild(outline[1]))
 
-    def then(self, rule: Rule) -> "RelaxationFn":
-        """The relaxation for `rule` and every later candidate of the
-        same engine run."""
+    def then(self, body) -> "RelaxationFn":
+        """The relaxation for a candidate with this body, and for every
+        later candidate of the same engine run."""
         return self
 
 
@@ -131,8 +148,8 @@ class GOut(RelaxationFn):
     """Wildcard every non-head body argument, then drop body atoms that
     impose no restriction beyond another atom of the same predicate."""
 
-    def apply(self, rule: Rule) -> Rule:
-        return _gout(rule)
+    def outline(self, head_key, head_terms, items):
+        return head_terms, _gout(_patterns(head_terms, items))
 
 
 class GK(RelaxationFn):
@@ -147,98 +164,110 @@ class GK(RelaxationFn):
             raise ValueError("k must be positive")
         self.k = k
 
-    def apply(self, rule: Rule) -> Rule:
-        return _gout(rule) if len(rule.body) > self.k else rule
+    def outline(self, head_key, head_terms, items):
+        if len(items) > self.k:
+            return GOut().outline(head_key, head_terms, items)
+        return None
 
-    def then(self, rule: Rule) -> RelaxationFn:
-        return GOut() if len(rule.body) > self.k else self
+    def then(self, body) -> RelaxationFn:
+        return GOut() if len(body) > self.k else self
 
 
 class GMin(RelaxationFn):
     """Greedy minimal covering subset of the body; each head variable
     survives in exactly one position."""
 
-    def apply(self, rule: Rule) -> Rule:
-        return _gmin(rule)
+    def outline(self, head_key, head_terms, items):
+        # the patterns of the canonical representative, so that the
+        # cover, and with it the adornment, does not depend on names
+        head_terms, items = key_terms(
+            unify.canonical_key(head_key, head_terms, items))
+        pats = _patterns(head_terms, items)
+        pats.sort(key=lambda p: (p[0], tuple((1,) if x is None else (0, x)
+                                             for x in p[1])))
+        # smallest covering subset of atoms, so the minimal adornment
+        # keeps exactly as many atoms as the integral edge-cover width;
+        # ties go to the lexicographically first index tuple
+        need = [t.name for t in head_terms if isinstance(t, Var)]
+        cover = min_cover(need, [pat for _, pat in pats]) or ()
+        covered: set = set()
+        kept = []
+        for i in cover:
+            pk, pat = pats[i]
+            new_pat = []
+            for x in pat:
+                new_pat.append(None if x in covered else x)
+                covered.add(x)
+            kept.append((pk, tuple(new_pat)))
+        return head_terms, tuple(kept)
 
 
-def _patterns(rule: Rule):
-    """Body atoms as (pred, pattern) with non-head arguments (and
+def _patterns(head_terms, items) -> list:
+    """Body items as (pred key, pattern) with non-head arguments (and
     constants) turned into None placeholders."""
-    hv = set(rule.head_vars())
-    pats = []
-    for a in rule.body:
-        pat = tuple(
-            t.name if isinstance(t, Var) and t.name in hv else None
-            for t in a.terms)
-        pats.append((a.pred, pat))
-    return pats
+    hv = {t.name for t in head_terms if isinstance(t, Var)}
+    return [(pk, tuple(t.name if isinstance(t, Var) and t.name in hv
+                       else None for t in terms)) for pk, terms in items]
 
 
-def _rebuild(head: Atom, pats) -> Rule:
-    counter = [0]
+def _gout(pats) -> tuple:
+    """The patterns that no other pattern of the same predicate makes
+    redundant; equal patterns stay, and rebuild into wildcard twins,
+    which the canonical key drops.  Only distinct patterns are compared,
+    and only those with a wildcard, so long bodies cost linear time
+    unless they hold many distinct patterns with wildcards."""
+    by_pred: dict = {}
+    for pk, pat in dict.fromkeys(pats):
+        by_pred.setdefault(pk, []).append(pat)
 
-    def wild() -> Var:
-        counter[0] += 1
-        return Var(f"{INTERNAL_PREFIX}g{counter[0]}")
-
-    atoms = tuple(
-        Atom(pred, tuple(Var(x) if x is not None else wild() for x in pat))
-        for pred, pat in pats)
-    return Rule(head, atoms)
-
-
-def _gout(rule: Rule) -> Rule:
-    # equal patterns rebuild into wildcard twins, which Adornment.of drops
-    pats = _patterns(rule)
-
-    def redundant(p) -> bool:
-        pred, pat = p
+    def redundant(pk, pat) -> bool:
         if all(x is None for x in pat):
             return True
-        for pred2, pat2 in pats:
-            if pred2 != pred or pat2 == pat:
-                continue
-            if all(a is None or a == b for a, b in zip(pat, pat2)):
-                return True
-        return False
+        # a pattern without a wildcard is covered only by an equal one
+        return None in pat and any(
+            pat2 != pat and all(a is None or a == b for a, b in zip(pat, pat2))
+            for pat2 in by_pred[pk])
 
-    kept = [p for p in pats if not redundant(p)]
-    return _rebuild(rule.head, kept)
+    verdicts = {p: redundant(*p) for p in dict.fromkeys(pats)}
+    return tuple(p for p in pats if not verdicts[p])
 
 
-def _gmin(rule: Rule) -> Rule:
-    canon = rule_of_key(canonical_form(rule))
-    pats = _patterns(canon)
-    pats.sort(key=lambda p: (p[0], tuple((1,) if x is None else (0, x)
-                                         for x in p[1])))
-    # smallest covering subset of atoms, so the minimal adornment keeps
-    # exactly as many atoms as the integral edge-cover width; ties go to
-    # the lexicographically first index tuple for determinism
-    cover = min_cover(canon.head_vars(), [pat for _, pat in pats]) or ()
-    covered: set = set()
-    kept = []
-    for i in cover:
-        pred, pat = pats[i]
-        new_pat = []
-        for x in pat:
-            if x is not None and x not in covered:
-                covered.add(x)
-                new_pat.append(x)
-            else:
-                new_pat.append(None)
-        kept.append((pred, tuple(new_pat)))
-    return _rebuild(canon.head, kept)
+def _rebuild(pats) -> list:
+    """Body items from patterns, each wildcard a fresh variable."""
+    wild = (Var(f"{INTERNAL_PREFIX}g{i}") for i in count(1))
+    return [(pk, tuple(Var(x) if x is not None else next(wild) for x in pat))
+            for pk, pat in pats]
 
 
-def relax(f: RelaxationFn, rule: Rule) -> Adornment:
-    """Apply a relaxation function and canonicalize the result."""
-    relaxed = f.apply(rule)
-    hv = set(relaxed.head_vars())
-    bv = set(relaxed.body_vars())
-    if not hv <= bv:
-        raise AssertionError(f"relaxation produced an unsafe rule: {relaxed}")
-    return Adornment.of(relaxed)
+def relax(f: RelaxationFn, rule, lookup: dict | None = None) -> Adornment:
+    """Apply a relaxation function and canonicalize the result.
+
+    `rule` is a plain Rule or, as an engine run passes its candidates,
+    a (head pred key, head terms, body items) triple.  A relaxation to
+    atom patterns is first looked up in `lookup`, if given, by (head
+    pred key, head terms, patterns), and stored there when missing, so
+    a run that passes its own dict rebuilds and keys each one once."""
+    head_key, head_terms, items = (
+        items_of(rule) if isinstance(rule, Rule) else rule)
+    outline = f.outline(head_key, head_terms, items)
+    if outline is None:
+        return _adornment(head_key, head_terms, items)
+    lookup = {} if lookup is None else lookup
+    look = (head_key, *outline)
+    adn = lookup.get(look)
+    if adn is None:
+        adn = lookup[look] = _adornment(
+            head_key, outline[0], _rebuild(outline[1]))
+    return adn
+
+
+def _adornment(head_key, head_terms, items) -> Adornment:
+    """The adornment of a relaxed rule, which must be safe."""
+    bv = {t.name for _, terms in items for t in terms if isinstance(t, Var)}
+    if not all(t.name in bv for t in head_terms if isinstance(t, Var)):
+        raise AssertionError("relaxation produced an unsafe rule: "
+                             f"{rule_of_items(head_key, head_terms, items)}")
+    return Adornment(unify.canonical_key(head_key, head_terms, items))
 
 
 def make_relaxation(name: str) -> RelaxationFn:
@@ -400,12 +429,15 @@ class _Engine:
         self.max_iterations = max_iterations
         self.max_rules = max_rules
         self.admitted = _Admitted(rules)
-        self.renamed: dict = {}  # (adornment, position) -> its tagged rule
-        # canonical key -> the run's one Adornment of it, whose
-        # representative, profile and renamings are then built once
-        self.adornments = {a.adornment.key: a.adornment for r in rules
+        # (adornment, position) -> its representative, renamed apart by
+        # the position as (head terms, body items)
+        self.renamed: dict = {}
+        # the run's one Adornment per key, whose representative, profile
+        # and renamings are then built once
+        self.adornments = {a.adornment: a.adornment for r in rules
                            for a in (r.head, *r.body)
                            if a.adornment is not None}
+        self.relaxed: dict = {}  # `relax`'s lookup of atom patterns
 
     def partial(self) -> AdornedProgram:
         rules = self.admitted.rules
@@ -415,34 +447,35 @@ class _Engine:
     def build(self, rule: Rule, idb_atoms, edb_atoms, combo) -> Rule | None:
         """Resolve each IDB atom of `rule` against its candidate of
         `combo`, renamed apart by its position, then relax what results
-        into the head's adornment."""
+        into the head's adornment.  The unfolded body stays (pred key,
+        terms) items up to the adorned rule."""
         insts = []
         for j, adn in enumerate(combo):
             inst = self.renamed.get((adn, j))
             if inst is None:
-                inst = self.renamed[adn, j] = tagged(adn.rule, j)
+                inst = self.renamed[adn, j] = key_terms(
+                    adn.key, f"{INTERNAL_PREFIX}{j}")
             insts.append(inst)
-        sigma = mgu([(atom.terms, inst.head.terms)
-                     for atom, inst in zip(idb_atoms, insts)])
+        sigma = mgu([(atom.terms, head)
+                     for atom, (head, _) in zip(idb_atoms, insts)])
         if sigma is None:
             return None
         # a tag never reaches the result: each unifier class holding a
         # tagged head variable also holds the atom term at its position,
         # which comes first in the pairs and so names the class
         head_terms = substitute(sigma, rule.head.terms)
-        edb = tuple(Atom(a.pred, substitute(sigma, a.terms))
-                    for a in edb_atoms)
-        rho0 = Rule(Atom(rule.head.pred, head_terms), tuple(
-            Atom(a.pred, substitute(sigma, a.terms))
-            for inst in insts for a in inst.body) + edb)
-        self.g = self.g.then(rho0)
-        rho = relax(self.g, rho0)
-        rho = self.adornments.setdefault(rho.key, rho)
+        edb = [(("p", a.pred), substitute(sigma, a.terms)) for a in edb_atoms]
+        items = [(pk, substitute(sigma, terms))
+                 for _, body in insts for pk, terms in body] + edb
+        self.g = self.g.then(items)
+        rho = relax(self.g, (("p", rule.head.pred), head_terms, items),
+                    self.relaxed)
+        rho = self.adornments.setdefault(rho, rho)
         head = Atom(rule.head.pred, head_terms, rho)
         body = tuple(
             Atom(atom.pred, substitute(sigma, atom.terms), adn)
             for atom, adn in zip(idb_atoms, combo)
-        ) + edb
+        ) + tuple(Atom(pk[1], terms) for pk, terms in edb)
         kept = _dedup_items(head_terms,
                             [(_pred_key(a), a.terms, a) for a in body])
         return Rule(head, tuple(a for _, _, a in kept))

@@ -38,13 +38,16 @@ def classify_program(p: Program) -> set:
 def _rule_groundable(r: Rule, p: Program) -> bool:
     idb_atoms, edb_atoms = classify_rule_atoms(r, p)
     head_vars = set(r.head_vars())
+    # variable -> how many body atoms hold it; an atom that occurs twice
+    # as one object is one atom, and no other atom to itself
+    holders: dict = {}
+    for a in {id(a): a for a in r.body}.values():
+        for v in a.vars():
+            holders[v] = holders.get(v, 0) + 1
     for a in edb_atoms:
-        others = [b for b in r.body if b is not a]
-        other_vars = {v for b in others for v in b.vars()}
-        has_private_head_var = any(
-            v in head_vars and v not in other_vars for v in a.vars())
-        all_in_head = set(a.vars()) <= head_vars
-        if not (has_private_head_var or all_in_head):
+        vs = a.vars()
+        if not (any(v in head_vars and holders[v] == 1 for v in vs)
+                or head_vars.issuperset(vs)):
             return False
     edb_vars = {v for a in edb_atoms for v in a.vars()}
     for a in idb_atoms:

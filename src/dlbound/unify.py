@@ -1,5 +1,5 @@
-"""Simultaneous most general unifiers as dicts, renaming apart by
-position tag, canonical forms for rules, and rule subsumption."""
+"""Simultaneous most general unifiers as dicts, canonical forms for
+rules and their standard representatives, and rule subsumption."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from .join import _Join, _Relation
 
 def substitute(sub: dict, terms) -> tuple:
     """terms with each variable that sub binds replaced by its term."""
-    return tuple(sub.get(t.name, t) if isinstance(t, Var) else t
-                 for t in terms)
+    return tuple([sub.get(t.name, t) if isinstance(t, Var) else t
+                  for t in terms])
 
 
 def mgu(pairs) -> dict | None:
@@ -57,18 +57,6 @@ def mgu(pairs) -> dict | None:
     for s_tuple, t_tuple in pairs:
         assert substitute(sub, s_tuple) == substitute(sub, t_tuple)
     return sub
-
-
-def tagged(r: Rule, j: int) -> Rule:
-    """r with each variable V renamed _{j}V.  Parsed and canonical names
-    never start with `_` and a digit, so renamings by distinct tags share
-    no variable with each other or with such a rule."""
-    def tag(terms) -> tuple:
-        return tuple(Var(f"{INTERNAL_PREFIX}{j}{t.name}")
-                     if isinstance(t, Var) else t for t in terms)
-
-    return Rule(Atom(r.head.pred, tag(r.head.terms)),
-                tuple(Atom(a.pred, tag(a.terms)) for a in r.body))
 
 
 # ---------------------------------------------------------------------------
@@ -245,48 +233,60 @@ def _pred_key(a: Atom) -> tuple:
     return ("q", a.pred, a.adornment.key)
 
 
+def items_of(r: Rule) -> tuple:
+    """A rule, plain or adorned, as `canonical_key` takes it: (head pred
+    key, head terms, [(body pred key, terms)])."""
+    return (_pred_key(r.head), r.head.terms,
+            [(_pred_key(a), a.terms) for a in r.body])
+
+
+def rule_of_items(head_key, head_terms, items) -> Rule:
+    """The plain rule that `items_of` gives as these items."""
+    return Rule(Atom(head_key[1], head_terms),
+                tuple(Atom(pk[1], terms) for pk, terms in items))
+
+
 def canonical_form(r: Rule) -> tuple:
     """Canonical key of a rule, plain or adorned."""
-    return canonical_key(_pred_key(r.head), r.head.terms,
-                         [(_pred_key(a), a.terms) for a in r.body])
+    return canonical_key(*items_of(r))
 
 
-def _sig_to_term(sig, singleton_labels) -> Term:
-    if sig[0] == "v":
-        label = sig[1]
-        if label in singleton_labels:
-            return Var(f"{INTERNAL_PREFIX}c{label}")
-        return Var(f"V{label}")
-    return Const(sig[1])
-
-
-def rule_of_key(key: tuple) -> Rule:
+def key_terms(key: tuple, prefix: str = "") -> tuple:
     """The standard representative of the plain rules whose canonical
-    key is `key`; its own canonical key is `key` again.
+    key is `key`, as (head terms, [(body pred key, terms)]), each
+    variable name prefixed by `prefix`.
 
-    Head variables are named V0, V1, ... by head position; body-only
-    variables occurring exactly once get internal (wildcard) names.
+    Head variables are named V0, V1, ... by label; body-only variables
+    occurring exactly once get internal (wildcard) names.  Parsed and
+    canonical names never start with `_` and a digit, so instances with
+    prefixes `_0`, `_1`, ... share no variable with each other or with
+    such a rule.
     """
-    (head_key, head_sigs), body = key
+    (_, head_sigs), body = key
     counts: dict = {}
-    head_labels = set()
     for sig in head_sigs:
         if sig[0] == "v":
-            counts[sig[1]] = counts.get(sig[1], 0) + 1
-            head_labels.add(sig[1])
+            counts[sig[1]] = 2  # a head label is never a wildcard
     for _, sigs in body:
         for sig in sigs:
             if sig[0] == "v":
                 counts[sig[1]] = counts.get(sig[1], 0) + 1
-    singles = {lab for lab, c in counts.items()
-               if c == 1 and lab not in head_labels}
-    head = Atom(head_key[1],
-                tuple(_sig_to_term(s, singles) for s in head_sigs))
-    atoms = tuple(
-        Atom(pk[1], tuple(_sig_to_term(s, singles) for s in sigs))
-        for pk, sigs in body
-    )
-    return Rule(head, atoms)
+    terms: dict = {}  # signature -> its term
+    for label, count in counts.items():
+        name = f"{INTERNAL_PREFIX}c{label}" if count == 1 else f"V{label}"
+        terms["v", label] = Var(prefix + name)
+
+    def term(sig) -> Term:
+        return terms[sig] if sig[0] == "v" else Const(sig[1])
+
+    return (tuple(map(term, head_sigs)),
+            [(pk, tuple(map(term, sigs))) for pk, sigs in body])
+
+
+def rule_of_key(key: tuple) -> Rule:
+    """The standard representative of `key` (`key_terms`) as a rule; its
+    own canonical key is `key` again."""
+    return rule_of_items(key[0][0], *key_terms(key))
 
 
 # ---------------------------------------------------------------------------

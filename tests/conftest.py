@@ -6,7 +6,9 @@ labelling search that canonical keys are checked against, the key-first
 membership check that the engine's is checked against, and the token
 readers of programs and EDB files that the library's reader is checked
 against, and the standalone rule-bound check and plain value-cover search
-that `verify`'s checks are checked against."""
+that `verify`'s checks are checked against, and the Rule-based candidate
+build, relaxations and groundability test that the engine's and
+`classify_program`'s are checked against."""
 
 from __future__ import annotations
 
@@ -16,17 +18,18 @@ import random
 import pytest
 
 from dlbound import (
-    AdornedProgram, Adornment, Atom, Const, EDBInstance, GOut, MembershipFn,
-    ParseError, Program, Rule, SchemaStats, Var, adorn_program, bound1,
-    parse_program,
+    AdornedProgram, Adornment, Atom, Const, EDBInstance, GK, GMin, GOut,
+    MembershipFn, ParseError, Program, Rule, SchemaStats, Var, adorn_program,
+    bound1, mgu, parse_program,
 )
-from dlbound.core import INTERNAL_PREFIX
+from dlbound.core import INTERNAL_PREFIX, classify_rule_atoms, min_cover
 from dlbound.evaluate import (
     BoundednessViolation, RuleBoundedReport, _normalize, eval_cq, evaluate,
 )
 from dlbound.join import _Relation
 from dlbound.unify import (
-    canonical_form, distance_profile, may_subsume, subsumes,
+    _dedup_items, _pred_key, canonical_form, distance_profile, may_subsume,
+    rule_of_key, substitute, subsumes,
 )
 from dlbound.sizebound import _stirling_row
 
@@ -612,6 +615,131 @@ def reference_check(h: MembershipFn, r: Rule, admitted) -> bool:
         if verdict:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# The Rule-based candidate build and relaxations
+
+
+def tagged(r: Rule, j: int) -> Rule:
+    """r with each variable V renamed _{j}V: the renaming apart that
+    `unify.key_terms(key, f"_{j}")` must equal on `rule_of_key(key)`."""
+    def tag(terms) -> tuple:
+        return tuple(Var(f"{INTERNAL_PREFIX}{j}{t.name}")
+                     if isinstance(t, Var) else t for t in terms)
+
+    return Rule(Atom(r.head.pred, tag(r.head.terms)),
+                tuple(Atom(a.pred, tag(a.terms)) for a in r.body))
+
+
+def _reference_patterns(rule: Rule) -> list:
+    hv = set(rule.head_vars())
+    return [(a.pred, tuple(t.name if isinstance(t, Var) and t.name in hv
+                           else None for t in a.terms)) for a in rule.body]
+
+
+def _reference_rebuild(head: Atom, pats) -> Rule:
+    wild = (Var(f"{INTERNAL_PREFIX}g{i}") for i in itertools.count(1))
+    return Rule(head, tuple(
+        Atom(pred, tuple(Var(x) if x is not None else next(wild)
+                         for x in pat)) for pred, pat in pats))
+
+
+def reference_gout_kept(pats) -> list:
+    """GOut's kept patterns by comparing every pattern with every other."""
+    def redundant(p) -> bool:
+        pred, pat = p
+        if all(x is None for x in pat):
+            return True
+        for pred2, pat2 in pats:
+            if pred2 != pred or pat2 == pat:
+                continue
+            if all(a is None or a == b for a, b in zip(pat, pat2)):
+                return True
+        return False
+
+    return [p for p in pats if not redundant(p)]
+
+
+def _reference_gmin(rule: Rule) -> Rule:
+    canon = rule_of_key(canonical_form(rule))
+    pats = _reference_patterns(canon)
+    pats.sort(key=lambda p: (p[0], tuple((1,) if x is None else (0, x)
+                                         for x in p[1])))
+    cover = min_cover(canon.head_vars(), [pat for _, pat in pats]) or ()
+    covered: set = set()
+    kept = []
+    for i in cover:
+        pred, pat = pats[i]
+        new_pat = []
+        for x in pat:
+            if x is not None and x not in covered:
+                covered.add(x)
+                new_pat.append(x)
+            else:
+                new_pat.append(None)
+        kept.append((pred, tuple(new_pat)))
+    return _reference_rebuild(canon.head, kept)
+
+
+def reference_relax(g, rule: Rule) -> Adornment:
+    """`relax(g, rule)` on Rule objects: the relaxed rule is built whole,
+    checked for safety and canonicalised."""
+    if isinstance(g, GMin):
+        relaxed = _reference_gmin(rule)
+    elif isinstance(g, GOut) or isinstance(g, GK) and len(rule.body) > g.k:
+        relaxed = _reference_rebuild(
+            rule.head, reference_gout_kept(_reference_patterns(rule)))
+    else:
+        relaxed = rule
+    if not set(relaxed.head_vars()) <= set(relaxed.body_vars()):
+        raise AssertionError(f"relaxation produced an unsafe rule: {relaxed}")
+    return Adornment.of(relaxed)
+
+
+def reference_build(g, rule: Rule, idb_atoms, edb_atoms, combo):
+    """`_Engine.build` on Rule objects, for a run whose relaxation is g
+    so far: each candidate's representative renamed apart by `tagged`,
+    the unfolded candidate a `Rule`.  Returns the adorned rule (None when
+    unification fails) and the run's relaxation after it."""
+    insts = [tagged(adn.rule, j) for j, adn in enumerate(combo)]
+    sigma = mgu([(atom.terms, inst.head.terms)
+                 for atom, inst in zip(idb_atoms, insts)])
+    if sigma is None:
+        return None, g
+    head_terms = substitute(sigma, rule.head.terms)
+    edb = tuple(Atom(a.pred, substitute(sigma, a.terms)) for a in edb_atoms)
+    rho0 = Rule(Atom(rule.head.pred, head_terms), tuple(
+        Atom(a.pred, substitute(sigma, a.terms))
+        for inst in insts for a in inst.body) + edb)
+    g = g.then(rho0.body)
+    rho = reference_relax(g, rho0)
+    head = Atom(rule.head.pred, head_terms, rho)
+    body = tuple(Atom(atom.pred, substitute(sigma, atom.terms), adn)
+                 for atom, adn in zip(idb_atoms, combo)) + edb
+    kept = _dedup_items(head_terms,
+                        [(_pred_key(a), a.terms, a) for a in body])
+    return Rule(head, tuple(a for _, _, a in kept)), g
+
+
+def reference_rule_groundable(r: Rule, p: Program) -> bool:
+    """`groundable._rule_groundable`, each EDB atom's private head
+    variables found by collecting every other atom's variables."""
+    idb_atoms, edb_atoms = classify_rule_atoms(r, p)
+    head_vars = set(r.head_vars())
+    for a in edb_atoms:
+        others = [b for b in r.body if b is not a]
+        other_vars = {v for b in others for v in b.vars()}
+        has_private_head_var = any(
+            v in head_vars and v not in other_vars for v in a.vars())
+        all_in_head = set(a.vars()) <= head_vars
+        if not (has_private_head_var or all_in_head):
+            return False
+    edb_vars = {v for a in edb_atoms for v in a.vars()}
+    for a in idb_atoms:
+        if not set(a.vars()) <= head_vars | edb_vars:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

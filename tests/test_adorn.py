@@ -11,16 +11,18 @@ from types import SimpleNamespace
 import pytest
 
 from dlbound import (
-    Adornment, Atom, BudgetExceeded, GK, GMin, GOut, Id, MembershipFn, Var,
-    adorn_program, adornments_of, canonical_form, fixpoint_stable,
+    Adornment, Atom, BudgetExceeded, GK, GMin, GOut, Id, MembershipFn, Rule,
+    Var, adorn_program, adornments_of, canonical_form, fixpoint_stable,
     make_relaxation, parse_program, relax, subsumes,
 )
-from dlbound import adorn
+from dlbound import adorn, unify
 from dlbound.adorn import _Admitted, _Engine, _Graph, h_cont, h_eq
 from dlbound.core import classify_rule_atoms, format_rule
 
 from conftest import (
-    REACH_SRC, TC_SRC, random_programs, reference_check, rule_profile,
+    BUYS_SRC, REACH_SRC, TC_SRC, TRIANGLE_SRC, UNBOUNDED_SRC,
+    random_programs, reference_build, reference_check, reference_gout_kept,
+    reference_relax, rule_profile,
 )
 
 
@@ -69,20 +71,20 @@ def test_gout_equal_patterns_leave_one_atom():
 def test_gk_identity_below_budget():
     g = GK(2)
     small = rule("q(X) :- e(X,Y), f(Y).")
-    assert g.then(small) is g
+    assert g.then(small.body) is g
     assert relax(g, small).key == adn_key("q(X) :- e(X,Y), f(Y).")
 
 
 def test_gk_triggers_and_sticks():
     g = GK(2)
     big = rule("q(X) :- e(X,A), e(A,B), e(B,C).")
-    run = g.then(big)
+    run = g.then(big.body)
     assert isinstance(run, GOut)
     assert relax(run, big).key == adn_key("q(X) :- e(X,W).")
     # sticky: even small rules now get the output relaxation, which also
     # drops the resulting all-wildcard f atom
     small = rule("q(X) :- e(X,Y), f(Y).")
-    assert run.then(small) is run
+    assert run.then(small.body) is run
     assert relax(run, small).key == adn_key("q(X) :- e(X,W).")
     # the switch belongs to the run: the original GK is unchanged
     assert relax(g, small).key == adn_key("q(X) :- e(X,Y), f(Y).")
@@ -285,6 +287,125 @@ def test_an_engine_run_holds_one_adornment_per_key(monkeypatch):
                 assert a.adornment.profile == rule_profile(a.adornment.rule)
     pi.pretty()
     assert len(built) == len(set(built)) == len(pools["tc"]) > 3
+
+
+def corpus():
+    """The goldens' corpus: the named programs and 20 random ones."""
+    return [*(parse_program(src) for src in (
+        TC_SRC, TRIANGLE_SRC, REACH_SRC, BUYS_SRC, UNBOUNDED_SRC)),
+        *random_programs(2024, 20)]
+
+
+def test_build_matches_the_rule_based_build(monkeypatch):
+    # candidate for candidate, over the goldens' corpus and 150 more
+    # random programs, the pair build gives the adorned rule that
+    # unfolding tagged representatives into Rules gives, and leaves the
+    # run with the same relaxation
+    build = _Engine.build
+    counts = {"built": 0, "failed": 0}
+
+    def both(self, rule, idb_atoms, edb_atoms, combo):
+        expected, g = reference_build(self.g, rule, idb_atoms, edb_atoms,
+                                      combo)
+        got = build(self, rule, idb_atoms, edb_atoms, combo)
+        assert got == expected and type(self.g) is type(g), format_rule(rule)
+        counts["built" if got else "failed"] += 1
+        return got
+
+    monkeypatch.setattr(_Engine, "build", both)
+    for p in [*corpus(), *random_programs(7, 150)]:
+        for g in ("id", "gout", "gk=2", "gmin"):
+            for h in ("heq", "hcont"):
+                try:
+                    adorn_program(p, g, h, max_rules=7)
+                except BudgetExceeded:
+                    pass
+    assert counts["built"] > 2000 and counts["failed"] > 100, counts
+
+
+def test_relaxations_match_the_rule_based_ones():
+    rules = [r for p in random_programs(23, 60) for r in p.rules]
+    rules += [rule("q(X) :- e(X,A), e(X,B), e(X,C)."),
+              rule("q(X,Y) :- e(X,X,Y), e(Y,A,X), e(A,A,A)."),
+              Rule(Atom("q", (Var("X"),)), (Atom("f", (Var("X"),)),
+                                            Atom("g", ()))),
+              rule("p(X,Y,Z) :- e(X,Y,U), e(X,Z,V), e(Y,Z,W).")]
+    for r in rules:
+        for g in (Id(), GOut(), GK(2), GMin()):
+            assert relax(g, r) == reference_relax(g, r), (g, r)
+            assert Adornment.of(g.apply(r)) == relax(g, r)
+
+
+def test_gout_keeps_the_pairwise_kept_patterns():
+    # comparing distinct patterns with a wildcard only keeps the same
+    # list, duplicates and order included
+    rng = random.Random(3)
+    names = ["X", "Y", "Z", None, None]
+    for _ in range(3000):
+        pats = [(("p", rng.choice("ef")), tuple(rng.choice(names) for _ in
+                                               range(2)))
+                for _ in range(rng.randint(0, 8))]
+        pats += [(("p", "g"), ())] * rng.randint(0, 1)
+        assert list(adorn._gout(pats)) == reference_gout_kept(pats), pats
+    n = 300
+    chain = [(("p", "e"), ("X0" if i == 0 else None,
+                           f"X{n}" if i == n - 1 else None))
+             for i in range(n)]
+    wide = [(("p", "e"), (f"X{i}", f"X{i + 1}")) for i in range(n)]
+    for pats in (chain, wide):
+        assert list(adorn._gout(pats)) == reference_gout_kept(pats)
+
+
+def test_the_relaxation_lookup_holds_the_head_predicate():
+    # equal head terms and kept patterns under two head predicates are
+    # two adornments, each of its own base
+    p = parse_program("p(X) :- e(X,Y), e(Y,X).\nq(X) :- e(X,Y), e(Y,X).\n")
+    for g in ("gout", "gmin"):
+        pi = adorn_program(p, g)
+        assert [r.head.adornment.base for r in pi.rules] == ["p", "q"]
+    lookup: dict = {}
+    adns = [relax(GOut(), r, lookup) for r in p.rules]
+    assert [a.base for a in adns] == ["p", "q"] and len(lookup) == 2
+
+
+@pytest.mark.parametrize("g", ["gout", "gmin"])
+@pytest.mark.parametrize("h", ["heq", "hcont"])
+def test_a_run_keys_each_distinct_relaxation_once(monkeypatch, g, h):
+    # over the goldens' corpus: one canonical key per distinct lookup key
+    # (head predicate, head terms, kept patterns), one per GMin input,
+    # and one per rule whose canonical form membership or admission
+    # reads; the other relaxations are found in the lookup
+    keyed, relaxed, read = [], [], {}
+    canonical_key, key_of = unify.canonical_key, _Admitted.key_of
+
+    def count_keys(*args):
+        keyed.append(args)
+        return canonical_key(*args)
+
+    def count_relax(f, candidate, lookup=None):
+        relaxed.append(candidate)
+        return relax(f, candidate, lookup)
+
+    def count_reads(self, r):
+        read[id(r)] = r
+        return key_of(self, r)
+
+    monkeypatch.setattr(unify, "canonical_key", count_keys)
+    monkeypatch.setattr(adorn, "relax", count_relax)
+    monkeypatch.setattr(_Admitted, "key_of", count_reads)
+    repeats = 0
+    for p in corpus():
+        keyed.clear(), relaxed.clear(), read.clear()
+        engine = _Engine(p, make_relaxation(g), MembershipFn(h),
+                         max_iterations=1000, max_rules=7)
+        try:
+            engine.run()
+        except BudgetExceeded:
+            pass
+        inputs = len(relaxed) if g == "gmin" else 0
+        assert len(keyed) == len(engine.relaxed) + inputs + len(read)
+        repeats += len(relaxed) - len(engine.relaxed)
+    assert repeats >= 10, repeats
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ from dlbound import (
     classify_program, complexity_report, evaluate, horn_ground_evaluate,
     integral_fchw, parse_edb, parse_program, union_adorned,
 )
-from dlbound.groundable import horn_clauses
+from dlbound.core import Atom, Rule, Var
+from dlbound.groundable import _rule_groundable, horn_clauses
 from dlbound.width import Hypergraph
 
 from conftest import (
     REACH_SRC, TC_SRC, TRIANGLE_SRC, random_edb, random_programs,
+    reference_rule_groundable,
 )
 
 
@@ -47,6 +49,21 @@ def test_groundable_private_head_var():
     # Z is shared but X and Y are each private to one EDB atom
     p = parse_program("q(X,Y) :- e(X,Z), f(Y,Z).")
     assert ADORNMENT_GROUNDABLE in classify_program(p)
+
+
+def test_rule_groundable_matches_the_pairwise_test():
+    # each variable's atoms are counted once; the verdicts are those of
+    # collecting every other atom's variables, also when one atom object
+    # occurs twice in a body (it is then no other atom to itself)
+    cases = [(r, p) for p in random_programs(11, 400) for r in p.rules]
+    p = parse_program("q(X,Y) :- e(X,Z), f(Y,Z).")
+    e = Atom("e", (Var("X"), Var("Z")))
+    cases += [(Rule(Atom("q", (Var("X"),)), (e, e)), p),
+              (Rule(Atom("q", (Var("X"),)), (e, Atom("e", e.terms))), p)]
+    verdicts = [_rule_groundable(r, p) for r, p in cases]
+    assert verdicts == [reference_rule_groundable(r, p) for r, p in cases]
+    assert verdicts[-2:] == [True, False]
+    assert 100 < sum(verdicts) < len(cases) - 100
 
 
 def test_horn_equals_seminaive_tc():

@@ -8,18 +8,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlbound import (
-    BudgetExceeded, Const, Var, adorn_program, canonical_form, mgu,
+    BudgetExceeded, Const, Var, adorn, adorn_program, canonical_form, mgu,
     parse_program, subsumes, unify,
 )
 from dlbound.core import Atom, Rule
 from dlbound.unify import (
-    _pred_key, canonical_key, may_subsume, rule_of_key, substitute, tagged,
+    _pred_key, canonical_key, key_terms, may_subsume, rule_of_key,
+    substitute,
 )
 
 from conftest import (
     BUYS_SRC, REACH_SRC, TC_SRC, TRIANGLE_SRC, UNBOUNDED_SRC,
     brute_homomorphism, random_programs, reference_canonical_key,
-    rule_profile, symmetric_body,
+    rule_profile, symmetric_body, tagged,
 )
 
 
@@ -154,23 +155,60 @@ def test_mgu_matches_reference():
                      "repeated variable"}
 
 
+def instance_rule(key, prefix) -> Rule:
+    """`key_terms(key, prefix)` as a rule."""
+    head, items = key_terms(key, prefix)
+    return Rule(Atom(key[0][0][1], head),
+                tuple(Atom(pk[1], terms) for pk, terms in items))
+
+
 def test_tagged_renamings_are_apart():
-    # parsed rules (wildcards included) and canonical representatives
-    # alike: tags 0, 1, 2, 10 share no variable with each other or with
-    # the rule, keep the canonical form, and parse back to the tag
+    # the instances of a key tagged 0, 1, 2, 10, as an engine run unfolds
+    # them: each is the representative renamed by `tagged`, keeps the
+    # key, and shares no variable with the others or the representative
     rules = [r for p in random_programs(5, 30) for r in p.rules]
     rules += [rule("q(X) :- e(X,_), e(_,X).")]
-    rules += [rule_of_key(canonical_form(r)) for r in rules]
-    assert any(v.startswith("_") for r in rules for v in r.all_vars())
-    for r in rules:
-        names = [set(r.all_vars())]
+    keys = [canonical_form(r) for r in rules]
+    reps = [rule_of_key(key) for key in keys]
+    assert any(v.startswith("_") for r in reps for v in r.all_vars())
+    for key, rep in zip(keys, reps):
+        assert instance_rule(key, "") == rep
+        names = [set(rep.all_vars())]
         for j in (0, 1, 2, 10):
-            t = tagged(r, j)
-            assert canonical_form(t) == canonical_form(r)
-            assert sorted(v[len(f"_{j}"):] for v in t.all_vars()) == \
-                sorted(r.all_vars())
+            t = instance_rule(key, f"_{j}")
+            assert t == tagged(rep, j)
+            assert canonical_form(t) == key
             names.append(set(t.all_vars()))
         assert sum(map(len, names)) == len(set().union(*names))
+
+
+def test_engine_instances_are_the_tagged_representatives(monkeypatch):
+    # every key an engine run unfolds (a candidate by its position tag,
+    # a GMin input untagged) over the goldens' corpus, under every
+    # relaxation and membership function
+    seen = []
+    real = adorn.key_terms
+
+    def record(key, prefix=""):
+        seen.append((key, prefix))
+        return real(key, prefix)
+
+    monkeypatch.setattr(adorn, "key_terms", record)
+    programs = [parse_program(src) for src in (
+        TC_SRC, TRIANGLE_SRC, REACH_SRC, BUYS_SRC, UNBOUNDED_SRC)]
+    for p in [*programs, *random_programs(2024, 20)]:
+        for g in ("id", "gout", "gk=2", "gmin"):
+            for h in ("heq", "hcont"):
+                try:
+                    adorn_program(p, g, h, max_rules=7)
+                except BudgetExceeded:
+                    pass
+    monkeypatch.undo()
+    assert len(seen) > 300 and any(prefix == "" for _, prefix in seen)
+    for key, prefix in seen:
+        rep = rule_of_key(key)
+        expected = tagged(rep, int(prefix[1:])) if prefix else rep
+        assert instance_rule(key, prefix) == expected
 
 
 # ---------------------------------------------------------------------------
