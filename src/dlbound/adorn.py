@@ -165,9 +165,8 @@ class GK(RelaxationFn):
         self.k = k
 
     def outline(self, head_key, head_terms, items):
-        if len(items) > self.k:
-            return GOut().outline(head_key, head_terms, items)
-        return None
+        g = self.then(items)
+        return None if g is self else g.outline(head_key, head_terms, items)
 
     def then(self, body) -> RelaxationFn:
         return GOut() if len(body) > self.k else self
@@ -216,8 +215,9 @@ def _gout(pats) -> tuple:
     which the canonical key drops.  Only distinct patterns are compared,
     and only those with a wildcard, so long bodies cost linear time
     unless they hold many distinct patterns with wildcards."""
+    distinct = dict.fromkeys(pats)
     by_pred: dict = {}
-    for pk, pat in dict.fromkeys(pats):
+    for pk, pat in distinct:
         by_pred.setdefault(pk, []).append(pat)
 
     def redundant(pk, pat) -> bool:
@@ -228,7 +228,7 @@ def _gout(pats) -> tuple:
             pat2 != pat and all(a is None or a == b for a, b in zip(pat, pat2))
             for pat2 in by_pred[pk])
 
-    verdicts = {p: redundant(*p) for p in dict.fromkeys(pats)}
+    verdicts = {p: redundant(*p) for p in distinct}
     return tuple(p for p in pats if not verdicts[p])
 
 
