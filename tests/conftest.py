@@ -18,9 +18,9 @@ import random
 import pytest
 
 from dlbound import (
-    AdornedProgram, Adornment, Atom, Const, EDBInstance, GK, GMin, GOut,
-    MembershipFn, ParseError, Program, Rule, SchemaStats, Var, adorn_program,
-    bound1, mgu, parse_program,
+    AdornedProgram, Adornment, Atom, BudgetExceeded, Const, EDBInstance, GK,
+    GMin, GOut, MembershipFn, ParseError, Program, Rule, SchemaStats, Var,
+    adorn_program, bound1, mgu, parse_program,
 )
 from dlbound.core import INTERNAL_PREFIX, classify_rule_atoms, min_cover
 from dlbound.evaluate import (
@@ -144,6 +144,27 @@ def random_programs(seed: int, count: int):
             continue
         made += 1
         yield p
+
+
+def golden_corpus() -> list:
+    """The programs whose engine runs the CLI goldens cover: the named
+    programs and `random_programs(2024, 20)`."""
+    return [*(parse_program(src) for src in (
+        TC_SRC, TRIANGLE_SRC, REACH_SRC, BUYS_SRC, UNBOUNDED_SRC)),
+        *random_programs(2024, 20)]
+
+
+def adorn_every_way(programs, max_rules: int = 7):
+    """Adorn each program under id, gout, gk=2 and gmin, each with heq
+    and hcont, at the goldens' rule cap; yield each adorned program, the
+    partial one when the cap is hit."""
+    for p in programs:
+        for g in ("id", "gout", "gk=2", "gmin"):
+            for h in ("heq", "hcont"):
+                try:
+                    yield adorn_program(p, g, h, max_rules=max_rules)
+                except BudgetExceeded as exc:
+                    yield exc.partial
 
 
 def random_edb(p: Program, rng: random.Random) -> EDBInstance:

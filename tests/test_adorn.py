@@ -20,9 +20,9 @@ from dlbound.adorn import _Admitted, _Engine, _Graph, h_cont, h_eq
 from dlbound.core import classify_rule_atoms, format_rule
 
 from conftest import (
-    BUYS_SRC, REACH_SRC, TC_SRC, TRIANGLE_SRC, UNBOUNDED_SRC,
-    random_programs, reference_build, reference_check, reference_gout_kept,
-    reference_relax, rule_profile,
+    REACH_SRC, TC_SRC, adorn_every_way, golden_corpus, random_programs,
+    reference_build, reference_check, reference_gout_kept, reference_relax,
+    rule_profile,
 )
 
 
@@ -289,13 +289,6 @@ def test_an_engine_run_holds_one_adornment_per_key(monkeypatch):
     assert len(built) == len(set(built)) == len(pools["tc"]) > 3
 
 
-def corpus():
-    """The goldens' corpus: the named programs and 20 random ones."""
-    return [*(parse_program(src) for src in (
-        TC_SRC, TRIANGLE_SRC, REACH_SRC, BUYS_SRC, UNBOUNDED_SRC)),
-        *random_programs(2024, 20)]
-
-
 def test_build_matches_the_rule_based_build(monkeypatch):
     # candidate for candidate, over the goldens' corpus and 150 more
     # random programs, the pair build gives the adorned rule that
@@ -313,13 +306,8 @@ def test_build_matches_the_rule_based_build(monkeypatch):
         return got
 
     monkeypatch.setattr(_Engine, "build", both)
-    for p in [*corpus(), *random_programs(7, 150)]:
-        for g in ("id", "gout", "gk=2", "gmin"):
-            for h in ("heq", "hcont"):
-                try:
-                    adorn_program(p, g, h, max_rules=7)
-                except BudgetExceeded:
-                    pass
+    for _ in adorn_every_way([*golden_corpus(), *random_programs(7, 150)]):
+        pass
     assert counts["built"] > 2000 and counts["failed"] > 100, counts
 
 
@@ -394,7 +382,7 @@ def test_a_run_keys_each_distinct_relaxation_once(monkeypatch, g, h):
     monkeypatch.setattr(adorn, "relax", count_relax)
     monkeypatch.setattr(_Admitted, "key_of", count_reads)
     repeats = 0
-    for p in corpus():
+    for p in golden_corpus():
         keyed.clear(), relaxed.clear(), read.clear()
         engine = _Engine(p, make_relaxation(g), MembershipFn(h),
                          max_iterations=1000, max_rules=7)

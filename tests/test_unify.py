@@ -8,19 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlbound import (
-    BudgetExceeded, Const, Var, adorn, adorn_program, canonical_form, mgu,
-    parse_program, subsumes, unify,
+    Const, Var, adorn, canonical_form, mgu, subsumes, unify,
 )
 from dlbound.core import Atom, Rule
 from dlbound.unify import (
-    _pred_key, canonical_key, key_terms, may_subsume, rule_of_key,
-    substitute,
+    canonical_key, items_of, key_terms, may_subsume, rule_of_items,
+    rule_of_key, substitute,
 )
 
 from conftest import (
-    BUYS_SRC, REACH_SRC, TC_SRC, TRIANGLE_SRC, UNBOUNDED_SRC,
-    brute_homomorphism, random_programs, reference_canonical_key,
-    rule_profile, symmetric_body, tagged,
+    adorn_every_way, brute_homomorphism, golden_corpus, random_programs,
+    reference_canonical_key, rule_profile, symmetric_body, tagged,
 )
 
 
@@ -157,9 +155,7 @@ def test_mgu_matches_reference():
 
 def instance_rule(key, prefix) -> Rule:
     """`key_terms(key, prefix)` as a rule."""
-    head, items = key_terms(key, prefix)
-    return Rule(Atom(key[0][0][1], head),
-                tuple(Atom(pk[1], terms) for pk, terms in items))
+    return rule_of_items(key[0][0], *key_terms(key, prefix))
 
 
 def test_tagged_renamings_are_apart():
@@ -194,15 +190,8 @@ def test_engine_instances_are_the_tagged_representatives(monkeypatch):
         return real(key, prefix)
 
     monkeypatch.setattr(adorn, "key_terms", record)
-    programs = [parse_program(src) for src in (
-        TC_SRC, TRIANGLE_SRC, REACH_SRC, BUYS_SRC, UNBOUNDED_SRC)]
-    for p in [*programs, *random_programs(2024, 20)]:
-        for g in ("id", "gout", "gk=2", "gmin"):
-            for h in ("heq", "hcont"):
-                try:
-                    adorn_program(p, g, h, max_rules=7)
-                except BudgetExceeded:
-                    pass
+    for _ in adorn_every_way(golden_corpus()):
+        pass
     monkeypatch.undo()
     assert len(seen) > 300 and any(prefix == "" for _, prefix in seen)
     for key, prefix in seen:
@@ -280,12 +269,6 @@ def test_canonical_congruence_random(rnd):
     assert canonical_form(r) == canonical_form(r2)
 
 
-def key_args(r: Rule) -> tuple:
-    """r as the arguments of `canonical_key`."""
-    return (_pred_key(r.head), r.head.terms,
-            [(_pred_key(a), a.terms) for a in r.body])
-
-
 def engine_key_args(monkeypatch) -> list:
     """The arguments of every `canonical_key` call that engine runs over
     the goldens' corpus make under id, gout, gk=2 and gmin, with heq and
@@ -299,20 +282,11 @@ def engine_key_args(monkeypatch) -> list:
         return real(head_key, head_terms, body_items)
 
     monkeypatch.setattr(unify, "canonical_key", record)
-    programs = [parse_program(src) for src in (
-        TC_SRC, TRIANGLE_SRC, REACH_SRC, BUYS_SRC, UNBOUNDED_SRC)]
-    programs += random_programs(2024, 20)
-    for p in programs:
-        for g in ("id", "gout", "gk=2", "gmin"):
-            for h in ("heq", "hcont"):
-                try:
-                    pi = adorn_program(p, g, h, max_rules=7)
-                except BudgetExceeded as exc:
-                    pi = exc.partial
-                for r in pi.rules:
-                    calls.append(key_args(r))
-                    calls += [key_args(a.adornment.rule)
-                              for a in (r.head, *r.body) if a.adornment]
+    for pi in adorn_every_way(golden_corpus()):
+        for r in pi.rules:
+            calls.append(items_of(r))
+            calls += [items_of(a.adornment.rule)
+                      for a in (r.head, *r.body) if a.adornment]
     monkeypatch.undo()
     return calls
 
@@ -320,7 +294,7 @@ def engine_key_args(monkeypatch) -> list:
 def test_canonical_key_matches_the_plain_search(monkeypatch):
     # the pruned search in place must give the plain search's keys byte
     # for byte: output order and hcont's trial order depend on them
-    cases = [key_args(r) for p in random_programs(7, 400) for r in p.rules]
+    cases = [items_of(r) for p in random_programs(7, 400) for r in p.rules]
     engine = engine_key_args(monkeypatch)
     assert len(engine) > 2000
     rng = random.Random(0)
