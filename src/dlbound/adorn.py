@@ -4,13 +4,12 @@ engine that rewrites a program into an equivalent EDB-bounded one."""
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, product
 from operator import attrgetter
 
 from .core import (
-    Atom, INTERNAL_PREFIX, Program, Rule, ValidationError, Var,
+    Atom, INTERNAL_PREFIX, Program, Rule, ValidationError, Var, _Value,
     classify_rule_atoms, format_rule, min_cover,
 )
 from . import unify
@@ -30,8 +29,7 @@ class BudgetExceeded(Exception):
         self.partial = partial
 
 
-@dataclass(frozen=True, eq=False)
-class Adornment:
+class Adornment(_Value):
     """A safe rule with EDB-only body, bounding an IDB predicate.
 
     Held as its canonical key: identity and hashing go through the key,
@@ -40,11 +38,10 @@ class Adornment:
     representative rule and the distance profile are built on first use;
     an engine run keeps one object per key, so each is built once a run.
     """
-    key: tuple
-    key_hash: int = field(init=False, repr=False)
+    _fields = ("key",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "key_hash", hash(self.key))
+    def __init__(self, key: tuple):
+        vars(self).update(key=key, key_hash=hash(key))
 
     @classmethod
     def of(cls, rule: Rule) -> "Adornment":
@@ -77,14 +74,15 @@ class Adornment:
         return format_rule(self.rule, terminator="")
 
 
-@dataclass(frozen=True)
-class AdornedProgram:
+class AdornedProgram(_Value):
     """Output of the fixpoint engine: rules sorted by canonical form.
 
     Each rule's head and IDB body atoms carry their adornments.
     """
-    rules: tuple
-    source: Program
+    _fields = ("rules", "source")
+
+    def __init__(self, rules: tuple, source: Program):
+        self._init(rules, source)
 
     @cached_property
     def graph(self) -> _Graph:
@@ -340,13 +338,15 @@ class _Graph:
     def __init__(self, rules=()):
         self.edges: dict = {}
         self.pools: dict = {}
+        self.in_bodies: set = set()  # every successor in `edges`
         for r in rules:
             self.add(r)
 
     def add(self, r: Rule) -> None:
         adn = r.head.adornment
-        self.edges.setdefault(adn, set()).update(
-            a.adornment for a in r.body if a.adornment is not None)
+        succs = {a.adornment for a in r.body if a.adornment is not None}
+        self.edges.setdefault(adn, set()).update(succs)
+        self.in_bodies |= succs
         pool = self.pools.setdefault(r.head.pred, [])
         i = bisect_left(pool, adn.key, key=attrgetter("key"))
         if i == len(pool) or pool[i] != adn:
@@ -356,6 +356,9 @@ class _Graph:
         """Would adding r put its head's adorned predicate on a cycle?"""
         target = r.head.adornment
         stack = [a.adornment for a in r.body if a.adornment is not None]
+        if target not in self.in_bodies:
+            # the walk meets only r's body and successors in `edges`
+            return target in stack
         stack.extend(self.edges.get(target, ()))
         seen: set = set()
         while stack:

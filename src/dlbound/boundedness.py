@@ -3,43 +3,45 @@ fallback, non-recursive (UCQ) extraction, and CQ containment."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Program, Rule, ValidationError
+from .core import Program, Rule, ValidationError, _Value
 from .unify import subsumes
 from .adorn import (
     AdornedProgram, BudgetExceeded, GK, Id, MembershipFn, adorn_program,
 )
 
 
-@dataclass(frozen=True)
-class NonRecursive:
+class NonRecursive(_Value):
     """The rewriting reached a fixpoint with no recursive adorned
     predicate: the program is bounded and each IDB collapses to a UCQ."""
-    program: AdornedProgram
+    _fields = ("program",)
+
+    def __init__(self, program: AdornedProgram):
+        self._init(program)
 
     @property
     def kind(self) -> str:
         return "non-recursive"
 
 
-@dataclass(frozen=True)
-class Degraded:
+class Degraded(_Value):
     """A budgeted rewriting terminated, but some adorned predicate is
     recursive; the output is EDB-bounded yet not a UCQ."""
-    program: AdornedProgram
-    budget: int | None
+    _fields = ("program", "budget")
+
+    def __init__(self, program: AdornedProgram, budget: int | None):
+        self._init(program, budget)
 
     @property
     def kind(self) -> str:
         return "degraded"
 
 
-@dataclass(frozen=True)
-class Inconclusive:
+class Inconclusive(_Value):
     """A rule or sweep limit was hit before reaching a fixpoint."""
-    partial: AdornedProgram
-    limit: str
+    _fields = ("partial", "limit")
+
+    def __init__(self, partial: AdornedProgram, limit: str):
+        self._init(partial, limit)
 
     @property
     def kind(self) -> str:

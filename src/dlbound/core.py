@@ -10,7 +10,6 @@ are constants, `_` is a wildcard (only in rule bodies), rules end with `.`,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice
 from operator import or_
@@ -37,20 +36,75 @@ class ValidationError(DatalogError):
 # carry this prefix; the surface syntax cannot produce such names.
 INTERNAL_PREFIX = "_"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Var:
+
+class _Value:
+    """Base of the package's immutable values.  Equality (with an object
+    of the same class only), hashing and repr read the fields a class
+    lists in `_fields`, in order, and every attribute is read-only: a
+    class's own `__init__` fills its fields, by `_set` or `_init`."""
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _init(self, *values) -> None:
+        vars(self).update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Var(_Value):
     """A variable term."""
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Value):
     """A constant term: lowercase symbol or integer."""
-    value: object
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value):
+        _set(self, "value", value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.value == other.value
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.value,))
 
     def __str__(self) -> str:
         return str(self.value)
@@ -71,16 +125,27 @@ def _names(atoms) -> list:
                                if isinstance(t, Var)]))
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(_Value):
     """A predicate applied to a tuple of terms.
 
     The IDB atoms of an adorned program carry their predicate's
     adornment (an `adorn.Adornment`); every other atom carries None.
     """
-    pred: str
-    terms: tuple
-    adornment: object = None
+    __slots__ = _fields = ("pred", "terms", "adornment")
+
+    def __init__(self, pred: str, terms: tuple, adornment=None):
+        _set(self, "pred", pred)
+        _set(self, "terms", terms)
+        _set(self, "adornment", adornment)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.pred, self.terms, self.adornment)
+                    == (other.pred, other.terms, other.adornment))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.pred, self.terms, self.adornment))
 
     @property
     def arity(self) -> int:
@@ -94,11 +159,21 @@ class Atom:
         return format_atom(self)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(_Value):
     """A safe rule: head atom and a non-empty body."""
-    head: Atom
-    body: tuple
+    __slots__ = _fields = ("head", "body")
+
+    def __init__(self, head: Atom, body: tuple):
+        _set(self, "head", head)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.head, self.body) == (other.head, other.body)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.head, self.body))
 
     def head_vars(self) -> list:
         return self.head.vars()
@@ -122,12 +197,12 @@ class Rule:
         return format_rule(self)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(_Value):
     """A validated datalog program with its IDB/EDB partition."""
-    rules: tuple
-    idb: frozenset
-    edb: frozenset
+    _fields = ("rules", "idb", "edb")
+
+    def __init__(self, rules: tuple, idb: frozenset, edb: frozenset):
+        self._init(rules, idb, edb)
 
     @classmethod
     def from_rules(cls, rules) -> "Program":

@@ -5,29 +5,25 @@ reader."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .core import (
-    _TOKEN, Atom, Program, Rule, ValidationError, Var, _is_int,
+    _TOKEN, Atom, Program, Rule, ValidationError, Var, _Value, _is_int,
     _syntax_error,
 )
 from .adorn import AdornedProgram
 from .join import _Join, _Relation
 
 
-@dataclass(frozen=True)
-class EDBInstance:
+class EDBInstance(_Value):
     """Ground facts: relation name -> set of constant tuples.  Its join
     sources and value-cover index are made on first use and kept, so
     every evaluation and check over one instance shares them."""
-    relations: tuple  # of (name, frozenset of tuples)
-    _by_name: dict = field(init=False, repr=False, compare=False)
-    _sources: dict = field(init=False, repr=False, compare=False)
+    _fields = ("relations",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_name", dict(self.relations))
-        object.__setattr__(self, "_sources", {})
+    def __init__(self, relations: tuple):  # of (name, frozenset of tuples)
+        vars(self).update(relations=relations, _by_name=dict(relations),
+                          _sources={})
 
     @classmethod
     def of(cls, mapping) -> "EDBInstance":
@@ -181,8 +177,7 @@ def _read_facts(text: str) -> EDBInstance:
     return EDBInstance.of(rels)
 
 
-@dataclass(frozen=True)
-class IDBResult:
+class IDBResult(_Value):
     """Least-fixpoint contents of every derived relation.
 
     Keys are predicate names for plain programs and adornments for
@@ -190,11 +185,10 @@ class IDBResult:
     holds its base predicate.  Adornments sort by key, and a key starts
     with the base predicate, so relations sort by base predicate first.
     """
-    relations: tuple  # of (key, frozenset)
-    _by_key: dict = field(init=False, repr=False, compare=False)
+    _fields = ("relations",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_by_key", dict(self.relations))
+    def __init__(self, relations: tuple):  # of (key, frozenset)
+        vars(self).update(relations=relations, _by_key=dict(relations))
 
     def as_dict(self) -> dict:
         return dict(self.relations)
@@ -351,15 +345,18 @@ def eval_cq(rule: Rule, d: EDBInstance, within=None) -> frozenset:
 # Boundedness / cover checks
 
 
-@dataclass(frozen=True)
-class BoundednessViolation:
-    rule_index: int
-    tuple_value: tuple
+class BoundednessViolation(_Value):
+    _fields = ("rule_index", "tuple_value")
+
+    def __init__(self, rule_index: int, tuple_value: tuple):
+        self._init(rule_index, tuple_value)
 
 
-@dataclass(frozen=True)
-class RuleBoundedReport:
-    violations: tuple
+class RuleBoundedReport(_Value):
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple):
+        self._init(violations)
 
     @property
     def ok(self) -> bool:

@@ -4,12 +4,11 @@ Horn-clause grounding evaluation, and evaluation-complexity reports."""
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .core import (
-    Atom, Program, Rule, ValidationError, Var, classify_rule_atoms,
+    Atom, Program, Rule, ValidationError, Var, _Value, classify_rule_atoms,
     min_cover,
 )
 from .adorn import AdornedProgram
@@ -229,11 +228,12 @@ def _grounding_join(rule: Rule, pi: AdornedProgram, d: EDBInstance,
 # Complexity reports
 
 
-@dataclass(frozen=True)
-class ComplexityBound:
-    applies_to: str
-    formula: str
-    exponent: Fraction | None
+class ComplexityBound(_Value):
+    _fields = ("applies_to", "formula", "exponent")
+
+    def __init__(self, applies_to: str, formula: str,
+                 exponent: Fraction | None):
+        self._init(applies_to, formula, exponent)
 
     def to_json_dict(self) -> dict:
         return {
@@ -243,15 +243,14 @@ class ComplexityBound:
         }
 
 
-@dataclass(frozen=True)
-class ComplexityReport:
-    classes: tuple
-    f: int
-    rule_count: int
-    ew: Fraction
-    fchw: int | None
-    fchw_mode: str
-    bounds: tuple
+class ComplexityReport(_Value):
+    _fields = ("classes", "f", "rule_count", "ew", "fchw", "fchw_mode",
+               "bounds")
+
+    def __init__(self, classes: tuple, f: int, rule_count: int,
+                 ew: Fraction, fchw: int | None, fchw_mode: str,
+                 bounds: tuple):
+        self._init(classes, f, rule_count, ew, fchw, fchw_mode, bounds)
 
     def to_json_dict(self) -> dict:
         return {

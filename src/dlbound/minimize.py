@@ -3,10 +3,8 @@ stored adornment and merge predicates whose adornments collapse."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .adorn import AdornedProgram, GMin, relax
-from .core import Rule
+from .core import Atom, Rule
 from .unify import canonical_form
 
 
@@ -23,7 +21,7 @@ def minimize_program(pi: AdornedProgram) -> AdornedProgram:
             return atom
         if adn.key not in mapping:
             mapping[adn.key] = relax(gmin, adn.rule)
-        return replace(atom, adornment=mapping[adn.key])
+        return Atom(atom.pred, atom.terms, mapping[adn.key])
 
     new_rules: dict = {}  # canonical form -> first rule of that form
     for r in pi.rules:

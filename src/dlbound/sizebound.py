@@ -8,11 +8,10 @@ bracketing, never floating point.  Figures past 4,300 digits are None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .core import Program, ValidationError
+from .core import Program, ValidationError, _Value
 from .adorn import AdornedProgram, adornments_of
 from .width import width_of_predicate
 
@@ -54,14 +53,13 @@ def pow_ceil(n: int, exp: Fraction) -> int:
     return root if root ** exp.denominator == power else root + 1
 
 
-@dataclass(frozen=True)
-class SchemaStats:
+class SchemaStats(_Value):
     """Counting parameters a program exposes for one queried predicate."""
-    num_edbs: int
-    ear: int
-    arq: int
-    rule_count: int
-    term_count: int
+    _fields = ("num_edbs", "ear", "arq", "rule_count", "term_count")
+
+    def __init__(self, num_edbs: int, ear: int, arq: int, rule_count: int,
+                 term_count: int):
+        self._init(num_edbs, ear, arq, rule_count, term_count)
 
     @classmethod
     def of(cls, p: Program, q: str) -> "SchemaStats":
@@ -159,30 +157,32 @@ def coeff_minimal(stats: SchemaStats, ew: int) -> int | None:
     return total
 
 
-@dataclass(frozen=True)
-class PredicateBounds:
-    predicate: str
-    ew_integral: Fraction | None
-    ew_fractional: Fraction | None
-    f_exact: int
-    bound1: int | None
-    bound2: int | None
-    fpt_bound: int | None
-    coeff_naive: int | None
-    coeff_minimal: int | None
+class PredicateBounds(_Value):
+    _fields = ("predicate", "ew_integral", "ew_fractional", "f_exact",
+               "bound1", "bound2", "fpt_bound", "coeff_naive",
+               "coeff_minimal")
+
+    def __init__(self, predicate: str, ew_integral: Fraction | None,
+                 ew_fractional: Fraction | None, f_exact: int,
+                 bound1: int | None, bound2: int | None,
+                 fpt_bound: int | None, coeff_naive: int | None,
+                 coeff_minimal: int | None):
+        self._init(predicate, ew_integral, ew_fractional, f_exact, bound1,
+                   bound2, fpt_bound, coeff_naive, coeff_minimal)
 
     def to_json_dict(self) -> dict:
-        out = dict(vars(self))
+        out = dict(zip(self._fields, self._values()))
         for k in ("ew_integral", "ew_fractional"):
             if out[k] is not None:
                 out[k] = str(Fraction(out[k]))
         return out
 
 
-@dataclass(frozen=True)
-class SizeBoundReport:
-    n: int
-    predicates: tuple
+class SizeBoundReport(_Value):
+    _fields = ("n", "predicates")
+
+    def __init__(self, n: int, predicates: tuple):
+        self._init(n, predicates)
 
     def for_predicate(self, q: str) -> PredicateBounds:
         for pb in self.predicates:

@@ -8,10 +8,9 @@ read off the optimal tableaux.  No floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Rule, ValidationError, Var, min_cover
+from .core import Rule, ValidationError, Var, _Value, min_cover
 from .adorn import Adornment, AdornedProgram, adornments_of
 
 
@@ -19,24 +18,22 @@ class UncoverableError(ValidationError):
     """An output variable lies in no edge (an unsafe rule slipped through)."""
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    vertices: frozenset
-    edges: tuple  # of (label, frozenset)
-    v_out: frozenset
+class Hypergraph(_Value):
+    _fields = ("vertices", "edges", "v_out")
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", tuple(
-            (label, frozenset(e)) for label, e in self.edges))
-        object.__setattr__(self, "v_out", frozenset(self.v_out))
+    def __init__(self, vertices: frozenset, edges: tuple, v_out: frozenset):
+        # edges: (label, frozenset) pairs
+        self._init(frozenset(vertices),
+                   tuple((label, frozenset(e)) for label, e in edges),
+                   frozenset(v_out))
 
 
-@dataclass(frozen=True)
-class EdgeCoverSolution:
-    weights: tuple  # Fraction per edge, aligned with Hypergraph.edges
-    objective: Fraction
-    integral: bool
+class EdgeCoverSolution(_Value):
+    _fields = ("weights", "objective", "integral")
+
+    def __init__(self, weights: tuple, objective: Fraction, integral: bool):
+        # weights: a Fraction per edge, aligned with Hypergraph.edges
+        self._init(weights, objective, integral)
 
     def verify(self, h: Hypergraph) -> None:
         assert sum(self.weights, Fraction(0)) == self.objective

@@ -8,7 +8,8 @@ readers of programs and EDB files that the library's reader is checked
 against, and the standalone rule-bound check and plain value-cover search
 that `verify`'s checks are checked against, and the Rule-based candidate
 build, relaxations and groundability test that the engine's and
-`classify_program`'s are checked against."""
+`classify_program`'s are checked against, and the whole cycle walk
+that hcont's is checked against."""
 
 from __future__ import annotations
 
@@ -635,6 +636,24 @@ def reference_check(h: MembershipFn, r: Rule, admitted) -> bool:
                 and subsumes(other.rule, rho.rule))
         if verdict:
             return True
+    return False
+
+
+def reference_closes_cycle(graph, r: Rule) -> bool:
+    """`_Graph.closes_cycle` as a whole walk: from r's body adornments
+    and its head's successors along `graph.edges`, until the head's
+    adornment is met."""
+    target = r.head.adornment
+    stack = [a.adornment for a in r.body if a.adornment is not None]
+    stack.extend(graph.edges.get(target, ()))
+    seen: set = set()
+    while stack:
+        node = stack.pop()
+        if node == target:
+            return True
+        if node not in seen:
+            seen.add(node)
+            stack.extend(graph.edges.get(node, ()))
     return False
 
 

@@ -21,8 +21,8 @@ from dlbound.core import classify_rule_atoms, format_rule
 
 from conftest import (
     REACH_SRC, TC_SRC, adorn_every_way, golden_corpus, random_programs,
-    reference_build, reference_check, reference_gout_kept, reference_relax,
-    rule_profile,
+    reference_build, reference_check, reference_closes_cycle,
+    reference_gout_kept, reference_relax, rule_profile,
 )
 
 
@@ -582,6 +582,43 @@ def test_dependency_cycle_matches_reachability():
             (v, v) in reach for v in nodes if v == u or (u, v) in reach)]
         assert all(order.index(b) < order.index(a)
                    for a, b in edges if a in order)
+
+
+def test_closes_cycle_matches_the_whole_walk(monkeypatch):
+    # a head adornment that no admitted rule's body holds closes a cycle
+    # only through r's own body; the walk is skipped then
+    closes_cycle = _Graph.closes_cycle
+    counts: dict = {}  # (walk skipped, answer) -> how often
+
+    def both(self, r):
+        answer = closes_cycle(self, r)
+        assert answer == reference_closes_cycle(self, r), format_rule(r)
+        case = r.head.adornment not in self.in_bodies, answer
+        counts[case] = counts.get(case, 0) + 1
+        return answer
+
+    monkeypatch.setattr(_Graph, "closes_cycle", both)
+    for _ in adorn_every_way(golden_corpus()):
+        pass
+    assert counts[True, False] > 100 and counts[True, True] > 10, counts
+    assert counts.get((False, True)), counts
+    # on any graph, also one whose bodies hold adornments that head no
+    # rule, as an engine run's never do
+    rng = random.Random(5)
+    walked = 0
+    for _ in range(500):
+        nodes = range(rng.randint(1, 6))
+        edges = {(rng.choice(nodes), rng.choice(nodes))
+                 for _ in range(rng.randint(0, 8))}
+        heads = rng.sample(nodes, rng.randint(1, len(nodes)))
+        graph = _Graph(graph_rules(edges, heads))
+        r = SimpleNamespace(
+            head=Atom("p", (), adornment=StandIn(rng.choice(nodes))),
+            body=tuple(Atom("p", (), adornment=StandIn(v)) for v in
+                       rng.sample(nodes, rng.randint(0, len(nodes)))))
+        assert closes_cycle(graph, r) == reference_closes_cycle(graph, r)
+        walked += r.head.adornment in graph.in_bodies.difference(graph.edges)
+    assert walked > 50
 
 
 def test_dependency_cycle_on_a_long_chain():

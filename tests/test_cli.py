@@ -1,7 +1,10 @@
 """End-to-end checks for the command-line interface."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -178,6 +181,20 @@ def test_byte_order_mark_is_ignored(capsys, tmp_path, tc_file, edb_file):
         want = run(capsys, *argv)
         assert want[0] == 0
         assert run(capsys, *(marked.get(a, a) for a in argv)) == want
+
+
+def test_cli_runs_as_a_process_without_dataclasses_or_inspect(tc_file):
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, dlbound.cli; print(sorted("
+         "{'dataclasses', 'inspect'} & sys.modules.keys()))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert probe.stdout == "[]\n"
+    done = subprocess.run([sys.executable, "-m", "dlbound.cli", "classify",
+                           tc_file], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "AdornmentGroundable Linear SimpleChain\n", "")
 
 
 def test_classify(capsys, tc_file):

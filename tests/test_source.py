@@ -41,6 +41,31 @@ def test_no_unused_imports():
     assert not found
 
 
+def imported_modules(text: str) -> set:
+    """The top-level names of the modules a module imports, relative
+    imports left out."""
+    tree = ast.parse(text)
+    return {alias.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names} | {
+        node.module.split(".")[0] for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        and not node.level}
+
+
+def test_imported_modules_finds_both_forms():
+    text = ("import os.path\nfrom dataclasses import field\n"
+            "from . import unify\nfrom .core import Var\n")
+    assert imported_modules(text) == {"os", "dataclasses"}
+
+
+def test_no_module_imports_dataclasses():
+    # `@dataclass` generates and compiles each class's methods at import,
+    # and `dataclasses` loads `inspect`: most of the package's import time
+    src = Path(dlbound.__file__).parent
+    assert not [path.name for path in sorted(src.glob("*.py"))
+                if "dataclasses" in imported_modules(path.read_text())]
+
+
 def references(node) -> Counter:
     """How often each name is read below node, as a name or attribute."""
     return Counter(n.id if isinstance(n, ast.Name) else n.attr
