@@ -38,7 +38,6 @@ class Adornment(_Value):
     representative rule and the distance profile are built on first use;
     an engine run keeps one object per key, so each is built once a run.
     """
-    _fields = ("key",)
 
     def __init__(self, key: tuple):
         vars(self).update(key=key, key_hash=hash(key))
@@ -79,7 +78,6 @@ class AdornedProgram(_Value):
 
     Each rule's head and IDB body atoms carry their adornments.
     """
-    _fields = ("rules", "source")
 
     def __init__(self, rules: tuple, source: Program):
         self._init(rules, source)

@@ -13,7 +13,6 @@ from .adorn import (
 class NonRecursive(_Value):
     """The rewriting reached a fixpoint with no recursive adorned
     predicate: the program is bounded and each IDB collapses to a UCQ."""
-    _fields = ("program",)
 
     def __init__(self, program: AdornedProgram):
         self._init(program)
@@ -26,7 +25,6 @@ class NonRecursive(_Value):
 class Degraded(_Value):
     """A budgeted rewriting terminated, but some adorned predicate is
     recursive; the output is EDB-bounded yet not a UCQ."""
-    _fields = ("program", "budget")
 
     def __init__(self, program: AdornedProgram, budget: int | None):
         self._init(program, budget)
@@ -38,7 +36,6 @@ class Degraded(_Value):
 
 class Inconclusive(_Value):
     """A rule or sweep limit was hit before reaching a fixpoint."""
-    _fields = ("partial", "limit")
 
     def __init__(self, partial: AdornedProgram, limit: str):
         self._init(partial, limit)

@@ -40,12 +40,15 @@ _set = object.__setattr__
 
 
 class _Value:
-    """Base of the package's immutable values.  Equality (with an object
-    of the same class only), hashing and repr read the fields a class
-    lists in `_fields`, in order, and every attribute is read-only: a
-    class's own `__init__` fills its fields, by `_set` or `_init`."""
+    """Base of the package's immutable values.  A class's fields are its
+    `__init__`'s parameters, which `__init__` fills by `_set` or `_init`.
+    Equality (with an object of the same class only), hashing and repr
+    read them in order, and every attribute is read-only."""
     __slots__ = ()
-    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
 
     def _init(self, *values) -> None:
         vars(self).update(zip(self._fields, values))
@@ -65,6 +68,9 @@ class _Value:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({args})"
 
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
@@ -74,7 +80,7 @@ class _Value:
 
 class Var(_Value):
     """A variable term."""
-    __slots__ = _fields = ("name",)
+    __slots__ = ("name",)
 
     def __init__(self, name: str):
         _set(self, "name", name)
@@ -93,7 +99,7 @@ class Var(_Value):
 
 class Const(_Value):
     """A constant term: lowercase symbol or integer."""
-    __slots__ = _fields = ("value",)
+    __slots__ = ("value",)
 
     def __init__(self, value):
         _set(self, "value", value)
@@ -131,7 +137,7 @@ class Atom(_Value):
     The IDB atoms of an adorned program carry their predicate's
     adornment (an `adorn.Adornment`); every other atom carries None.
     """
-    __slots__ = _fields = ("pred", "terms", "adornment")
+    __slots__ = ("pred", "terms", "adornment")
 
     def __init__(self, pred: str, terms: tuple, adornment=None):
         _set(self, "pred", pred)
@@ -161,7 +167,7 @@ class Atom(_Value):
 
 class Rule(_Value):
     """A safe rule: head atom and a non-empty body."""
-    __slots__ = _fields = ("head", "body")
+    __slots__ = ("head", "body")
 
     def __init__(self, head: Atom, body: tuple):
         _set(self, "head", head)
@@ -199,7 +205,6 @@ class Rule(_Value):
 
 class Program(_Value):
     """A validated datalog program with its IDB/EDB partition."""
-    _fields = ("rules", "idb", "edb")
 
     def __init__(self, rules: tuple, idb: frozenset, edb: frozenset):
         self._init(rules, idb, edb)

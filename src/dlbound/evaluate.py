@@ -19,7 +19,6 @@ class EDBInstance(_Value):
     """Ground facts: relation name -> set of constant tuples.  Its join
     sources and value-cover index are made on first use and kept, so
     every evaluation and check over one instance shares them."""
-    _fields = ("relations",)
 
     def __init__(self, relations: tuple):  # of (name, frozenset of tuples)
         vars(self).update(relations=relations, _by_name=dict(relations),
@@ -185,7 +184,6 @@ class IDBResult(_Value):
     holds its base predicate.  Adornments sort by key, and a key starts
     with the base predicate, so relations sort by base predicate first.
     """
-    _fields = ("relations",)
 
     def __init__(self, relations: tuple):  # of (key, frozenset)
         vars(self).update(relations=relations, _by_key=dict(relations))
@@ -346,15 +344,11 @@ def eval_cq(rule: Rule, d: EDBInstance, within=None) -> frozenset:
 
 
 class BoundednessViolation(_Value):
-    _fields = ("rule_index", "tuple_value")
-
     def __init__(self, rule_index: int, tuple_value: tuple):
         self._init(rule_index, tuple_value)
 
 
 class RuleBoundedReport(_Value):
-    _fields = ("violations",)
-
     def __init__(self, violations: tuple):
         self._init(violations)
 

@@ -229,8 +229,6 @@ def _grounding_join(rule: Rule, pi: AdornedProgram, d: EDBInstance,
 
 
 class ComplexityBound(_Value):
-    _fields = ("applies_to", "formula", "exponent")
-
     def __init__(self, applies_to: str, formula: str,
                  exponent: Fraction | None):
         self._init(applies_to, formula, exponent)
@@ -244,9 +242,6 @@ class ComplexityBound(_Value):
 
 
 class ComplexityReport(_Value):
-    _fields = ("classes", "f", "rule_count", "ew", "fchw", "fchw_mode",
-               "bounds")
-
     def __init__(self, classes: tuple, f: int, rule_count: int,
                  ew: Fraction, fchw: int | None, fchw_mode: str,
                  bounds: tuple):

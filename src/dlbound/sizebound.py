@@ -55,7 +55,6 @@ def pow_ceil(n: int, exp: Fraction) -> int:
 
 class SchemaStats(_Value):
     """Counting parameters a program exposes for one queried predicate."""
-    _fields = ("num_edbs", "ear", "arq", "rule_count", "term_count")
 
     def __init__(self, num_edbs: int, ear: int, arq: int, rule_count: int,
                  term_count: int):
@@ -158,10 +157,6 @@ def coeff_minimal(stats: SchemaStats, ew: int) -> int | None:
 
 
 class PredicateBounds(_Value):
-    _fields = ("predicate", "ew_integral", "ew_fractional", "f_exact",
-               "bound1", "bound2", "fpt_bound", "coeff_naive",
-               "coeff_minimal")
-
     def __init__(self, predicate: str, ew_integral: Fraction | None,
                  ew_fractional: Fraction | None, f_exact: int,
                  bound1: int | None, bound2: int | None,
@@ -179,8 +174,6 @@ class PredicateBounds(_Value):
 
 
 class SizeBoundReport(_Value):
-    _fields = ("n", "predicates")
-
     def __init__(self, n: int, predicates: tuple):
         self._init(n, predicates)
 

@@ -19,8 +19,6 @@ class UncoverableError(ValidationError):
 
 
 class Hypergraph(_Value):
-    _fields = ("vertices", "edges", "v_out")
-
     def __init__(self, vertices: frozenset, edges: tuple, v_out: frozenset):
         # edges: (label, frozenset) pairs
         self._init(frozenset(vertices),
@@ -29,8 +27,6 @@ class Hypergraph(_Value):
 
 
 class EdgeCoverSolution(_Value):
-    _fields = ("weights", "objective", "integral")
-
     def __init__(self, weights: tuple, objective: Fraction, integral: bool):
         # weights: a Fraction per edge, aligned with Hypergraph.edges
         self._init(weights, objective, integral)

@@ -1,5 +1,7 @@
 """Parser, validation, printing, and the minimum-cover search."""
 
+import copy
+import pickle
 import random
 import time
 from itertools import combinations
@@ -7,14 +9,26 @@ from itertools import combinations
 import pytest
 
 from dlbound import (
-    Atom, Const, ParseError, ValidationError, Var, parse_edb, parse_program,
-    print_program,
+    Atom, Const, ParseError, ValidationError, Var, adorn_program, parse_edb,
+    parse_program, print_program,
 )
 from dlbound.core import classify_rule_atoms, format_rule, min_cover
 
 from conftest import (
     TC_SRC, _Parser, _parse_edb_tokens, random_program_text,
 )
+
+
+def test_values_survive_copy_and_pickle():
+    p = parse_program(TC_SRC)
+    pi = adorn_program(p, "gout")
+    d = parse_edb("e(1,2). e(2,a).")
+    for value in (Var("X"), Const(3), p.rules[1], p, pi.rules[0].head, pi,
+                  d):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert twin == value and hash(twin) == hash(value)
+    assert pickle.loads(pickle.dumps(d)).get("e") == {(1, 2), (2, "a")}
 
 
 def test_parse_tc():
