@@ -3,7 +3,7 @@ engine that rewrites a program into an equivalent EDB-bounded one."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import count, product
 from operator import attrgetter
@@ -64,6 +64,13 @@ class Adornment(_Value):
         one."""
         (_, head), body = self.key
         return distance_profile(head, [(pk[1], sigs) for pk, sigs in body])
+
+    @cached_property
+    def reach(self) -> float:
+        """The sum of the profile's head-to-head distances.  A
+        homomorphism never stretches a distance, so `may_subsume` holds
+        only when the subsumer's reach is at least its image's."""
+        return sum(sum(heads) for heads, _ in self.profile[1])
 
     @property
     def base(self) -> str:
@@ -304,14 +311,17 @@ class MembershipFn:
         admitted rules or, under hcont, its head adornment, off every
         cycle, is subsumed by a pooled one.  A pooled adornment subsumes
         itself, so that case needs no canonical form of r, and an
-        admitted rule's head is pooled; distance profiles settle most
-        other pairs."""
+        admitted rule's head is pooled.  Only pooled adornments of at
+        least rho's reach can subsume it, and they are found by
+        bisection; distance profiles settle most other pairs."""
         if self.name == "heq" or admitted.graph.closes_cycle(r):
             return admitted.key_of(r) in admitted.rules
         rho = r.head.adornment
         if rho in admitted.graph.edges:  # it heads an admitted rule
             return True
-        for other in admitted.graph.pools.get(r.head.pred, ()):
+        reaches, pool = admitted.by_reach(r.head.pred)
+        for i in range(bisect_left(reaches, rho.reach), len(pool)):
+            other = pool[i]
             verdict = admitted.verdicts.get((other, rho))
             if verdict is None:
                 verdict = admitted.verdicts[other, rho] = (
@@ -399,15 +409,33 @@ class _Admitted:
     rule.  An admitted rule's head has its adornment representative's
     head pattern, so a candidate is its adornment.  hcont memoises its
     verdicts here, by (subsumer, subsumed) adornment pair, so they last
-    for one run."""
+    for one run, and orders each pool by reach from its first check on,
+    as (reaches, adornments), ascending and in admission order within a
+    reach."""
 
     def __init__(self, rules=()):
         self.rules: dict = {}  # canonical form -> rule
         self.graph = _Graph()
         self.verdicts: dict = {}
+        self.reach: dict | None = None
         self.last = self.last_key = None
         for r in rules:
             self.add(r)
+
+    def by_reach(self, pred: str) -> tuple:
+        """pred's pool ordered by reach, as (reaches, adornments)."""
+        if self.reach is None:
+            self.reach = {}
+            for pool in self.graph.pools.values():
+                for adn in pool:
+                    self._place(adn)
+        return self.reach.get(pred, ((), ()))
+
+    def _place(self, adn: Adornment) -> None:
+        reaches, pool = self.reach.setdefault(adn.base, ([], []))
+        i = bisect_right(reaches, adn.reach)
+        reaches.insert(i, adn.reach)
+        pool.insert(i, adn)
 
     def key_of(self, r: Rule) -> tuple:
         """r's canonical form, kept for the last rule asked about, so a
@@ -418,6 +446,8 @@ class _Admitted:
 
     def add(self, r: Rule) -> None:
         self.rules[self.key_of(r)] = r
+        if self.reach is not None and r.head.adornment not in self.graph.edges:
+            self._place(r.head.adornment)
         self.graph.add(r)
 
 

@@ -417,7 +417,8 @@ def parse_program(text: str) -> Program:
                         except ValueError as exc:  # past the digit limit
                             raise fail(i, exc) from None
                     else:
-                        raise fail(i, f"expected a term, found {t!r}")
+                        raise fail(i, "expected a term, found "
+                                   f"{t or 'end of input'!r}")
                 args.append(term)
                 i += 1
                 if toks[i] != ",":

@@ -162,9 +162,12 @@ def _read_facts(text: str) -> EDBInstance:
                     vals.append(int(t))
                 except ValueError as exc:  # past the digit limit
                     raise _syntax_error(text, toks, i, exc) from None
-            else:
+            elif t:
                 raise _syntax_error(text, toks, i,
                                     "facts may contain only constants")
+            else:
+                raise _syntax_error(text, toks, i, "expected a constant, "
+                                    "found 'end of input'")
             if toks[i + 1] != ",":
                 break
         if toks[i + 1] != ")":

@@ -86,25 +86,28 @@ def _dedup_items(head_terms, items):
     return kept
 
 
-def _dedup_once(head_terms, items):
-    """One pass of `_dedup_items`.  Only atoms whose predicate key occurs
-    more than once can be twins, so only they get a pattern."""
+def _dedup_once(head_terms, items, once=None):
+    """One pass of `_dedup_items`, given the set of variables occurring
+    once in the rule if it is at hand.  Only atoms whose predicate key
+    occurs more than once can be twins, so only they get a pattern."""
     keys: dict = {}
     for item in items:
         keys[item[0]] = keys.get(item[0], 0) + 1
     if len(keys) == len(items):
         return items
-    counts: dict = {}
-    for terms in (head_terms, *[item[1] for item in items]):
-        for t in terms:
-            if isinstance(t, Var):
-                counts[t.name] = counts.get(t.name, 0) + 1
+    if once is None:
+        counts: dict = {}
+        for terms in (head_terms, *[item[1] for item in items]):
+            for t in terms:
+                if isinstance(t, Var):
+                    counts[t.name] = counts.get(t.name, 0) + 1
+        once = {v for v, n in counts.items() if n == 1}
 
     def pattern(pred_key, terms):
         # a variable by its name, None if it occurs once, a constant by
         # its signature
         return pred_key, tuple([
-            (t.name if counts[t.name] > 1 else None) if isinstance(t, Var)
+            (None if t.name in once else t.name) if isinstance(t, Var)
             else _term_sig(t, {}) for t in terms])
 
     seen = set()
@@ -117,6 +120,14 @@ def _dedup_once(head_terms, items):
             seen.add(p)
         out.append(item)
     return out
+
+
+# Bodies of at least this many atoms, twins dropped, read the least
+# signature off cells of equal signatures; smaller ones scan every
+# signature, which costs them less.  On adorn-heavy's recorded keys the
+# two broke even at 14 atoms.
+_CELLS_FROM = 15
+_UNLABELED = ("v?",)
 
 
 def canonical_key(head_key, head_terms, body_items) -> tuple:
@@ -136,25 +147,47 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
     under the automorphisms found that fix every variable labeled above
     it, would only repeat that one's renderings, so it is skipped (the
     pruning of nauty: McKay & Piperno, J. Symb. Comp. 2014).
-    """
-    body_items = _dedup_items(head_terms, list(body_items))
 
+    On long bodies the unlabeled variables sit in cells keyed by
+    signature, so a step compares distinct signatures only, and a label
+    moves only the variables sharing an atom with the labeled one; tied
+    variables are tried in first-occurrence order, as a scan finds them.
+    """
     labels: dict = {}
     for t in head_terms:
         if isinstance(t, Var) and t.name not in labels:
             labels[t.name] = len(labels)
     head_sig = (head_key, tuple(_term_sig(t, labels) for t in head_terms))
-    pred_keys = [pk for pk, _ in body_items]
-    rows = [[_term_sig(t, labels) for t in terms] for _, terms in body_items]
+
+    items = list(body_items)
+    while True:
+        # one walk gives the rows, each unlabeled variable's occurrences
+        # as [(pk, position, atom)] and each atom's unlabeled variables;
+        # the variables occurring once tell twins apart
+        rows, occurrences, names = [], {}, []
+        for i, (pk, terms) in enumerate(items):
+            row, here = [], []
+            for pos, t in enumerate(terms):
+                if not isinstance(t, Var):
+                    row.append(_term_sig(t, labels))
+                elif t.name in labels:
+                    row.append(("v", labels[t.name]))
+                else:
+                    row.append(_UNLABELED)
+                    occurrences.setdefault(t.name, []).append((pk, pos, i))
+                    here.append(t.name)
+            rows.append(row)
+            names.append(here)
+        kept = _dedup_once(head_terms, items, {
+            v for v, occ in occurrences.items() if len(occ) == 1})
+        if len(kept) == len(items):
+            break
+        items = kept
+    pred_keys = [pk for pk, _ in items]
 
     def render(rows):
         return (head_sig, tuple(sorted(zip(pred_keys, map(tuple, rows)))))
 
-    occurrences: dict = {}  # unlabeled variable -> [(pk, position, atom)]
-    for i, (pk, terms) in enumerate(body_items):
-        for pos, t in enumerate(terms):
-            if isinstance(t, Var) and t.name not in labels:
-                occurrences.setdefault(t.name, []).append((pk, pos, i))
     if not occurrences:
         return render(rows)
 
@@ -162,33 +195,60 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
         return tuple(sorted([(pk, pos, tuple(rows[i]))
                              for pk, pos, i in occurrences[v]]))
 
-    def label(v, rows, sigs, order):
+    def label(v, rows, sigs, cells, order):
         sig = ("v", len(labels) + len(order))
         order.append(v)
+        if cells is not None:
+            cell = cells[sigs[v]]
+            cell.remove(v)
+            if not cell:
+                del cells[sigs[v]]
         del sigs[v]
         for _, pos, i in occurrences[v]:
             rows[i][pos] = sig
         # only the signatures of variables sharing an atom with v change
-        for w in {t.name for _, _, i in occurrences[v]
-                  for t in body_items[i][1] if isinstance(t, Var)}:
+        for w in {w for _, _, i in occurrences[v] for w in names[i]}:
             if w in sigs:
-                sigs[w] = invariant(w, rows)
+                new = invariant(w, rows)
+                if cells is not None:
+                    cell = cells[sigs[w]]
+                    cell.remove(w)
+                    if not cell:
+                        del cells[sigs[w]]
+                    cells.setdefault(new, set()).add(w)
+                sigs[w] = new
+
+    def copy(rows, sigs, cells, order):
+        return ([list(r) for r in rows], dict(sigs), None if cells is None
+                else {sig: set(cell) for sig, cell in cells.items()},
+                list(order))
 
     # sigs: unlabeled variable -> signature, in first-occurrence order;
+    # cells: signature -> its unlabeled variables, on long bodies;
     # order: the variables labeled so far, by label
     sigs = {v: invariant(v, rows) for v in occurrences}
+    cells = None
+    if len(items) >= _CELLS_FROM:
+        rank = {v: r for r, v in enumerate(occurrences)}
+        cells = {}
+        for v, sig in sigs.items():
+            cells.setdefault(sig, set()).add(v)
     order: list = []
     first = best = None  # (rendering, order) of the first and least leaf
     autos = []  # automorphisms found, as variable -> variable
-    stack = []  # tied frames: [rows, sigs, order, tied, next index]
+    stack = []  # tied frames: [rows, sigs, cells, order, tied, next index]
     while True:
         while sigs:
-            least = min(sigs.values())
-            tied = [v for v, sig in sigs.items() if sig == least]
+            if cells is None:
+                least = min(sigs.values())
+                tied = [v for v, sig in sigs.items() if sig == least]
+            else:
+                cell = cells[min(cells)]
+                tied = sorted(cell, key=rank.get) if len(cell) > 1 \
+                    else [*cell]
             if len(tied) > 1:
-                stack.append([[list(r) for r in rows], dict(sigs),
-                              list(order), tied, 1])
-            label(tied[0], rows, sigs, order)
+                stack.append([*copy(rows, sigs, cells, order), tied, 1])
+            label(tied[0], rows, sigs, cells, order)
         leaf = (render(rows), order)
         if first is None:
             first = best = leaf
@@ -200,7 +260,7 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
             best = leaf
         while stack:
             frame = stack[-1]
-            rows, sigs, order, tied, i = frame
+            rows, sigs, cells, order, tied, i = frame
             # skip the orbit of the variables tried here, under the
             # automorphisms found that fix every variable labeled above
             fixing = [g for g in autos if all(g[x] == x for x in order)]
@@ -213,13 +273,12 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
             if i == len(tied):
                 stack.pop()
                 continue
-            frame[4] = i + 1
+            frame[5] = i + 1
             if i + 1 < len(tied):
-                rows = [list(r) for r in rows]
-                sigs, order = dict(sigs), list(order)
+                rows, sigs, cells, order = copy(rows, sigs, cells, order)
             else:  # the frame's last candidate takes its state
                 stack.pop()
-            label(tied[i], rows, sigs, order)
+            label(tied[i], rows, sigs, cells, order)
             break
         else:
             return best[0]

@@ -946,7 +946,8 @@ class _Parser:
                                  tok.line, tok.col)
             self.pos += 1
             return self.fresh_wildcard()
-        raise ParseError(f"expected a term, found {tok.text!r}",
+        raise ParseError(
+            f"expected a term, found {tok.text or 'end of input'!r}",
                          tok.line, tok.col)
 
     def atom(self, allow_wildcard: bool) -> Atom:
@@ -1005,6 +1006,9 @@ def _parse_edb_tokens(text: str) -> EDBInstance:
                 vals.append(int(t.text))
             elif t.kind == "IDENT":
                 vals.append(t.text)
+            elif t.kind == "EOF":
+                raise ParseError("expected a constant, found 'end of input'",
+                                 t.line, t.col)
             else:
                 raise ParseError("facts may contain only constants",
                                  t.line, t.col)

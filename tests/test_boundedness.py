@@ -131,3 +131,34 @@ def test_distance_profiles_settle_chain_ladders_without_a_join(
     out = check_boundedness(parse_program(src), max_rules=40)
     assert isinstance(out, Inconclusive) and out.limit == "max-rules"
     assert calls == []
+
+
+NONLINEAR_TC_SRC = "tc(X,Y) :- e(X,Y).\ntc(X,Y) :- tc(X,Z), tc(Z,Y).\n"
+
+
+@pytest.mark.parametrize("src, cap", [
+    (TC_SRC, 40), (SAMEGEN_SRC, 40), (NONLINEAR_TC_SRC, 30)],
+    ids=["tc", "samegen", "nonlinear-tc"])
+def test_hcont_tries_only_pooled_adornments_of_enough_reach(
+        monkeypatch, src, cap):
+    # a subsumer's head-to-head distances are at least its image's, so
+    # a candidate is tried only against pooled adornments of at least
+    # its reach; on these ladders each unfolding reaches further
+    from dlbound import adorn
+    calls = {"candidates": 0, "may_subsume": 0}
+    check, may_subsume = adorn.MembershipFn.check, adorn.may_subsume
+
+    def counted_check(self, r, admitted):
+        calls["candidates"] += 1
+        return check(self, r, admitted)
+
+    def counted_may_subsume(p1, p2):
+        calls["may_subsume"] += 1
+        return may_subsume(p1, p2)
+
+    monkeypatch.setattr(adorn.MembershipFn, "check", counted_check)
+    monkeypatch.setattr(adorn, "may_subsume", counted_may_subsume)
+    out = check_boundedness(parse_program(src), max_rules=cap)
+    assert isinstance(out, Inconclusive) and out.limit == "max-rules"
+    assert calls["candidates"] > cap
+    assert calls["may_subsume"] <= calls["candidates"], calls

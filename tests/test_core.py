@@ -261,6 +261,8 @@ def test_readers_match_the_token_readers_on_rare_characters():
     ("q(X) :- f(X) % no dot", "1:14: expected DOT, found 'end of input'"),
     ("q(X) :- f(X).\n% c\np(X) :- % c",
      "3:9: expected IDENT, found 'end of input'"),
+    # the end of the text where a term belongs
+    ("q(X) :- e(X,", "1:13: expected a term, found 'end of input'"),
     # a bad character anywhere comes before an earlier grammar error
     ("q(X) :- f(X)\nq(Y) :- f(Y). ²", "2:15: unexpected character '²'"),
     # and before an integer past Python's digit limit
@@ -275,6 +277,10 @@ def test_parse_program_error_positions(text, error):
 
 @pytest.mark.parametrize("text, error", [
     ("e(1) % c", "1:6: expected '.'"),
+    ("e(1,", "1:5: expected a constant, found 'end of input'"),
+    # a variable or no term where a constant belongs, not at the end
+    ("e(X).", "1:3: facts may contain only constants"),
+    ("e().", "1:3: facts may contain only constants"),
     ("e(1)\ne(2). ²", "2:7: unexpected character '²'"),
     (f"e({'9' * 5000}). \v", "1:5006: unexpected character '\\x0b'"),
 ])

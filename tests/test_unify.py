@@ -291,6 +291,58 @@ def engine_key_args(monkeypatch) -> list:
     return calls
 
 
+def shaped_bodies(rng: random.Random) -> list:
+    """(head key, head terms, body items) of chains, up/down ladders (the
+    unfoldings of same-generation), stars and cycles at sizes on both
+    sides of `canonical_key`'s switch to cells; some with constants,
+    repeated variables and repeated atoms, some symmetric, so that
+    variables tie, and each with its body shuffled."""
+    def items(*atoms):
+        return [(("p", pred), tuple(Var(t) if t[0].isupper() else
+                                    Const(int(t)) if t.isdigit() else
+                                    Const(t) for t in args))
+                for pred, *args in atoms]
+
+    def chain(n, pred="e", x="X"):
+        return [(pred, f"{x}{i}", f"{x}{i + 1}") for i in range(n)]
+
+    shapes = []
+    for n in (3, 8, 13, 14, 15, 16, 24, 40):
+        ends = (Var("X0"), Var(f"X{n}"))
+        shapes += [(ends, items(*chain(n))), (ends[:1], items(*chain(n))),
+                   ((), items(*chain(n)))]
+        # a cycle ties every variable when no head variable breaks it
+        cycle = chain(n - 1) + [("e", f"X{n - 1}", "X0")]
+        shapes += [((), items(*cycle)), (ends[:1], items(*cycle))]
+        # a ladder: up-steps, a flat rung, as many down-steps
+        k = max(1, n // 2)
+        ladder = chain(k, "up", "U") + [("flat", f"U{k}", f"D{k}")] + [
+            ("down", f"D{i + 1}", f"D{i}") for i in range(k)]
+        shapes.append(((Var("U0"), Var("D0")), items(*ladder)))
+        # a star whose spokes constants tell apart
+        shapes.append(((Var("C"),), items(*[
+            atom for i in range(n) for atom in
+            (("e", "C", f"L{i}"), ("f", f"L{i}", str(i)))])))
+        # a chain with loops, constants and repeated atoms
+        mixed = chain(n) + [("e", x, x) for x in ("X1", f"X{n - 1}")]
+        mixed += [("e", f"X{i}", str(i)) for i in range(2, n, 5)]
+        mixed += mixed[:n // 3]
+        shapes.append((ends, items(*mixed)))
+    # symmetric bodies past the switch: copies of one chain, and a star of
+    # copies of one spoke, which tie until a copy is labelled
+    for copies, n in ((2, 8), (2, 15), (3, 5), (4, 4)):
+        body = [atom for c in range(copies) for atom in chain(n, x=f"C{c}X")]
+        shapes.append(((), items(*body)))
+        spokes = [atom for c in range(copies) for atom in (
+            ("e", "H", f"C{c}X0"), *chain(n, x=f"C{c}X"))]
+        shapes.append(((Var("H"),), items(*spokes)))
+    out = []
+    for head, body in shapes:
+        rng.shuffle(body)
+        out.append((("p", "q"), head, body))
+    return out
+
+
 def test_canonical_key_matches_the_plain_search(monkeypatch):
     # the pruned search in place must give the plain search's keys byte
     # for byte: output order and hcont's trial order depend on them
@@ -299,7 +351,11 @@ def test_canonical_key_matches_the_plain_search(monkeypatch):
     assert len(engine) > 2000
     rng = random.Random(0)
     symmetric = [symmetric_body(rng) for _ in range(400)]
-    for args in cases + engine + symmetric:
+    shaped = shaped_bodies(rng)
+    sizes = {len(unify._dedup_items(head, body)) >= unify._CELLS_FROM
+             for _, head, body in shaped}
+    assert sizes == {False, True}
+    for args in cases + engine + symmetric + shaped:
         assert canonical_key(*args) == reference_canonical_key(*args), args
 
 
@@ -416,6 +472,24 @@ def test_canonical_form_long_chain_is_iterative():
     assert canonical_form(r) == canonical_form(
         rule(f"r(W0,W1200) :- {renamed}."))
     assert canonical_form(r) != canonical_form(chain_rule(1199))
+
+
+def test_the_least_signature_pick_is_near_linear_on_chains(monkeypatch):
+    # past the switch to cells a labelling step compares the distinct
+    # signatures, a few on a chain, not every unlabelled variable's
+    examined = []
+
+    def counted(values):
+        values = list(values)
+        examined[-1] += len(values)
+        return min(values)
+
+    monkeypatch.setattr(unify, "min", counted, raising=False)
+    for n in (50, 100, 200):
+        examined.append(0)
+        canonical_form(chain_rule(n))
+    assert examined[1] <= 2.5 * examined[0], examined
+    assert examined[2] <= 2.5 * examined[1], examined
 
 
 def test_subsumes_remembers_failed_states():
