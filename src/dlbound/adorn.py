@@ -320,8 +320,7 @@ class MembershipFn:
         if rho in admitted.graph.edges:  # it heads an admitted rule
             return True
         reaches, pool = admitted.by_reach(r.head.pred)
-        for i in range(bisect_left(reaches, rho.reach), len(pool)):
-            other = pool[i]
+        for other in pool[bisect_left(reaches, rho.reach):]:
             verdict = admitted.verdicts.get((other, rho))
             if verdict is None:
                 verdict = admitted.verdicts[other, rho] = (

@@ -86,16 +86,18 @@ def _dedup_items(head_terms, items):
     return kept
 
 
-def _dedup_once(head_terms, items, once=None):
-    """One pass of `_dedup_items`, given the set of variables occurring
-    once in the rule if it is at hand.  Only atoms whose predicate key
+def _dedup_once(head_terms, items, occurrences=None):
+    """One pass of `_dedup_items`, given each body-only variable's
+    occurrences if they are at hand.  Only atoms whose predicate key
     occurs more than once can be twins, so only they get a pattern."""
     keys: dict = {}
     for item in items:
         keys[item[0]] = keys.get(item[0], 0) + 1
     if len(keys) == len(items):
         return items
-    if once is None:
+    if occurrences is not None:
+        once = {v for v, occ in occurrences.items() if len(occ) == 1}
+    else:
         counts: dict = {}
         for terms in (head_terms, *[item[1] for item in items]):
             for t in terms:
@@ -127,7 +129,6 @@ def _dedup_once(head_terms, items, once=None):
 # signature, which costs them less.  On adorn-heavy's recorded keys the
 # two broke even at 14 atoms.
 _CELLS_FROM = 15
-_UNLABELED = ("v?",)
 
 
 def canonical_key(head_key, head_terms, body_items) -> tuple:
@@ -173,13 +174,12 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
                 elif t.name in labels:
                     row.append(("v", labels[t.name]))
                 else:
-                    row.append(_UNLABELED)
+                    row.append(("v?",))
                     occurrences.setdefault(t.name, []).append((pk, pos, i))
                     here.append(t.name)
             rows.append(row)
             names.append(here)
-        kept = _dedup_once(head_terms, items, {
-            v for v, occ in occurrences.items() if len(occ) == 1})
+        kept = _dedup_once(head_terms, items, occurrences)
         if len(kept) == len(items):
             break
         items = kept
@@ -195,14 +195,17 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
         return tuple(sorted([(pk, pos, tuple(rows[i]))
                              for pk, pos, i in occurrences[v]]))
 
+    def leave(cells, v, sig):
+        cell = cells[sig]
+        cell.remove(v)
+        if not cell:
+            del cells[sig]
+
     def label(v, rows, sigs, cells, order):
         sig = ("v", len(labels) + len(order))
         order.append(v)
         if cells is not None:
-            cell = cells[sigs[v]]
-            cell.remove(v)
-            if not cell:
-                del cells[sigs[v]]
+            leave(cells, v, sigs[v])
         del sigs[v]
         for _, pos, i in occurrences[v]:
             rows[i][pos] = sig
@@ -211,10 +214,7 @@ def canonical_key(head_key, head_terms, body_items) -> tuple:
             if w in sigs:
                 new = invariant(w, rows)
                 if cells is not None:
-                    cell = cells[sigs[w]]
-                    cell.remove(w)
-                    if not cell:
-                        del cells[sigs[w]]
+                    leave(cells, w, sigs[w])
                     cells.setdefault(new, set()).add(w)
                 sigs[w] = new
 
