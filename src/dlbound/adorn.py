@@ -409,8 +409,8 @@ class _Admitted:
     head pattern, so a candidate is its adornment.  hcont memoises its
     verdicts here, by (subsumer, subsumed) adornment pair, so they last
     for one run, and orders each pool by reach from its first check on,
-    as (reaches, adornments), ascending and in admission order within a
-    reach."""
+    as (reaches, adornments), ascending; an adornment pooled later goes
+    after those of equal reach."""
 
     def __init__(self, rules=()):
         self.rules: dict = {}  # canonical form -> rule
