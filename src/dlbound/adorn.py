@@ -3,7 +3,7 @@ engine that rewrites a program into an equivalent EDB-bounded one."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, insort
 from functools import cached_property
 from itertools import count, product
 from operator import attrgetter
@@ -319,8 +319,9 @@ class MembershipFn:
         rho = r.head.adornment
         if rho in admitted.graph.edges:  # it heads an admitted rule
             return True
-        reaches, pool = admitted.by_reach(r.head.pred)
-        for other in pool[bisect_left(reaches, rho.reach):]:
+        pool = admitted.by_reach(r.head.pred)
+        start = bisect_left(pool, rho.reach, key=attrgetter("reach"))
+        for other in pool[start:]:
             verdict = admitted.verdicts.get((other, rho))
             if verdict is None:
                 verdict = admitted.verdicts[other, rho] = (
@@ -409,32 +410,30 @@ class _Admitted:
     head pattern, so a candidate is its adornment.  hcont memoises its
     verdicts here, by (subsumer, subsumed) adornment pair, so they last
     for one run, and orders each pool by reach from its first check on,
-    as (reaches, adornments), ascending; an adornment pooled later goes
-    after those of equal reach."""
+    ascending; an adornment pooled later goes after those of equal
+    reach."""
 
     def __init__(self, rules=()):
         self.rules: dict = {}  # canonical form -> rule
         self.graph = _Graph()
         self.verdicts: dict = {}
-        self.reach: dict | None = None
+        self.reach: dict | None = None  # pred -> its pool by reach
         self.last = self.last_key = None
         for r in rules:
             self.add(r)
 
-    def by_reach(self, pred: str) -> tuple:
-        """pred's pool ordered by reach, as (reaches, adornments)."""
+    def by_reach(self, pred: str) -> list:
+        """pred's pool ordered by reach."""
         if self.reach is None:
             self.reach = {}
             for pool in self.graph.pools.values():
                 for adn in pool:
                     self._place(adn)
-        return self.reach.get(pred, ((), ()))
+        return self.reach.get(pred, [])
 
     def _place(self, adn: Adornment) -> None:
-        reaches, pool = self.reach.setdefault(adn.base, ([], []))
-        i = bisect_right(reaches, adn.reach)
-        reaches.insert(i, adn.reach)
-        pool.insert(i, adn)
+        insort(self.reach.setdefault(adn.base, []), adn,
+               key=attrgetter("reach"))
 
     def key_of(self, r: Rule) -> tuple:
         """r's canonical form, kept for the last rule asked about, so a
