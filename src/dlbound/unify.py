@@ -88,8 +88,10 @@ def _dedup_items(head_terms, items):
 
 def _dedup_once(head_terms, items, occurrences=None):
     """One pass of `_dedup_items`, given each body-only variable's
-    occurrences if they are at hand.  Only atoms whose predicate key
-    occurs more than once can be twins, so only they get a pattern."""
+    occurrences if they are at hand (counting afresh costs
+    `canonical_key` 4-5% of its time on the benchmarks' keys).  Only
+    atoms whose predicate key occurs more than once can be twins, so
+    only they get a pattern."""
     keys: dict = {}
     for item in items:
         keys[item[0]] = keys.get(item[0], 0) + 1
@@ -126,8 +128,12 @@ def _dedup_once(head_terms, items, occurrences=None):
 
 # Bodies of at least this many atoms, twins dropped, read the least
 # signature off cells of equal signatures; smaller ones scan every
-# signature, which costs them less.  On adorn-heavy's recorded keys the
-# two broke even at 14 atoms.
+# signature, which costs them less.  Timed by body size on the keys of
+# one pass of the adorn-heavy benchmark, cells take 1.2-1.4x the scan's
+# time at 2 to 4 atoms and 1.05-1.17x at 5 to 12, break even at 13 to
+# 15 and win from 16 on (1.6x at 30 or more); a loop with cells only
+# takes 1.1x this one's time over adorn-heavy's keys and 1.14x over
+# corpus-mix's, none of which has 5 atoms.
 _CELLS_FROM = 15
 
 
