@@ -191,7 +191,7 @@ class GMin(RelaxationFn):
         # keeps exactly as many atoms as the integral edge-cover width;
         # ties go to the lexicographically first index tuple
         need = [t.name for t in head_terms if isinstance(t, Var)]
-        cover = min_cover(need, [pat for _, pat in pats]) or ()
+        cover = min_cover(need, [pat for _, pat in pats])
         covered: set = set()
         kept = []
         for i in cover:

@@ -1,5 +1,5 @@
 """Datalog AST, textual dialect parser, pretty-printer, program validation,
-and the minimum-cover search every width uses.
+and the cover search behind every width and `verify`'s value cover.
 
 Dialect: identifiers starting with an uppercase letter are variables,
 lowercase identifiers are predicate symbols or symbol constants, integers
@@ -10,9 +10,7 @@ are constants, `_` is a wildcard (only in rule bodies), rules end with `.`,
 from __future__ import annotations
 
 import re
-from functools import reduce
-from itertools import combinations, islice
-from operator import or_
+from itertools import islice
 
 
 class DatalogError(Exception):
@@ -293,13 +291,16 @@ def classify_rule_atoms(r: Rule, p: Program):
 # Covers
 
 
-def min_cover(need, sets) -> tuple | None:
+def min_cover(need, sets, most=None) -> tuple | None:
     """Indices of a smallest subfamily of `sets` whose union holds `need`.
 
     Ties go to the lexicographically first index tuple.  Returns () when
-    need is empty and None when no subfamily covers it.  No cover is
-    smaller than |need| over the largest share of need one set holds, so
-    smaller sizes are not tried.
+    need is empty and None when no subfamily of at most `most` sets covers
+    it.  Sizes run up from |need| over the largest share of need one set
+    holds.  At each, a depth-first search picks increasing indices; it
+    drops a branch whose later sets miss an uncovered element or lack the
+    room to cover the rest, and skips a set that adds nothing, which no
+    smallest cover holds.
     """
     bit = {x: 1 << i for i, x in enumerate(set(need))}
     full = (1 << len(bit)) - 1
@@ -311,17 +312,34 @@ def min_cover(need, sets) -> tuple | None:
         for x in s:
             m |= bit.get(x, 0)
         masks.append(m)
-    if reduce(or_, masks, 0) != full:
+    n = len(masks)
+    after = [0] * (n + 1)  # after[i], top[i]: masks[i:]'s union, top share
+    top = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        after[i] = after[i + 1] | masks[i]
+        top[i] = max(top[i + 1], masks[i].bit_count())
+    if after[0] != full:
         return None
-    largest = max(m.bit_count() for m in masks)
-    for size in range(-(-len(bit) // largest), len(masks) + 1):
-        for combo in combinations(range(len(masks)), size):
-            m = 0
-            for i in combo:
-                m |= masks[i]
-            if m == full:
-                return combo
-    raise AssertionError("unreachable: the sets cover need")
+    most = n if most is None else min(most, n)
+    for size in range(-(-len(bit) // top[0]), most + 1):
+        stack, c, i = [], 0, 0  # each pick, with what was covered before it
+        while True:
+            room = size - len(stack)
+            if (i < n and c | after[i] == full
+                    and (full ^ c).bit_count() <= room * top[i]):
+                if masks[i] & ~c:
+                    if c | masks[i] == full:
+                        return (*[j for j, _ in stack], i)
+                    if room > 1:
+                        stack.append((i, c))
+                        c |= masks[i]
+                i += 1
+            elif stack:
+                i, c = stack.pop()
+                i += 1
+            else:
+                break
+    return None
 
 
 # ---------------------------------------------------------------------------

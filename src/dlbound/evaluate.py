@@ -9,7 +9,7 @@ from functools import cached_property
 
 from .core import (
     _TOKEN, Atom, Program, Rule, ValidationError, Var, _Value, _is_int,
-    _syntax_error,
+    _syntax_error, min_cover,
 )
 from .adorn import AdornedProgram
 from .join import _Join, _Relation
@@ -393,22 +393,14 @@ def check_rule_bounded(pi: AdornedProgram, d: EDBInstance,
 
 def value_cover_ok(values, d: EDBInstance, k: int) -> bool:
     """Can every value be found within at most k EDB tuples?  At most k
-    values are covered when each is in some tuple.  Otherwise a
-    depth-first search on d's value-cover index, one iterator of what each
-    try leaves uncovered per level, branching on the value held by the
-    fewest tuples."""
+    values are covered when each is in some tuple.  Otherwise the cover
+    search runs over the values' distinct shares of d's tuples, in order
+    of the rarest value each holds, ties in the order the values come."""
     index = d.value_cover_index
-    values = frozenset(values)
+    values = dict.fromkeys(values)
     if len(values) <= k:  # one tuple per value will do
         return all(v in index for v in values)
-    stack = [iter((values,))]
-    while stack:
-        remaining = next(stack[-1], None)
-        if remaining is None:
-            stack.pop()
-        elif not remaining:
-            return True
-        elif len(stack) <= k:
-            v = min(remaining, key=lambda u: len(index.get(u, ())))
-            stack.append(map(remaining.difference, index.get(v, ())))
-    return False
+    rarest = sorted(values, key=lambda v: len(index.get(v, ())))
+    need = frozenset(values)
+    return min_cover(need, dict.fromkeys(
+        s & need for v in rarest for s in index.get(v, ())), k) is not None

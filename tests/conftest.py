@@ -808,7 +808,8 @@ def reference_check_rule_bounded(pi: AdornedProgram, d: EDBInstance,
 
 
 def plain_value_cover_ok(values, d: EDBInstance, k: int) -> bool:
-    """`value_cover_ok` without its shortcut for at most k values: a
+    """The search `value_cover_ok` ran before it called `min_cover`, kept
+    as the reference, without the shortcut for at most k values: a
     depth-first search on d's value-cover index, branching on the value
     held by the fewest tuples."""
     index = d.value_cover_index

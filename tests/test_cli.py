@@ -342,6 +342,28 @@ def test_bounds_and_widths_on_1000_unary_atoms(capsys, tmp_path):
     assert pb["ew_fractional"] == "1000" and pb["bound2"] is None
 
 
+def test_wide_head_chain_of_26_atoms(capsys, tmp_path):
+    # q(X0,...,X26) :- e(X0,X1), ..., e(X25,X26): every width, and the
+    # value cover of each derived tuple, is a cover by 14 of 26 edges; a
+    # search trying the 14-subsets in order meets the first after 1.8
+    # million of them
+    n = 26
+    prog = tmp_path / "wide.dl"
+    prog.write_text("q(%s) :- %s." % (
+        ",".join(f"X{i}" for i in range(n + 1)),
+        ", ".join(f"e(X{i},X{i + 1})" for i in range(n))))
+    edb = tmp_path / "path.facts"
+    edb.write_text(" ".join(f"e({i},{i + 1})." for i in range(42)))
+    for argv, want in ((("widths",), "q: 14\nprogram: 14\n"),
+                       (("minimize",), "q[q(X0,"),
+                       (("adorn", "--relax", "gmin"), "q[q(X0,"),
+                       (("verify", "--edb", str(edb)), "ok\n")):
+        start = time.perf_counter()
+        code, out = run(capsys, *argv[:1], str(prog), *argv[1:])
+        assert time.perf_counter() - start < 0.2, argv
+        assert code == 0 and out.startswith(want), argv
+
+
 def test_verify_on_400_unary_atoms(capsys, tmp_path):
     # 400 tuples cover the head: a search that recursed per tuple would
     # pass Python's recursion limit

@@ -324,21 +324,27 @@ def test_min_cover_matches_brute_force():
     rng = random.Random(11)
     kinds = set()
     for _ in range(600):
-        universe = range(rng.randint(0, 6))
-        sets = [frozenset(x for x in universe if rng.random() < 0.35)
-                for _ in range(rng.randint(0, 7))]
-        if sets and rng.random() < 0.3:  # at most 8 sets with the copy
+        universe = range(rng.randint(0, 10))
+        density = rng.choice((0.2, 0.35, 0.5))
+        sets = [frozenset(x for x in universe if rng.random() < density)
+                for _ in range(rng.randint(0, 11))]
+        if sets and rng.random() < 0.3:  # at most 12 sets with the copy
             sets.insert(rng.randrange(len(sets)), rng.choice(sets))
         need = {x for x in universe if rng.random() < 0.6}
         if rng.random() < 0.1:
             need.add(99)  # in no set
-        expected = brute_first_cover(need, sets)
+        most = rng.choice((None, rng.randint(0, 5)))
+        first = brute_first_cover(need, sets)
+        expected = first
+        if first is not None and most is not None and len(first) > most:
+            expected = None
+            kinds.add("above most")
         kinds.add("empty need" if not need else
-                  "uncoverable" if expected is None else "covered")
+                  "uncoverable" if first is None else "covered")
         if frozenset() in sets:
             kinds.add("empty set")
         if len(set(sets)) < len(sets):
             kinds.add("duplicate")
-        assert min_cover(need, sets) == expected, (need, sets)
+        assert min_cover(need, sets, most) == expected, (need, sets, most)
     assert kinds == {"empty need", "uncoverable", "covered", "empty set",
-                     "duplicate"}
+                     "duplicate", "above most"}
