@@ -124,7 +124,8 @@ def cmd_adorn(p, args) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc.limit}", file=sys.stderr)
         return 1
-    _emit(args, {"rules": [format_rule(r) for r in pi.rules]}, pi.pretty())
+    rules = [format_rule(r) for r in pi.rules]
+    _emit(args, {"rules": rules}, "\n".join(rules) + "\n")
     return 0
 
 
@@ -190,7 +191,8 @@ def cmd_boundedness(p, args) -> int:
 
 def cmd_minimize(p, args) -> int:
     pi = minimize_program(_adorned(p))
-    _emit(args, {"rules": [format_rule(r) for r in pi.rules]}, pi.pretty())
+    rules = [format_rule(r) for r in pi.rules]
+    _emit(args, {"rules": rules}, "\n".join(rules) + "\n")
     return 0
 
 
@@ -232,9 +234,10 @@ def cmd_complexity(p, args) -> int:
     return 0
 
 
-def _tuple_covered(t, adornments, d, k) -> bool:
+def _tuple_covered(t, adornments, d, k, memo) -> bool:
     # only positions the deriving adornment leaves variable need covering;
-    # accept the tuple if any adornment of the predicate covers it
+    # accept the tuple if any adornment of the predicate covers it.  The
+    # answer depends on the set of values only: memo maps it to the answer
     for a in adornments:
         vals = []
         for term, v in zip(a.rule.head.terms, t):
@@ -244,7 +247,10 @@ def _tuple_covered(t, adornments, d, k) -> bool:
             else:
                 vals.append(v)
         else:
-            if value_cover_ok(vals, d, k):
+            need = frozenset(vals)
+            if need not in memo:
+                memo[need] = value_cover_ok(vals, d, k)
+            if memo[need]:
                 return True
     return False
 
@@ -275,8 +281,9 @@ def cmd_verify(p, args) -> int:
         if not adns:
             continue
         k = int(width_of_predicate(pi, q, "integral"))
+        memo: dict = {}  # per predicate, as k is
         for t in sorted(plain.get(q), key=repr):
-            if k >= 1 and not _tuple_covered(t, adns, d, k):
+            if k >= 1 and not _tuple_covered(t, adns, d, k, memo):
                 failures.append(f"value cover failed for {q}{t} at k={k}")
 
     payload = {"ok": not failures, "failures": failures}

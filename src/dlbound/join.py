@@ -71,8 +71,8 @@ class _Join:
     of the step before with the rows its index returns.  The steps are
     chained lazily, so bindings stream and the last step is never held in
     memory; every `_DEEP` steps a level is made a list, which keeps the
-    nesting of generators shallow on long bodies.  `exists` walks the
-    atoms depth first with an explicit stack.
+    nesting of generators shallow on long bodies.  `exists` pulls the same
+    chain depth first and keeps one set of seen states per step.
     """
 
     def __init__(self, atoms):
@@ -180,64 +180,38 @@ class _Join:
             out = _extend(out, step, parts)
         return out
 
-    def _rows(self, sources, slots):
-        """rows(depth): an iterator over the rows of step `depth`'s source
-        that agree with `slots` on the step's key positions."""
-        steps = self.steps
-
-        def rows(depth):
-            j, positions, key = steps[depth][:3]
-            parts = sources[j]
-            if positions:
-                k = key(slots)
-                if len(parts) == 1:
-                    return iter(parts[0].index(positions).get(k, ()))
-                return chain.from_iterable(
-                    p.index(positions).get(k, ()) for p in parts)
-            if len(parts) == 1:
-                return iter(parts[0].rows)
-            return chain.from_iterable(p.rows for p in parts)
-        return rows
-
     def exists(self, sources) -> bool:
-        """Whether some binding grounds every atom in its source; stops at
-        the first.  A state that fails -- the depth and the values of the
-        slots bound above it that this step or a later one reads as keys
-        -- is remembered and not searched again."""
-        steps = self.steps
-        last = len(steps) - 1
-        if last < 0:
-            return True
-        # state[depth]: the slots bound before `depth` and read from it on
-        state, live = [None] * len(steps), set()
-        n_const = len(self.init)
-        for d in range(last, -1, -1):
-            new = steps[d][3]
-            live.update(s for s in steps[d][5] if s >= n_const)
-            live.difference_update(range(new.start, new.stop))
-            state[d] = _tuple_getter(sorted(live))
-        failed = [set() for _ in steps]
-        slots = [*self.init, *[None] * len(self.slot_of)]
-        rows = self._rows(sources, slots)
-        stack = [None] * len(steps)
-        stack[0] = rows(0)
-        depth = 0
-        while depth >= 0:
-            _, _, _, new, eqs, _, grow = steps[depth]
-            for row in stack[depth]:
-                if eqs and any(row[a] != row[b] for a, b in eqs):
-                    continue
-                slots[new] = grow(row)
-                if depth == last:
-                    return True
-                if state[depth + 1](slots) not in failed[depth + 1]:
-                    depth += 1
-                    stack[depth] = rows(depth)
-                    break
-            else:
-                failed[depth].add(state[depth](slots))
-                depth -= 1
-        return False
+        """Whether `run` yields a binding; stops at the first.  Before step
+        d a binding is dropped when its state -- the values of the slots
+        bound before d that step d or a later one reads as keys -- was met
+        at d before: bindings in one state have the same continuations, so
+        searching the first is enough."""
+        steps, n_const = self.steps, len(self.init)
+        # state[d]: the slots bound before step d and read from it on
+        state, live = [], set()
+        for step in reversed(steps):
+            live.update(s for s in step[5] if s >= n_const)
+            live.difference_update(range(step[3].start, step[3].stop))
+            state.append(_tuple_getter(sorted(live)))
+        state.reverse()
+        out = (self.init,)
+        for depth, step in enumerate(steps):
+            if depth:
+                out = _unseen(out, state[depth])
+                if not depth % _DEEP:
+                    out = list(out)
+            out = _extend(out, step, sources[step[0]])
+        return any(True for _ in out)
+
+
+def _unseen(bindings, state):
+    """The bindings whose state (a getter) no earlier one had."""
+    seen = set()
+    for b in bindings:
+        s = state(b)
+        if s not in seen:
+            seen.add(s)
+            yield b
 
 
 def _extend(bindings, step, parts):

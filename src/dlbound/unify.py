@@ -414,7 +414,8 @@ def subsumes(r1: Rule, r2: Rule) -> bool:
     head an extra atom, as a conjunctive query over r2 frozen into a
     database: a constant stands for itself and a variable for a 1-tuple,
     which equals no constant.  Exponential in the worst case; the join
-    remembers failed states, which keeps chain-shaped rules tractable.
+    drops a binding whose state it has met before, which keeps
+    chain-shaped rules tractable.
     """
     if r1.head.pred != r2.head.pred or r1.head.arity != r2.head.arity:
         raise ValueError(

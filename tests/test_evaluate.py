@@ -15,7 +15,7 @@ from dlbound import (
     Const, EDBInstance, GMin, GOut, IDBResult, MembershipFn, ParseError, Rule,
     ValidationError, Var,
     adorn_program, check_rule_bounded, classify_program, eval_cq, evaluate,
-    horn_ground_evaluate, parse_edb, parse_program, union_adorned,
+    horn_ground_evaluate, parse_edb, parse_program, subsumes, union_adorned,
     value_cover_ok,
 )
 from dlbound.join import _Join, _Relation
@@ -316,7 +316,9 @@ def brute_join(body, rels):
 
 def test_join_matches_brute_force():
     rng = random.Random(2026)
-    shapes = {"constant": 0, "repeated": 0, "empty": 0, "disjoint": 0}
+    cuts = random.Random(7)  # splits sources for `exists`, not drawing on rng
+    shapes = {"constant": 0, "repeated": 0, "empty": 0, "disjoint": 0,
+              "parts": 0}
     for _ in range(400):
         pool = [Var(f"V{i}") for i in range(rng.randint(1, 4))]
         body, rels = [], []
@@ -335,6 +337,13 @@ def test_join_matches_brute_force():
         got = {get(slots) for slots in join.run(sources)}
         assert got == want, body
         assert join.exists(sources) == bool(want), body
+        split = []
+        for r in map(list, rels):
+            cut = cuts.randint(0, len(r))
+            split.append((_Relation(set(r[:cut])), _Relation(set(r[cut:])))
+                         if cuts.random() < 0.3 else (_Relation(set(r)),))
+        assert join.exists(split) == bool(want), body
+        shapes["parts"] += any(len(parts) > 1 for parts in split)
         var_sets = [{t.name for t in terms if isinstance(t, Var)}
                     for terms in body]
         shapes["constant"] += any(isinstance(t, Const)
@@ -452,6 +461,7 @@ def test_evaluators_on_a_1200_atom_chain_at_the_default_recursion_limit():
         pi = adorn_program(p, GOut(), MembershipFn("heq"))
         assert union_adorned(horn_ground_evaluate(pi, cycle), "q") == want
         assert check_rule_bounded(pi, cycle).ok
+        assert subsumes(p.rules[0], p.rules[0])
     finally:
         sys.setrecursionlimit(limit)
 
