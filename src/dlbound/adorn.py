@@ -3,7 +3,7 @@ engine that rewrites a program into an equivalent EDB-bounded one."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from functools import cached_property
 from itertools import count, product
 from operator import attrgetter
@@ -299,7 +299,7 @@ def h_cont(r: Rule, rules) -> bool:
 
 class MembershipFn:
     """Membership as a value the engine takes: it holds only its name,
-    and an hcont run memoises its verdicts on the run's `_Admitted`."""
+    and a check keeps no state but the run's `_Admitted`."""
 
     def __init__(self, name: str):
         if name not in ("heq", "hcont"):
@@ -311,25 +311,18 @@ class MembershipFn:
         admitted rules or, under hcont, its head adornment, off every
         cycle, is subsumed by a pooled one.  A pooled adornment subsumes
         itself, so that case needs no canonical form of r, and an
-        admitted rule's head is pooled.  Only pooled adornments of at
-        least rho's reach can subsume it, and they are found by
-        bisection; distance profiles settle most other pairs."""
+        admitted rule's head is pooled.  Otherwise the pool is scanned
+        once, up to the first subsumer: reach, then distance profiles
+        settle most pairs before the join."""
         if self.name == "heq" or admitted.graph.closes_cycle(r):
             return admitted.key_of(r) in admitted.rules
         rho = r.head.adornment
         if rho in admitted.graph.edges:  # it heads an admitted rule
             return True
-        pool = admitted.by_reach(r.head.pred)
-        start = bisect_left(pool, rho.reach, key=attrgetter("reach"))
-        for other in pool[start:]:
-            verdict = admitted.verdicts.get((other, rho))
-            if verdict is None:
-                verdict = admitted.verdicts[other, rho] = (
-                    may_subsume(other.profile, rho.profile)
-                    and subsumes(other.rule, rho.rule))
-            if verdict:
-                return True
-        return False
+        return any(other.reach >= rho.reach
+                   and may_subsume(other.profile, rho.profile)
+                   and subsumes(other.rule, rho.rule)
+                   for other in admitted.graph.pools.get(r.head.pred, ()))
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +331,11 @@ class MembershipFn:
 
 class _Graph:
     """The adorned dependency graph of some adorned rules, each head
-    adornment -> its rules' body adornments, and each predicate's pool of
-    distinct head adornments sorted by key, the candidates for resolving
-    its atoms.  An engine run fills one rule by rule; an adorned program
-    builds one from its rules."""
+    adornment -> its rules' body adornments (a dict in first-seen order,
+    so walks over it do not depend on the hash seed), and each
+    predicate's pool of distinct head adornments sorted by key, the
+    candidates for resolving its atoms.  An engine run fills one rule by
+    rule; an adorned program builds one from its rules."""
 
     def __init__(self, rules=()):
         self.edges: dict = {}
@@ -352,9 +346,10 @@ class _Graph:
 
     def add(self, r: Rule) -> None:
         adn = r.head.adornment
-        succs = {a.adornment for a in r.body if a.adornment is not None}
-        self.edges.setdefault(adn, set()).update(succs)
-        self.in_bodies |= succs
+        succs = dict.fromkeys(a.adornment for a in r.body
+                              if a.adornment is not None)
+        self.edges.setdefault(adn, {}).update(succs)
+        self.in_bodies.update(succs)
         pool = self.pools.setdefault(r.head.pred, [])
         i = bisect_left(pool, adn.key, key=attrgetter("key"))
         if i == len(pool) or pool[i] != adn:
@@ -407,33 +402,14 @@ class _Admitted:
     """An engine run's admitted rules by canonical form, with the graph
     that membership and candidate selection read, kept current rule by
     rule.  An admitted rule's head has its adornment representative's
-    head pattern, so a candidate is its adornment.  hcont memoises its
-    verdicts here, by (subsumer, subsumed) adornment pair, so they last
-    for one run, and orders each pool by reach from its first check on,
-    ascending; an adornment pooled later goes after those of equal
-    reach."""
+    head pattern, so a candidate is its adornment."""
 
     def __init__(self, rules=()):
         self.rules: dict = {}  # canonical form -> rule
         self.graph = _Graph()
-        self.verdicts: dict = {}
-        self.reach: dict | None = None  # pred -> its pool by reach
         self.last = self.last_key = None
         for r in rules:
             self.add(r)
-
-    def by_reach(self, pred: str) -> list:
-        """pred's pool ordered by reach."""
-        if self.reach is None:
-            self.reach = {}
-            for pool in self.graph.pools.values():
-                for adn in pool:
-                    self._place(adn)
-        return self.reach.get(pred, [])
-
-    def _place(self, adn: Adornment) -> None:
-        insort(self.reach.setdefault(adn.base, []), adn,
-               key=attrgetter("reach"))
 
     def key_of(self, r: Rule) -> tuple:
         """r's canonical form, kept for the last rule asked about, so a
@@ -444,8 +420,6 @@ class _Admitted:
 
     def add(self, r: Rule) -> None:
         self.rules[self.key_of(r)] = r
-        if self.reach is not None and r.head.adornment not in self.graph.edges:
-            self._place(r.head.adornment)
         self.graph.add(r)
 
 

@@ -26,9 +26,10 @@ def _tuple_getter(positions):
 
 
 class _Relation:
-    """A set of equal-arity tuples with hash indexes built on first use,
-    one per tuple of key positions, kept current as rows are added.  An
-    index key is a scalar for one position and a tuple for several (what
+    """Equal-arity tuples with hash indexes built on first use, one per
+    tuple of key positions, kept current as rows are added.  The rows are
+    a set, or a dict to None whose order an index keeps.  An index key
+    is a scalar for one position and a tuple for several (what
     `itemgetter` returns), both when built and when looked up."""
 
     __slots__ = ("rows", "_indexes")

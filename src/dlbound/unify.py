@@ -413,9 +413,11 @@ def subsumes(r1: Rule, r2: Rule) -> bool:
     The subsumer r1 derives a superset of r2's tuples.  This is r1, its
     head an extra atom, as a conjunctive query over r2 frozen into a
     database: a constant stands for itself and a variable for a 1-tuple,
-    which equals no constant.  Exponential in the worst case; the join
-    drops a binding whose state it has met before, which keeps
-    chain-shaped rules tractable.
+    which equals no constant.  The frozen atoms keep r2's body order, so
+    the join, which stops at its first match, does the same work under
+    any hash seed.  Exponential in the worst case; the join drops a
+    binding whose state it has met before, which keeps chain-shaped
+    rules tractable.
     """
     if r1.head.pred != r2.head.pred or r1.head.arity != r2.head.arity:
         raise ValueError(
@@ -429,10 +431,10 @@ def subsumes(r1: Rule, r2: Rule) -> bool:
 
     facts: dict = {}
     for b in r2.body:
-        facts.setdefault((b.pred, b.arity), set()).add(frozen(b))
+        facts.setdefault((b.pred, b.arity), {})[frozen(b)] = None
     if any((a.pred, a.arity) not in facts for a in r1.body):
         return False
     rels = {k: (_Relation(rows),) for k, rows in facts.items()}
     join = _Join([r1.head.terms, *(a.terms for a in r1.body)])
-    return join.exists([(_Relation({frozen(r2.head)}),), *(
+    return join.exists([(_Relation({frozen(r2.head): None}),), *(
         rels[a.pred, a.arity] for a in r1.body)])

@@ -621,22 +621,15 @@ def rule_profile(r: Rule) -> tuple:
 def reference_check(h: MembershipFn, r: Rule, admitted) -> bool:
     """`MembershipFn.check` with r's canonical form first: a hit on it,
     then the cycle test, then every pooled adornment as a subsumer of
-    r's head's, with verdicts memoised on the engine run's
-    `_Admitted`."""
+    r's head's."""
     if canonical_form(r) in admitted.rules:
         return True
     if h.name == "heq" or admitted.graph.closes_cycle(r):
         return False
     rho = r.head.adornment
-    for other in admitted.graph.pools.get(r.head.pred, ()):
-        verdict = admitted.verdicts.get((other, rho))
-        if verdict is None:
-            verdict = admitted.verdicts[other, rho] = (
-                may_subsume(other.profile, rho.profile)
-                and subsumes(other.rule, rho.rule))
-        if verdict:
-            return True
-    return False
+    return any(may_subsume(other.profile, rho.profile)
+               and subsumes(other.rule, rho.rule)
+               for other in admitted.graph.pools.get(r.head.pred, ()))
 
 
 def reference_closes_cycle(graph, r: Rule) -> bool:

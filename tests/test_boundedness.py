@@ -133,6 +133,34 @@ def test_distance_profiles_settle_chain_ladders_without_a_join(
     assert calls == []
 
 
+@pytest.mark.parametrize("src", [TC_SRC, SAMEGEN_SRC], ids=["tc", "samegen"])
+def test_chain_ladders_settle_the_cycle_test_without_a_walk(
+        monkeypatch, src):
+    # no admitted rule's body holds a candidate's head adornment, so the
+    # cycle test reads only the candidate's body; without that skip,
+    # these ladders at max_rules=200 took up to twice as long
+    from dlbound import adorn
+    calls, steps = [], []
+
+    class Edges(dict):  # the walk's steps are its reads of `edges`
+        def get(self, *args):
+            steps.append(args[0])
+            return super().get(*args)
+
+    closes_cycle = adorn._Graph.closes_cycle
+
+    def counted(self, r):
+        if type(self.edges) is not Edges:
+            self.edges = Edges(self.edges)
+        calls.append(r)
+        return closes_cycle(self, r)
+
+    monkeypatch.setattr(adorn._Graph, "closes_cycle", counted)
+    out = check_boundedness(parse_program(src), max_rules=40)
+    assert isinstance(out, Inconclusive) and out.limit == "max-rules"
+    assert len(calls) > 40 and steps == []
+
+
 NONLINEAR_TC_SRC = "tc(X,Y) :- e(X,Y).\ntc(X,Y) :- tc(X,Z), tc(Z,Y).\n"
 
 
